@@ -14,18 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from styletx.cli import main as cli
-
-DESK_CONFIG = """\
-d_emb=32
-d_z=64
-d_y=20
-d_maps=4
-dropout=0.1
-lr=0.002
-epochs=30
-batch_size=64
-pad_len=20
-"""
+from styletx.training import desk_config
 
 
 def sh(args):
@@ -39,7 +28,7 @@ def run(out: Path, seed: int, n_source: int, n_target: int, mix: str, epochs: in
     out.mkdir(parents=True, exist_ok=True)
     data = out / "data"
     cfg = out / "desk.cfg"
-    cfg.write_text(DESK_CONFIG.replace("epochs=30", f"epochs={epochs}"))
+    desk_config(epochs=epochs).to_file(cfg)
     sh(["gen-synth", "--out", str(data), "--seed", str(seed),
         "--n-source", str(n_source), "--n-target", str(n_target), "--mix", mix])
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),

@@ -62,9 +62,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -122,9 +119,6 @@ class Tape:
     def clear(self) -> None:
         """Drop all recorded ops, releasing the intermediates they hold."""
         self.ops.clear()
-
-    def backward(self, loss: Tensor) -> None:
-        backward(loss, self)
 
 
 _tape_stack: list[Optional[Tape]] = []

@@ -22,20 +22,20 @@ from .corpus import (
     STYLE_TARGET,
     EmptyInputError,
     SpecError,
-    SplitSpec,
     Vocab,
-    build_vocab,
     gen_synthetic,
     read_lines,
-    three_way_split,
     write_lines,
 )
 from .evaluation import (
     QUALITY_GATE,
+    SEED_EVAL_CLF,
+    SEED_JUDGE,
     ContaminationError,
     EvalReport,
     prepare_experiment,
     run_experiment,
+    split_corpus,
     train_part_classifier,
     transfer_accuracy,
     write_sample_dump,
@@ -111,20 +111,13 @@ def _resolve_config(args) -> TrainConfig:
     return replace(cfg, **overrides)
 
 
-def _load_classifier(path) -> tuple:
-    clf = TextCnnClassifier.from_params(load_params(path))
+def _load_with_vocab(path, from_params) -> tuple:
+    """A checkpoint rebuilt by from_params, plus its vocabulary sidecar."""
+    loaded = from_params(load_params(path))
     vocab_path = Path(str(path) + ".vocab")
     if not vocab_path.exists():
         raise FileNotFoundError(f"missing vocabulary sidecar {vocab_path}")
-    return clf, Vocab.from_file(vocab_path)
-
-
-def _load_model(path) -> tuple:
-    model = TransferModel.from_params(load_params(path))
-    vocab_path = Path(str(path) + ".vocab")
-    if not vocab_path.exists():
-        raise FileNotFoundError(f"missing vocabulary sidecar {vocab_path}")
-    return model, Vocab.from_file(vocab_path)
+    return loaded, Vocab.from_file(vocab_path)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +140,10 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _classifier_command(args, part_index: int, command: str) -> int:
+def _classifier_command(args, part_index: int, seed_offset: int, command: str) -> int:
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    vocab = build_vocab(source_sents + target_sents, args.min_count)
-    spec = SplitSpec()
-    src_parts = three_way_split(source_sents, spec, [args.split_seed, 6], labels=source_labels)
-    tgt_parts = three_way_split(target_sents, spec, [args.split_seed, 7])
+    vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
+                                               args.split_seed, args.min_count)
     reserved = [src_parts[i].all_sentences() + tgt_parts[i].all_sentences()
                 for i in range(3) if i != part_index]
     part_s, part_t = src_parts[part_index], tgt_parts[part_index]
@@ -170,7 +161,7 @@ def _classifier_command(args, part_index: int, command: str) -> int:
     cls_cfg = ClassifierConfig(d_emb=args.emb_dim, maps=args.maps, epochs=args.epochs,
                                lr=args.lr)
     clf, acc = train_part_classifier(part_s, part_t, vocab, args.pad_len, cls_cfg,
-                                     seed=[args.split_seed, 8 + part_index],
+                                     seed=[args.split_seed, seed_offset],
                                      use_style_labels=source_labels is not None,
                                      reserved=reserved)
     save_params(args.out, clf.params())
@@ -186,24 +177,24 @@ def _classifier_command(args, part_index: int, command: str) -> int:
 
 
 def cmd_pretrain_ds(args) -> int:
-    return _classifier_command(args, part_index=1, command="pretrain-ds")
+    return _classifier_command(args, part_index=1, seed_offset=SEED_JUDGE,
+                               command="pretrain-ds")
 
 
 def cmd_train_eval_clf(args) -> int:
-    return _classifier_command(args, part_index=2, command="train-eval-clf")
+    return _classifier_command(args, part_index=2, seed_offset=SEED_EVAL_CLF,
+                               command="train-eval-clf")
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    judge, judge_vocab = _load_classifier(args.ds)
+    judge, judge_vocab = _load_with_vocab(args.ds, TextCnnClassifier.from_params)
     eval_clf = eval_vocab = None
     if args.eval_clf:
-        eval_clf, eval_vocab = _load_classifier(args.eval_clf)
-    vocab = build_vocab(source_sents + target_sents, cfg.min_count)
-    spec = SplitSpec()
-    src_parts = three_way_split(source_sents, spec, [args.split_seed, 6], labels=source_labels)
-    tgt_parts = three_way_split(target_sents, spec, [args.split_seed, 7])
+        eval_clf, eval_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
+    vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
+                                               args.split_seed, cfg.min_count)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     result = train(cfg, corpora, judge, judge_vocab=judge_vocab, eval_clf=eval_clf,
                    eval_vocab=eval_vocab, ckpt_path=args.out, log_path=args.log,
@@ -228,7 +219,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    model, vocab = _load_model(args.model)
+    model, vocab = _load_with_vocab(args.model, TransferModel.from_params)
     lines = read_lines(args.input) if Path(args.input).stat().st_size else []
     keep = [(i, line) for i, line in enumerate(lines) if line.strip()]
     outputs = [""] * len(lines)
@@ -266,8 +257,8 @@ def cmd_evaluate(args) -> int:
         if not (args.model and args.eval_clf and args.input):
             raise UsageError("evaluate needs --model, --eval-clf and --input "
                              "(or --retrain with --source/--target/--config)")
-        model, vocab = _load_model(args.model)
-        clf, clf_vocab = _load_classifier(args.eval_clf)
+        model, vocab = _load_with_vocab(args.model, TransferModel.from_params)
+        clf, clf_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
         sentences = read_lines(args.input)
         labels = read_lines(args.labels) if args.labels else None
         clf_acc = None
@@ -278,15 +269,15 @@ def cmd_evaluate(args) -> int:
             gate_tripped = clf_acc < QUALITY_GATE
         score = transfer_accuracy(model, vocab, clf, clf_vocab, sentences, args.pad_len,
                                   true_styles=labels, clf_heldout_acc=clf_acc)
-        report = EvalReport(accuracies=[score.accuracy] * args.runs,
-                            seeds=[args.seed or 0] * args.runs,
+        # greedy decoding of a fixed checkpoint is deterministic: one measurement
+        report = EvalReport(accuracies=[score.accuracy], seeds=[args.seed or 0],
                             warning=score.warning, by_style=score.by_style)
         if args.samples:
             write_sample_dump(args.samples, list(zip(sentences, score.transferred)))
     report.to_csv(args.report)
     write_manifest(args.report + ".manifest.json", "evaluate",
-                   {"runs": args.runs, "retrain": args.retrain or None,
-                    "pad_len": args.pad_len},
+                   {"runs": args.runs if args.retrain else None,
+                    "retrain": args.retrain or None, "pad_len": args.pad_len},
                    {"model": args.model, "eval_clf": args.eval_clf, "input": args.input,
                     "source": args.source, "target": args.target, "config": args.config},
                    extra={"mean": report.mean, "std": report.std})
@@ -371,7 +362,8 @@ def build_parser() -> Parser:
     p.add_argument("--eval-clf")
     p.add_argument("--input")
     p.add_argument("--labels")
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--runs", type=int, default=3,
+                   help="independent runs with --retrain; a checkpoint is scored once")
     p.add_argument("--report", required=True)
     p.add_argument("--samples", help="optional source<TAB>transferred dump")
     p.add_argument("--retrain", action="store_true",

@@ -4,7 +4,6 @@ population standard deviation."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -13,8 +12,6 @@ import numpy as np
 
 from .corpus import STYLE_TARGET, CorpusPart, Dataset, SpecError, SplitSpec, Vocab, build_vocab, encode, three_way_split
 from .model import (
-    SOURCE,
-    TARGET,
     ClassifierConfig,
     TextCnnClassifier,
     TransferModel,
@@ -22,12 +19,25 @@ from .model import (
     pretrain_style_judge,
     transfer_sentences,
 )
-from .training import TrainConfig, TrainResult, TransferCorpora, train
+from .training import TrainConfig, TransferCorpora, train
 
 QUALITY_GATE = 0.8
 MAX_SKIPPED_STEPS = 10
 
 SEED_SPLIT_SOURCE, SEED_SPLIT_TARGET, SEED_JUDGE, SEED_EVAL_CLF = 6, 7, 8, 9
+
+
+def split_corpus(source: Sequence[str], labels: Optional[Sequence[str]],
+                 target: Sequence[str], seed: int, min_count: int,
+                 split_spec: Optional[SplitSpec] = None) -> tuple:
+    """(vocab, source parts, target parts): the shared vocabulary and each
+    side's (transfer model, style judge, evaluation classifier) split. The
+    classifiers of parts 1 and 2 take [seed, SEED_JUDGE], [seed, SEED_EVAL_CLF]."""
+    split_spec = split_spec or SplitSpec()
+    vocab = build_vocab(list(source) + list(target), min_count)
+    src_parts = three_way_split(source, split_spec, [seed, SEED_SPLIT_SOURCE], labels=labels)
+    tgt_parts = three_way_split(target, split_spec, [seed, SEED_SPLIT_TARGET])
+    return vocab, src_parts, tgt_parts
 
 
 class ContaminationError(ValueError):
@@ -228,11 +238,9 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
                        judge_cfg: Optional[ClassifierConfig] = None,
                        eval_cfg: Optional[ClassifierConfig] = None,
                        use_style_labels: bool = True) -> ExperimentSetup:
-    split_spec = split_spec or SplitSpec()
-    vocab = build_vocab(list(source_sentences) + list(target_sentences), cfg.min_count)
-    src_parts = three_way_split(source_sentences, split_spec, [cfg.seed, SEED_SPLIT_SOURCE],
-                                labels=source_labels)
-    tgt_parts = three_way_split(target_sentences, split_spec, [cfg.seed, SEED_SPLIT_TARGET])
+    vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
+                                               target_sentences, cfg.seed, cfg.min_count,
+                                               split_spec)
     judge_cfg = judge_cfg or ClassifierConfig(d_emb=cfg.d_emb)
     eval_cfg = eval_cfg or ClassifierConfig(d_emb=cfg.d_emb)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, no_grad
 from .corpus import SpecError
-from .model import SOURCE, TARGET, Batch, TextCnnClassifier, TransferModel, style_rows
+from .model import SOURCE, Batch, TextCnnClassifier, TransferModel, style_rows
 
 PROB_EPS = 1e-7
 
@@ -63,6 +63,12 @@ def _segment_mean(x: Tensor, start: int, size: int) -> Tensor:
     return ad.sum_(ad.mul(x, Tensor(weights)))
 
 
+def _domain_means(x: Tensor, n_s: int, n_t: int) -> Tensor:
+    """Mean over the first n_s (source) rows plus mean over the next n_t
+    (target) rows."""
+    return _segment_mean(x, 0, n_s) + _segment_mean(x, n_s, n_t)
+
+
 def _rows(t: Tensor, start: int, stop: int) -> Tensor:
     return ad.take_rows(t, np.arange(start, stop))
 
@@ -71,18 +77,21 @@ def _rows(t: Tensor, start: int, stop: int) -> Tensor:
 # individual terms
 
 
+def adversarial_term(d_clf: TextCnnClassifier, soft, n_s: int, n_t: int) -> Tensor:
+    """Discriminator cross-entropy on a soft batch: its first n_s rows are
+    fakes (source contents decoded with the target style), the next n_t
+    rows reals (target reconstructions); any further rows are ignored."""
+    p = ad.clip(d_clf.prob(soft), PROB_EPS, 1.0 - PROB_EPS)
+    return (_segment_mean(ad.neg(ad.log(1.0 - p)), 0, n_s)
+            + _segment_mean(ad.neg(ad.log(p)), n_s, n_t))
+
+
 def reconstruction_loss(model: TransferModel, batch_s: Batch, batch_t: Batch,
                         dropout_p: float = 0.0, dropout_rng=None) -> Tensor:
     """Mean NLL of source sentences given (their own style, content) plus
     mean NLL of target sentences given (the shared target style, content)."""
-    if not len(batch_s) or not len(batch_t):
-        raise SpecError("reconstruction needs non-empty source and target batches")
-    joint = _cat_batches(batch_s, batch_t)
-    z = model.encode_content(joint, dropout_p, dropout_rng)
-    y = ad.concat([model.encode_style(batch_s, SOURCE),
-                   style_rows(model.target_style, len(batch_t))], axis=0)
-    nll = model.decode_teacher_forced(z, y, joint, dropout_p, dropout_rng)
-    return _segment_mean(nll, 0, len(batch_s)) + _segment_mean(nll, len(batch_s), len(batch_t))
+    return _terms(model, None, None, batch_s, batch_t, {"rec"},
+                  dropout_p=dropout_p, dropout_rng=dropout_rng)["rec"]
 
 
 def adversarial_loss(model: TransferModel, d_clf: TextCnnClassifier, batch_s: Batch,
@@ -91,14 +100,8 @@ def adversarial_loss(model: TransferModel, d_clf: TextCnnClassifier, batch_s: Ba
     """Scores soft decodes of (source content, target style) against soft
     target reconstructions. Minimised by the discriminator arm, maximised
     (through the weighted total) by the generator arm."""
-    joint = _cat_batches(batch_s, batch_t)
-    z = model.encode_content(joint, dropout_p, dropout_rng)
-    soft = model.generate_soft(z, model.target_style, joint.max_len, temperature,
-                               dropout_p, dropout_rng)
-    p = ad.clip(d_clf.prob(soft), PROB_EPS, 1.0 - PROB_EPS)
-    fake_term = _segment_mean(ad.neg(ad.log(1.0 - p)), 0, len(batch_s))
-    real_term = _segment_mean(ad.neg(ad.log(p)), len(batch_s), len(batch_t))
-    return fake_term + real_term
+    return _terms(model, d_clf, None, batch_s, batch_t, {"adv"}, temperature,
+                  dropout_p, dropout_rng)["adv"]
 
 
 def style_discrepancy(y_s: Tensor, y_star: Tensor) -> Tensor:
@@ -144,22 +147,8 @@ def cycle_consistency_loss(model: TransferModel, batch_s: Batch, batch_t: Batch,
     target sentences ride to a style drawn per-sample from the source batch
     and home with the shared target style.
     """
-    if not len(batch_s):
-        raise SpecError("cycle loss needs a non-empty source batch to draw styles from")
-    if draw_idx is None:
-        if draw_rng is None:
-            raise SpecError("cycle loss needs draw_idx or draw_rng for the target-side styles")
-        draw_idx = draw_rng.integers(0, len(batch_s), size=len(batch_t))
-    joint = _cat_batches(batch_s, batch_t)
-    z = model.encode_content(joint, dropout_p, dropout_rng)
-    y_s = model.encode_style(batch_s, SOURCE)
-    y_out = ad.concat([style_rows(model.target_style, len(batch_s)),
-                       ad.take_rows(y_s, draw_idx)], axis=0)
-    soft = model.generate_soft(z, y_out, joint.max_len, temperature, dropout_p, dropout_rng)
-    z_back = model.encode_content(soft, dropout_p, dropout_rng)
-    y_home = ad.concat([y_s, style_rows(model.target_style, len(batch_t))], axis=0)
-    nll = model.decode_teacher_forced(z_back, y_home, joint, dropout_p, dropout_rng)
-    return _segment_mean(nll, 0, len(batch_s)) + _segment_mean(nll, len(batch_s), len(batch_t))
+    return _terms(model, None, None, batch_s, batch_t, {"cyc"}, temperature,
+                  dropout_p, dropout_rng, draw_rng, draw_idx)["cyc"]
 
 
 def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
@@ -169,8 +158,62 @@ def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused evaluation for the training loop: shares the content encoding and
-# the soft generation between the adversarial and cycle terms
+# the one place every term is computed
+
+
+def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
+           judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
+           need, temperature: float = 0.5, dropout_p: float = 0.0, dropout_rng=None,
+           draw_rng=None, draw_idx: Optional[np.ndarray] = None,
+           judge_batch_s: Optional[Batch] = None) -> dict:
+    """The requested subset of {rec, adv, cyc, dis}, keyed by name, from one
+    content encoding, one set of source style codes and one soft generation.
+    Its rows: source contents with the target style; then, for adv, target
+    contents with the target style; then, for cyc, target contents with
+    styles drawn per sample from the source batch."""
+    n_s, n_t = len(batch_s), len(batch_t)
+    if not n_s or not n_t:
+        raise SpecError("need non-empty source and target batches")
+    need_adv, need_cyc = "adv" in need, "cyc" in need
+    if need_cyc and draw_idx is None:
+        if draw_rng is None:
+            raise SpecError("cycle term needs draw_idx or draw_rng")
+        draw_idx = draw_rng.integers(0, n_s, size=n_t)
+    if "dis" in need and judge is None:
+        raise SpecError("style discrepancy term needs the pre-trained judge")
+    joint = _cat_batches(batch_s, batch_t)
+    z = model.encode_content(joint, dropout_p, dropout_rng)
+    y_s = model.encode_style(batch_s, SOURCE) if need & {"rec", "cyc", "dis"} else None
+    out = {}
+
+    if "rec" in need:
+        y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
+        nll = model.decode_teacher_forced(z, y_home, joint, dropout_p, dropout_rng)
+        out["rec"] = _domain_means(nll, n_s, n_t)
+
+    if need_adv or need_cyc:
+        z_gen, y_gen = z, style_rows(model.target_style, n_s + n_t if need_adv else n_s)
+        if need_cyc:
+            if need_adv:
+                z_gen = ad.concat([z, _rows(z, n_s, n_s + n_t)], axis=0)
+            y_gen = ad.concat([y_gen, ad.take_rows(y_s, draw_idx)], axis=0)
+        soft = model.generate_soft(z_gen, y_gen, joint.max_len, temperature,
+                                   dropout_p, dropout_rng)
+        if need_adv:
+            out["adv"] = adversarial_term(d_clf, soft, n_s, n_t)
+        if need_cyc:
+            z_back = model.encode_content(soft, dropout_p, dropout_rng)
+            if need_adv:
+                z_back = ad.concat([_rows(z_back, 0, n_s),
+                                    _rows(z_back, n_s + n_t, n_s + 2 * n_t)], axis=0)
+            y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
+            nll_cyc = model.decode_teacher_forced(z_back, y_home, joint, dropout_p, dropout_rng)
+            out["cyc"] = _domain_means(nll_cyc, n_s, n_t)
+
+    if "dis" in need:
+        judge_view = batch_s if judge_batch_s is None else judge_batch_s
+        out["dis"] = style_discrepancy_loss(model, judge, judge_view, y_s=y_s)
+    return out
 
 
 def compute_breakdown(model: TransferModel, d_clf: TextCnnClassifier,
@@ -185,54 +228,12 @@ def compute_breakdown(model: TransferModel, d_clf: TextCnnClassifier,
     judge was trained with a different vocabulary, judge_batch_s carries
     the source batch re-encoded in the judge's id space.
     """
-    if not len(batch_s) or not len(batch_t):
-        raise SpecError("need non-empty source and target batches")
-    n_s, n_t = len(batch_s), len(batch_t)
-    joint = _cat_batches(batch_s, batch_t)
-    z = model.encode_content(joint, dropout_p, dropout_rng)
-    y_s = model.encode_style(batch_s, SOURCE)
-
-    y_joint = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
-    nll = model.decode_teacher_forced(z, y_joint, joint, dropout_p, dropout_rng)
-    rec = _segment_mean(nll, 0, n_s) + _segment_mean(nll, n_s, n_t)
-
-    need_adv, need_cyc, need_dis = w.lambda_adv > 0, w.lambda_cyc > 0, w.lambda_dis > 0
-    adv = cyc = dis = None
-
-    if need_adv or need_cyc:
-        z_gen, y_gen = z, style_rows(model.target_style, n_s + n_t)
-        if need_cyc:
-            if draw_idx is None:
-                if draw_rng is None:
-                    raise SpecError("cycle term needs draw_idx or draw_rng")
-                draw_idx = draw_rng.integers(0, n_s, size=n_t)
-            # third block: target contents decoded with drawn source styles
-            z_gen = ad.concat([z, _rows(z, n_s, n_s + n_t)], axis=0)
-            y_gen = ad.concat([y_gen, ad.take_rows(y_s, draw_idx)], axis=0)
-        soft = model.generate_soft(z_gen, y_gen, joint.max_len, temperature,
-                                   dropout_p, dropout_rng)
-        if need_adv:
-            p = ad.clip(d_clf.prob(soft), PROB_EPS, 1.0 - PROB_EPS)
-            adv = (_segment_mean(ad.neg(ad.log(1.0 - p)), 0, n_s)
-                   + _segment_mean(ad.neg(ad.log(p)), n_s, n_t))
-        if need_cyc:
-            z_back = model.encode_content(soft, dropout_p, dropout_rng)
-            z_cyc = ad.concat([_rows(z_back, 0, n_s),
-                               _rows(z_back, n_s + n_t, n_s + 2 * n_t)], axis=0)
-            y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
-            nll_cyc = model.decode_teacher_forced(z_cyc, y_home, joint, dropout_p, dropout_rng)
-            cyc = _segment_mean(nll_cyc, 0, n_s) + _segment_mean(nll_cyc, n_s, n_t)
-
-    if need_dis:
-        if judge is None:
-            raise SpecError("style discrepancy term needs the pre-trained judge")
-        judge_view = batch_s if judge_batch_s is None else judge_batch_s
-        dis = style_discrepancy_loss(model, judge, judge_view, y_s=y_s)
-
+    need = {"rec"} | {name for name, weight in (("adv", w.lambda_adv), ("cyc", w.lambda_cyc),
+                                                ("dis", w.lambda_dis)) if weight > 0}
+    terms = _terms(model, d_clf, judge, batch_s, batch_t, need, temperature, dropout_p,
+                   dropout_rng, draw_rng, draw_idx, judge_batch_s)
     zero = Tensor(0.0)
-    adv = zero if adv is None else adv
-    cyc = zero if cyc is None else cyc
-    dis = zero if dis is None else dis
+    rec, adv, cyc, dis = (terms.get(name, zero) for name in ("rec", "adv", "cyc", "dis"))
     total = total_loss(rec, adv, cyc, dis, w)
     breakdown = LossBreakdown(rec=rec.item(), adv=adv.item(), dis=dis.item(),
                               cyc=cyc.item(), total=total.item())

@@ -10,7 +10,7 @@ score sequences, hard or soft.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -110,15 +110,12 @@ class GruCell:
         return (1.0 - z) * h + z * cand
 
     def params(self, prefix: str) -> dict:
-        return {f"{prefix}.{k}": getattr(self, k) for k in (
-            "w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
-            "w_cand", "u_cand", "b_cand")}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_params(cls, params: dict, prefix: str, trainable: bool = True) -> "GruCell":
-        return cls(**{k: Tensor(params[f"{prefix}.{k}"], requires_grad=trainable) for k in (
-            "w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
-            "w_cand", "u_cand", "b_cand")})
+        return cls(**{f.name: Tensor(params[f"{prefix}.{f.name}"], requires_grad=trainable)
+                      for f in fields(cls)})
 
 
 def _masked_unroll(cell: GruCell, emb_steps: Sequence[Tensor], lengths: np.ndarray,
@@ -145,27 +142,6 @@ def _soft_emb_steps(embedding: Tensor, soft: SoftSeq) -> list:
     return [dist @ embedding for dist in soft]
 
 
-class ContentEncoder:
-    """GRU over token embeddings; the last real hidden state is the content code."""
-
-    def __init__(self, embedding: Tensor, cell: GruCell):
-        self.embedding = embedding
-        self.cell = cell
-
-    def encode(self, x: Union[Batch, SoftSeq], dropout_p: float = 0.0,
-               dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
-        if isinstance(x, Batch):
-            steps = _hard_emb_steps(self.embedding, x.ids[:, : int(x.lengths.max())])
-            lengths = x.lengths
-        else:
-            steps = _soft_emb_steps(self.embedding, x)
-            lengths = np.full(len(steps[0].data), len(steps), dtype=np.int64)
-        steps = [_dropout(s, dropout_p, dropout_rng) for s in steps]
-        batch = steps[0].shape[0]
-        h = Tensor(np.zeros((batch, self.cell.hidden_dim)))
-        return _masked_unroll(self.cell, steps, lengths, h)[-1]
-
-
 class StyleEncoder:
     """Text CNN over its own embeddings; concatenated max-over-time maps."""
 
@@ -185,11 +161,14 @@ class StyleEncoder:
     def out_dim(self) -> int:
         return sum(f.shape[2] for f in self.filters.values())
 
-    def encode(self, batch: Batch) -> Tensor:
-        emb_seq = ad.take_rows(self.embedding, batch.ids)
+    def features(self, emb_seq: Tensor) -> Tensor:
+        """ReLU max-over-time maps of a [B, T, d_emb] sequence, widths in order."""
         pooled = [ad.relu(ad.conv1d_maxpool(emb_seq, self.filters[w], self.biases[w]))
                   for w in sorted(self.filters)]
         return ad.concat(pooled, axis=1)
+
+    def encode(self, batch: Batch) -> Tensor:
+        return self.features(ad.take_rows(self.embedding, batch.ids))
 
     def params(self, prefix: str) -> dict:
         out = {f"{prefix}.embedding": self.embedding}
@@ -222,10 +201,6 @@ class TextCnnClassifier:
         cnn = StyleEncoder.create(rng, vocab_size, d_emb, widths, maps)
         return cls(cnn, head_w=_init(rng, cnn.out_dim, 1), head_b=_zeros(1))
 
-    @property
-    def max_width(self) -> int:
-        return max(self.cnn.filters)
-
     def logit(self, x: Union[Batch, SoftSeq]) -> Tensor:
         if isinstance(x, Batch):
             emb_seq = ad.take_rows(self.cnn.embedding, x.ids)
@@ -233,9 +208,7 @@ class TextCnnClassifier:
             steps = [ad.reshape(e, (e.shape[0], 1, e.shape[1]))
                      for e in _soft_emb_steps(self.cnn.embedding, x)]
             emb_seq = ad.concat(steps, axis=1)
-        pooled = [ad.relu(ad.conv1d_maxpool(emb_seq, self.cnn.filters[w], self.cnn.biases[w]))
-                  for w in sorted(self.cnn.filters)]
-        feats = ad.concat(pooled, axis=1)
+        feats = self.cnn.features(emb_seq)
         raw = ad.reshape(feats @ self.head_w + self.head_b, (feats.shape[0],))
         return ad.clip(raw, -LOGIT_CLAMP, LOGIT_CLAMP)
 
@@ -260,11 +233,6 @@ class TextCnnClassifier:
                   head_b=Tensor(params[f"{prefix}.head.bias"], requires_grad=trainable))
         clf.frozen = not trainable
         return clf
-
-
-def discriminate(clf: TextCnnClassifier, x: Union[Batch, SoftSeq]) -> Tensor:
-    """Probability that each sequence carries the target style, in (0, 1)."""
-    return clf.prob(x)
 
 
 @dataclass
@@ -306,14 +274,19 @@ class TransferModel:
     def d_y(self) -> int:
         return self.target_style.shape[0]
 
-    @property
-    def content_encoder(self) -> ContentEncoder:
-        return ContentEncoder(self.embedding, self.enc_cell)
-
     # --- encoders ---------------------------------------------------------
     def encode_content(self, x: Union[Batch, SoftSeq], dropout_p: float = 0.0,
                        dropout_rng=None) -> Tensor:
-        return self.content_encoder.encode(x, dropout_p, dropout_rng)
+        """GRU over token embeddings; the last real hidden state is the content code."""
+        if isinstance(x, Batch):
+            steps = _hard_emb_steps(self.embedding, x.ids[:, : int(x.lengths.max())])
+            lengths = x.lengths
+        else:
+            steps = _soft_emb_steps(self.embedding, x)
+            lengths = np.full(len(steps[0].data), len(steps), dtype=np.int64)
+        steps = [_dropout(s, dropout_p, dropout_rng) for s in steps]
+        h = Tensor(np.zeros((steps[0].shape[0], self.d_z)))
+        return _masked_unroll(self.enc_cell, steps, lengths, h)[-1]
 
     def encode_style(self, batch: Batch, domain_tag: Optional[str] = None) -> Tensor:
         """Dispatch on domain: source sentences get the CNN code, target
@@ -466,11 +439,25 @@ class ClassifierConfig:
     batch_size: int = 32
 
 
-def train_binary_classifier(train_seqs: Sequence[TokenSeq], train_labels: Sequence[float],
-                            heldout_seqs: Sequence[TokenSeq], heldout_labels: Sequence[float],
-                            vocab_size: int, cfg: ClassifierConfig, seed: int) -> tuple:
-    """Binary cross-entropy training of a text CNN; returns the frozen
-    classifier and its held-out accuracy."""
+def classifier_accuracy(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
+                        labels: Sequence[float]) -> float:
+    with no_grad():
+        p = clf.prob(Batch.from_seqs(list(seqs))).data
+    predicted = (p > 0.5).astype(np.float64)
+    return float((predicted == np.asarray(labels, dtype=np.float64)).mean())
+
+
+def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[float],
+                         heldout_seqs: Sequence[TokenSeq], heldout_labels: Sequence[float],
+                         vocab_size: int, cfg: Optional[ClassifierConfig] = None,
+                         seed: int = 0) -> tuple:
+    """The pre-trained, then frozen, probability-of-target-style classifier.
+
+    Binary cross-entropy training of a text CNN on its own data part, before
+    the transfer model; never updated afterwards. Label 1 means the sentence
+    has the target style. Returns the classifier and its held-out accuracy.
+    """
+    cfg = cfg or ClassifierConfig()
     if not train_seqs or not heldout_seqs:
         raise ValueError("classifier training needs non-empty train and held-out sets")
     rng = np.random.default_rng(seed)
@@ -496,24 +483,3 @@ def train_binary_classifier(train_seqs: Sequence[TokenSeq], train_labels: Sequen
     acc = classifier_accuracy(clf, heldout_seqs, heldout_labels)
     clf.freeze()
     return clf, acc
-
-
-def classifier_accuracy(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
-                        labels: Sequence[float]) -> float:
-    with no_grad():
-        p = clf.prob(Batch.from_seqs(list(seqs))).data
-    predicted = (p > 0.5).astype(np.float64)
-    return float((predicted == np.asarray(labels, dtype=np.float64)).mean())
-
-
-def pretrain_style_judge(train_seqs, train_labels, heldout_seqs, heldout_labels,
-                         vocab_size: int, cfg: Optional[ClassifierConfig] = None,
-                         seed: int = 0) -> tuple:
-    """The pre-trained, then frozen, probability-of-target-style classifier.
-
-    Trained before the transfer model on its own data part and never
-    updated afterwards; label 1 means the sentence has the target style.
-    """
-    cfg = cfg or ClassifierConfig()
-    return train_binary_classifier(train_seqs, train_labels, heldout_seqs, heldout_labels,
-                                   vocab_size, cfg, seed)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import save_params
 from .corpus import CorpusPart, SpecError, Vocab, encode
-from .losses import LossBreakdown, LossWeights, compute_breakdown
+from .losses import LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
 from .model import (
     SOURCE,
     TARGET,
@@ -151,20 +151,14 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
     produced under no_grad, so nothing else can move."""
     zero_grads(d_params)
     with ad.no_grad():
-        joint = Batch(ids=np.concatenate([batch_s.ids, batch_t.ids]),
-                      lengths=np.concatenate([batch_s.lengths, batch_t.lengths]))
+        joint = _cat_batches(batch_s, batch_t)
         z = model.encode_content(joint, cfg.dropout, dropout_rng)
         soft = model.generate_soft(z, model.target_style, joint.max_len,
                                    cfg.temperature, cfg.dropout, dropout_rng)
     soft = [s.detach() for s in soft]
     tape = ad.Tape()
     with ad.recording(tape):
-        p = ad.clip(d_clf.prob(soft), 1e-7, 1 - 1e-7)
-        n_s, n_t = len(batch_s), len(batch_t)
-        w_fake = np.concatenate([np.full(n_s, 1.0 / n_s), np.zeros(n_t)])
-        w_real = np.concatenate([np.zeros(n_s), np.full(n_t, 1.0 / n_t)])
-        loss = ad.sum_(ad.mul(ad.neg(ad.log(1.0 - p)), ad.Tensor(w_fake))) \
-            + ad.sum_(ad.mul(ad.neg(ad.log(p)), ad.Tensor(w_real)))
+        loss = adversarial_term(d_clf, soft, len(batch_s), len(batch_t))
         ad.backward(loss, tape)
     adam_step(d_params, d_state, cfg.lr)
     zero_grads(d_params)

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from styletx.checkpoint import load_params
 from styletx.cli import main
 from styletx.corpus import read_lines
-from styletx.evaluation import EvalReport
+from styletx.evaluation import EvalReport, prepare_experiment
+from styletx.training import desk_config
 
 DESK_CFG = """\
 d_emb=24
@@ -84,6 +86,23 @@ def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys):
     manifest = json.loads(Path(str(root / "ds2.ckpt") + ".manifest.json").read_text())
     assert "heldout_accuracy" in manifest
     assert set(manifest["inputs"]) == {"source", "target", "labels"}
+
+
+def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path):
+    # `pretrain-ds --split-seed s` and `evaluate --retrain --seed s` share
+    # one split and one judge seed, so they train the same judge
+    _, data, _ = workdir
+    out = tmp_path / "ds.ckpt"
+    assert main(["pretrain-ds", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"),
+                 "--labels", str(data / "labels.txt"),
+                 "--split-seed", "2", "--out", str(out)]) == 0
+    setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
+                               read_lines(data / "target.txt"), desk_config(seed=2))
+    saved = load_params(out)
+    expected = {k: p.data for k, p in setup.judge.params().items()}
+    assert list(saved) == list(expected)
+    assert all(np.array_equal(saved[k], expected[k]) for k in expected)
 
 
 def test_pretrain_ds_missing_file(tmp_path):
@@ -221,8 +240,8 @@ def test_evaluate_report_recomputes(workdir, tmp_path):
                  "--samples", str(tmp_path / "samples.tsv")])
     assert code in (0, 4)  # advisory exit allowed when the tiny evaluator is weak
     report = EvalReport.from_csv(report_path)
-    assert report.n_runs == 2
-    assert report.std == 0.0  # identical checkpoint scored twice
+    assert report.n_runs == 1  # a fixed checkpoint is one deterministic measurement
+    assert report.std == 0.0
     assert (tmp_path / "samples.tsv").read_text().count("\n") == 20
 
 

@@ -387,10 +387,12 @@ def test_breakdown_identity(rec, adv, cyc, dis, l1, l2, l3):
     assert abs(br.total - br.recompute_total(w)) < 1e-9
 
 
-def test_compute_breakdown_matches_standalone_terms():
+@pytest.mark.parametrize("lambda_adv", [1.0, 0.0])
+def test_compute_breakdown_matches_standalone_terms(lambda_adv):
+    # lambda_adv = 0 leaves the cycle term alone in the soft generation
     model, d_clf, judge, batch_s, batch_t, _ = setup(seed=16)
     draw = np.array([1, 0])
-    w = LossWeights()
+    w = LossWeights(lambda_adv=lambda_adv)
     with no_grad():
         total, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, w,
                                       draw_idx=draw)
@@ -399,7 +401,7 @@ def test_compute_breakdown_matches_standalone_terms():
         cyc = cycle_consistency_loss(model, batch_s, batch_t, draw_idx=draw).item()
         dis = style_discrepancy_loss(model, judge, batch_s).item()
     assert br.rec == pytest.approx(rec, rel=1e-9)
-    assert br.adv == pytest.approx(adv, rel=1e-9)
+    assert br.adv == (pytest.approx(adv, rel=1e-9) if lambda_adv else 0.0)
     assert br.cyc == pytest.approx(cyc, rel=1e-9)
     assert br.dis == pytest.approx(dis, rel=1e-9)
     assert br.total == pytest.approx(br.recompute_total(w), abs=1e-9)

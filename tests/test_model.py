@@ -13,7 +13,6 @@ from styletx.model import (
     TextCnnClassifier,
     TransferModel,
     classify_texts,
-    discriminate,
     pretrain_style_judge,
     snapshot,
     transfer_sentences,
@@ -247,7 +246,7 @@ def test_discriminate_zero_weights_is_half():
         p.data[...] = 0.0
     batch = batch_of(["the food was great"], vocab)
     with no_grad():
-        p = discriminate(clf, batch)
+        p = clf.prob(batch)
     assert p.data[0] == 0.5
 
 
@@ -256,8 +255,8 @@ def test_discriminate_soft_one_hot_matches_hard():
     clf = TextCnnClassifier.create(np.random.default_rng(1), len(vocab), 8, (1, 2, 3), 4)
     batch = batch_of(["the food was great", "we came here again"], vocab, max_len=7)
     with no_grad():
-        hard = discriminate(clf, batch)
-        soft = discriminate(clf, one_hot_steps(batch, len(vocab)))
+        hard = clf.prob(batch)
+        soft = clf.prob(one_hot_steps(batch, len(vocab)))
     assert np.allclose(hard.data, soft.data, atol=1e-12)
 
 
@@ -267,7 +266,7 @@ def test_discriminate_strictly_inside_unit_interval():
     clf.head_b.data[...] = 1e9  # absurd logit still stays strictly below 1
     batch = batch_of(["the food was great"], vocab)
     with no_grad():
-        p = discriminate(clf, batch)
+        p = clf.prob(batch)
     assert 0.0 < p.data[0] < 1.0
 
 
@@ -277,7 +276,7 @@ def test_discriminate_sequence_too_short():
     batch = batch_of(["the food"], vocab, max_len=3)
     with pytest.raises(SequenceTooShortError):
         with no_grad():
-            discriminate(clf, batch)
+            clf.prob(batch)
 
 
 # ---------------------------------------------------------------------------

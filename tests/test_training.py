@@ -151,6 +151,16 @@ def test_discriminator_step_moves_only_discriminator(step_setup):
     assert any(not np.array_equal(d_before[k], v.data) for k, v in d_clf.params("d").items())
 
 
+def test_discriminator_step_returns_the_adversarial_loss(step_setup):
+    cfg, model, d_clf, judge, batch_s, batch_t = step_setup
+    with ad.no_grad():
+        expected = losses_mod.adversarial_loss(model, d_clf, batch_s, batch_t,
+                                               cfg.temperature).item()
+    got = train_step_discriminator(model, d_clf, batch_s, batch_t,
+                                   d_clf.params("d"), AdamState(), cfg)
+    assert got == expected
+
+
 def test_generator_step_moves_only_generator_arm(step_setup):
     cfg, model, d_clf, judge, batch_s, batch_t = step_setup
     d_before = snapshot(d_clf.params("d"))
