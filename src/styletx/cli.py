@@ -195,10 +195,13 @@ def cmd_train(args) -> int:
         eval_clf, eval_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
     vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
                                                args.split_seed, cfg.min_count)
+    if judge_vocab.id_to_token != vocab.id_to_token:
+        raise SpecError(f"the --ds judge's vocabulary ({len(judge_vocab)} tokens) differs from "
+                        f"this run's ({len(vocab)} tokens); pretrain it on the same --source "
+                        f"and --target with --min-count {cfg.min_count}")
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
-    result = train(cfg, corpora, judge, judge_vocab=judge_vocab, eval_clf=eval_clf,
-                   eval_vocab=eval_vocab, ckpt_path=args.out, log_path=args.log,
-                   progress=args.verbose)
+    result = train(cfg, corpora, judge, eval_clf=eval_clf, eval_vocab=eval_vocab,
+                   ckpt_path=args.out, log_path=args.log, progress=args.verbose)
     if not np.isfinite(result.best_val):
         raise DivergenceError("no epoch produced a finite validation total")
     write_manifest(args.out + ".manifest.json", "train",

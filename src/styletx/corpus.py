@@ -1,5 +1,4 @@
-"""Vocabulary, encoding, dataset splitting, cross-entropy-difference data
-selection and synthetic style corpora.
+"""Vocabulary, encoding, dataset splitting and synthetic style corpora.
 
 All functions are pure given their inputs; randomness always flows through
 an explicit seed.
@@ -8,7 +7,7 @@ an explicit seed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -186,80 +185,6 @@ def three_way_split(sentences: Sequence[str], spec: SplitSpec, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# cross-entropy-difference selection
-
-
-class NgramLM:
-    """Count-based n-gram model with additive smoothing, natural-log CE."""
-
-    def __init__(self, order: int = 3, alpha: float = 0.1):
-        if order < 1:
-            raise SpecError(f"n-gram order must be >= 1, got {order}")
-        self.order = order
-        self.alpha = alpha
-        self.context_counts = Counter()
-        self.gram_counts = Counter()
-        self.vocab = set()
-
-    def fit(self, sentences: Iterable[str]) -> "NgramLM":
-        for s in sentences:
-            tokens = tokenize(s)
-            padded = ["<s>"] * (self.order - 1) + tokens
-            self.vocab.update(tokens)
-            for i in range(self.order - 1, len(padded)):
-                ctx = tuple(padded[i - self.order + 1: i])
-                self.gram_counts[(ctx, padded[i])] += 1
-                self.context_counts[ctx] += 1
-        return self
-
-    def _norm(self, token: str) -> str:
-        return token if token in self.vocab else "<unk>"
-
-    def log_prob(self, ctx: tuple, token: str) -> float:
-        v = len(self.vocab) + 1  # +1 for the unknown bucket
-        num = self.gram_counts[(ctx, token)] + self.alpha
-        den = self.context_counts[ctx] + self.alpha * v
-        return math.log(num / den)
-
-    def per_token_cross_entropy(self, sentence: str) -> float:
-        tokens = [self._norm(t) for t in tokenize(sentence)]
-        if not tokens:
-            raise EmptyInputError("cannot score an empty sentence")
-        padded = ["<s>"] * (self.order - 1) + tokens
-        total = 0.0
-        for i in range(self.order - 1, len(padded)):
-            ctx = tuple(padded[i - self.order + 1: i])
-            total -= self.log_prob(ctx, padded[i])
-        return total / len(tokens)
-
-
-def moore_lewis_scores(pool: Sequence[str], in_domain: Sequence[str],
-                       out_domain: Sequence[str], order: int = 3,
-                       alpha: float = 0.1) -> list:
-    """Per-sentence score: in-domain CE minus out-of-domain CE (lower is
-    more in-domain-like)."""
-    if not pool or not in_domain or not out_domain:
-        raise EmptyInputError("pool, in_domain and out_domain must be non-empty")
-    lm_in = NgramLM(order=order, alpha=alpha).fit(in_domain)
-    lm_out = NgramLM(order=order, alpha=alpha).fit(out_domain)
-    return [lm_in.per_token_cross_entropy(s) - lm_out.per_token_cross_entropy(s) for s in pool]
-
-
-def moore_lewis_select(pool: Sequence[str], in_domain: Sequence[str],
-                       out_domain: Sequence[str], keep_fraction: float,
-                       order: int = 3, alpha: float = 0.1) -> list:
-    """Keep the keep_fraction of pool scoring lowest on in-domain CE minus
-    out-of-domain CE. Ties resolve to the earlier pool position; the kept
-    sentences come back in pool order, so keep_fraction=1 is the identity."""
-    if not 0 < keep_fraction <= 1:
-        raise SpecError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    scores = moore_lewis_scores(pool, in_domain, out_domain, order=order, alpha=alpha)
-    keep_n = max(1, int(math.floor(keep_fraction * len(pool) + 1e-9)))
-    ranked = sorted(range(len(pool)), key=lambda i: scores[i])
-    return [pool[i] for i in sorted(ranked[:keep_n])]
-
-
-# ---------------------------------------------------------------------------
 # synthetic style corpora
 #
 # Style lives in collocations, never in single tokens: every intensifier and
@@ -328,7 +253,6 @@ class SyntheticCorpus:
     source: list
     target: list
     source_styles: list
-    target_styles: list = field(default_factory=list)
 
 
 def _emit(rng: np.random.Generator, style: str, domain: str) -> str:
@@ -387,8 +311,7 @@ def gen_synthetic(seed: int, n_source: int, n_target: int, mix: Sequence[float])
         source.append(fresh(style, "source"))
         source_styles.append(style)
     target = [fresh(STYLE_TARGET, "target") for _ in range(n_target)]
-    return SyntheticCorpus(source=source, target=target, source_styles=source_styles,
-                           target_styles=[STYLE_TARGET] * n_target)
+    return SyntheticCorpus(source=source, target=target, source_styles=source_styles)
 
 
 # ---------------------------------------------------------------------------

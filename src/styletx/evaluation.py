@@ -28,15 +28,13 @@ SEED_SPLIT_SOURCE, SEED_SPLIT_TARGET, SEED_JUDGE, SEED_EVAL_CLF = 6, 7, 8, 9
 
 
 def split_corpus(source: Sequence[str], labels: Optional[Sequence[str]],
-                 target: Sequence[str], seed: int, min_count: int,
-                 split_spec: Optional[SplitSpec] = None) -> tuple:
+                 target: Sequence[str], seed: int, min_count: int) -> tuple:
     """(vocab, source parts, target parts): the shared vocabulary and each
     side's (transfer model, style judge, evaluation classifier) split. The
     classifiers of parts 1 and 2 take [seed, SEED_JUDGE], [seed, SEED_EVAL_CLF]."""
-    split_spec = split_spec or SplitSpec()
     vocab = build_vocab(list(source) + list(target), min_count)
-    src_parts = three_way_split(source, split_spec, [seed, SEED_SPLIT_SOURCE], labels=labels)
-    tgt_parts = three_way_split(target, split_spec, [seed, SEED_SPLIT_TARGET])
+    src_parts = three_way_split(source, SplitSpec(), [seed, SEED_SPLIT_SOURCE], labels=labels)
+    tgt_parts = three_way_split(target, SplitSpec(), [seed, SEED_SPLIT_TARGET])
     return vocab, src_parts, tgt_parts
 
 
@@ -234,23 +232,18 @@ class ExperimentResult:
 
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
                        target_sentences: Sequence[str], cfg: TrainConfig,
-                       split_spec: Optional[SplitSpec] = None,
-                       judge_cfg: Optional[ClassifierConfig] = None,
-                       eval_cfg: Optional[ClassifierConfig] = None,
                        use_style_labels: bool = True) -> ExperimentSetup:
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
-                                               target_sentences, cfg.seed, cfg.min_count,
-                                               split_spec)
-    judge_cfg = judge_cfg or ClassifierConfig(d_emb=cfg.d_emb)
-    eval_cfg = eval_cfg or ClassifierConfig(d_emb=cfg.d_emb)
+                                               target_sentences, cfg.seed, cfg.min_count)
+    cls_cfg = ClassifierConfig(d_emb=cfg.d_emb)
 
     judge, judge_acc = train_part_classifier(
-        src_parts[1], tgt_parts[1], vocab, cfg.pad_len, judge_cfg,
+        src_parts[1], tgt_parts[1], vocab, cfg.pad_len, cls_cfg,
         seed=[cfg.seed, SEED_JUDGE], use_style_labels=use_style_labels)
     reserved = [src_parts[0].all_sentences() + tgt_parts[0].all_sentences(),
                 src_parts[1].all_sentences() + tgt_parts[1].all_sentences()]
     eval_clf, eval_acc = train_part_classifier(
-        src_parts[2], tgt_parts[2], vocab, cfg.pad_len, eval_cfg,
+        src_parts[2], tgt_parts[2], vocab, cfg.pad_len, cls_cfg,
         seed=[cfg.seed, SEED_EVAL_CLF], use_style_labels=use_style_labels,
         reserved=reserved)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])

@@ -164,8 +164,7 @@ def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
 def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
            judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
            need, temperature: float = 0.5, dropout_p: float = 0.0, dropout_rng=None,
-           draw_rng=None, draw_idx: Optional[np.ndarray] = None,
-           judge_batch_s: Optional[Batch] = None) -> dict:
+           draw_rng=None, draw_idx: Optional[np.ndarray] = None) -> dict:
     """The requested subset of {rec, adv, cyc, dis}, keyed by name, from one
     content encoding, one set of source style codes and one soft generation.
     Its rows: source contents with the target style; then, for adv, target
@@ -211,8 +210,7 @@ def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
             out["cyc"] = _domain_means(nll_cyc, n_s, n_t)
 
     if "dis" in need:
-        judge_view = batch_s if judge_batch_s is None else judge_batch_s
-        out["dis"] = style_discrepancy_loss(model, judge, judge_view, y_s=y_s)
+        out["dis"] = style_discrepancy_loss(model, judge, batch_s, y_s=y_s)
     return out
 
 
@@ -220,18 +218,15 @@ def compute_breakdown(model: TransferModel, d_clf: TextCnnClassifier,
                       judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
                       w: LossWeights, temperature: float = 0.5,
                       dropout_p: float = 0.0, dropout_rng=None,
-                      draw_rng=None, draw_idx: Optional[np.ndarray] = None,
-                      judge_batch_s: Optional[Batch] = None):
+                      draw_rng=None, draw_idx: Optional[np.ndarray] = None):
     """Full weighted objective in one pass; returns (total tensor, floats).
 
-    Terms whose weight is zero are skipped and reported as 0. When the
-    judge was trained with a different vocabulary, judge_batch_s carries
-    the source batch re-encoded in the judge's id space.
+    Terms whose weight is zero are skipped and reported as 0.
     """
     need = {"rec"} | {name for name, weight in (("adv", w.lambda_adv), ("cyc", w.lambda_cyc),
                                                 ("dis", w.lambda_dis)) if weight > 0}
     terms = _terms(model, d_clf, judge, batch_s, batch_t, need, temperature, dropout_p,
-                   dropout_rng, draw_rng, draw_idx, judge_batch_s)
+                   dropout_rng, draw_rng, draw_idx)
     zero = Tensor(0.0)
     rec, adv, cyc, dis = (terms.get(name, zero) for name in ("rec", "adv", "cyc", "dis"))
     total = total_loss(rec, adv, cyc, dis, w)

@@ -75,7 +75,7 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
 def style_rows(y: Tensor, batch_size: int) -> Tensor:
     """A [B, d_y] view of a style code: 1-d vectors broadcast to every row."""
     if y.ndim == 1:
-        return ad.broadcast_to(ad.reshape(y, (1, y.shape[0])), (batch_size, y.shape[0]))
+        return ad.broadcast_to(y, (batch_size, y.shape[0]))
     return y
 
 
@@ -113,8 +113,8 @@ class GruCell:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_params(cls, params: dict, prefix: str, trainable: bool = True) -> "GruCell":
-        return cls(**{f.name: Tensor(params[f"{prefix}.{f.name}"], requires_grad=trainable)
+    def from_params(cls, params: dict, prefix: str) -> "GruCell":
+        return cls(**{f.name: Tensor(params[f"{prefix}.{f.name}"], requires_grad=True)
                       for f in fields(cls)})
 
 
@@ -205,9 +205,9 @@ class TextCnnClassifier:
         if isinstance(x, Batch):
             emb_seq = ad.take_rows(self.cnn.embedding, x.ids)
         else:
-            steps = [ad.reshape(e, (e.shape[0], 1, e.shape[1]))
-                     for e in _soft_emb_steps(self.cnn.embedding, x)]
-            emb_seq = ad.concat(steps, axis=1)
+            steps = _soft_emb_steps(self.cnn.embedding, x)
+            emb_seq = ad.reshape(ad.concat(steps, axis=1),
+                                 (steps[0].shape[0], len(steps), steps[0].shape[1]))
         feats = self.cnn.features(emb_seq)
         raw = ad.reshape(feats @ self.head_w + self.head_b, (feats.shape[0],))
         return ad.clip(raw, -LOGIT_CLAMP, LOGIT_CLAMP)
@@ -227,11 +227,12 @@ class TextCnnClassifier:
             p.requires_grad = False
 
     @classmethod
-    def from_params(cls, params: dict, prefix: str = "clf", trainable: bool = False) -> "TextCnnClassifier":
-        clf = cls(StyleEncoder.from_params(params, f"{prefix}.cnn", trainable),
-                  head_w=Tensor(params[f"{prefix}.head.weight"], requires_grad=trainable),
-                  head_b=Tensor(params[f"{prefix}.head.bias"], requires_grad=trainable))
-        clf.frozen = not trainable
+    def from_params(cls, params: dict, prefix: str = "clf") -> "TextCnnClassifier":
+        """The frozen classifier a checkpoint holds."""
+        clf = cls(StyleEncoder.from_params(params, f"{prefix}.cnn", trainable=False),
+                  head_w=Tensor(params[f"{prefix}.head.weight"]),
+                  head_b=Tensor(params[f"{prefix}.head.bias"]))
+        clf.frozen = True
         return clf
 
 
@@ -308,8 +309,7 @@ class TransferModel:
         states = _masked_unroll(self.gen_cell, [
             _dropout(e, dropout_p, dropout_rng) for e in _hard_emb_steps(self.embedding, prev)
         ], batch.lengths, h)
-        stacked = ad.concat([ad.reshape(s, (b, 1, s.shape[1])) for s in states], axis=1)
-        flat = ad.reshape(stacked, (b * t_eff, stacked.shape[2]))
+        flat = ad.reshape(ad.concat(states, axis=1), (b * t_eff, states[0].shape[1]))
         probs = ad.softmax(flat @ self.out_w + self.out_b, temperature=1.0)
         gold = ad.take_along_last(ad.reshape(probs, (b, t_eff, self.vocab_size)),
                                   batch.ids[:, :t_eff])

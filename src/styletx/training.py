@@ -170,7 +170,7 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
                          judge: Optional[TextCnnClassifier], batch_s: Batch,
                          batch_t: Batch, g_params: dict, g_state: AdamState,
                          cfg: TrainConfig, weights: LossWeights, dropout_rng=None,
-                         draw_rng=None, judge_batch_s: Optional[Batch] = None) -> Optional[LossBreakdown]:
+                         draw_rng=None) -> Optional[LossBreakdown]:
     """One Adam step on encoders, style vector and generator with the
     discriminator frozen. Returns None when the divergence guard skips."""
     all_params = {**g_params, **d_clf.params("d")}
@@ -180,7 +180,7 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
         total, breakdown = compute_breakdown(
             model, d_clf, judge, batch_s, batch_t, weights,
             temperature=cfg.temperature, dropout_p=cfg.dropout,
-            dropout_rng=dropout_rng, draw_rng=draw_rng, judge_batch_s=judge_batch_s)
+            dropout_rng=dropout_rng, draw_rng=draw_rng)
         if not breakdown.finite:
             tape.clear()
             return None
@@ -205,7 +205,7 @@ def _epoch_order(rng, n: int, needed: int) -> np.ndarray:
     return np.concatenate(reps)[:needed]
 
 
-def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t, judge_val_s,
+def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
                      epoch: int) -> LossBreakdown:
     rng = rng_for(cfg.seed, SEED_VAL, epoch)
     sums = np.zeros(5)
@@ -216,11 +216,10 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t, judge_val_
         sl = slice(lo, min(lo + bs, n))
         batch_s = Batch.from_seqs(val_s[sl])
         batch_t = Batch.from_seqs(val_t[sl])
-        jview = Batch.from_seqs(judge_val_s[sl]) if judge_val_s is not None else None
         with ad.no_grad():
             _, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, weights,
                                       temperature=cfg.temperature, dropout_p=0.0,
-                                      draw_rng=rng, judge_batch_s=jview)
+                                      draw_rng=rng)
         sums += [br.rec, br.adv, br.dis, br.cyc, br.total]
         chunks += 1
     sums /= max(chunks, 1)
@@ -228,9 +227,8 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t, judge_val_
 
 
 def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnClassifier],
-          judge_vocab: Optional[Vocab] = None, eval_clf: Optional[TextCnnClassifier] = None,
-          eval_vocab: Optional[Vocab] = None, ckpt_path=None, log_path=None,
-          progress: bool = False) -> TrainResult:
+          eval_clf: Optional[TextCnnClassifier] = None, eval_vocab: Optional[Vocab] = None,
+          ckpt_path=None, log_path=None, progress: bool = False) -> TrainResult:
     """Full run: per batch, cfg.d_steps discriminator updates then one
     generator update; per epoch, a validation pass; the checkpoint with the
     best validation total wins."""
@@ -260,11 +258,6 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     val_s = _encode_all(corpora.source.val.sentences, vocab, cfg.pad_len, SOURCE)
     val_t = _encode_all(corpora.target.val.sentences, vocab, cfg.pad_len, TARGET)
 
-    same_vocab = judge_vocab is None or judge_vocab.id_to_token == vocab.id_to_token
-    judge_seqs_s = None if same_vocab else _encode_all(src_train, judge_vocab, cfg.pad_len, SOURCE)
-    judge_val_s = None if same_vocab else _encode_all(corpora.source.val.sentences,
-                                                      judge_vocab, cfg.pad_len, SOURCE)
-
     steps_per_epoch = len(seqs_s) // cfg.batch_size
     metrics: list = []
     skipped = 0
@@ -281,14 +274,13 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
             idx_t = order_t[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             batch_s = Batch.from_seqs([seqs_s[i] for i in idx_s])
             batch_t = Batch.from_seqs([seqs_t[i] for i in idx_t])
-            jview = None if same_vocab else Batch.from_seqs([judge_seqs_s[i] for i in idx_s])
             if not warm and cfg.lambda_adv > 0:
                 for _ in range(cfg.d_steps):
                     train_step_discriminator(model, d_clf, batch_s, batch_t,
                                              d_params, d_state, cfg, rng_dropout)
             br = train_step_generator(model, d_clf, judge, batch_s, batch_t,
                                       g_params, g_state, cfg, w_eff, rng_dropout,
-                                      rng_draw, judge_batch_s=jview)
+                                      rng_draw)
             if br is None:
                 skipped += 1
                 continue
@@ -296,7 +288,7 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
             counted += 1
         sums /= max(counted, 1)
         val = _validation_pass(model, d_clf, judge, cfg, cfg.weights(),
-                               val_s, val_t, judge_val_s, epoch)
+                               val_s, val_t, epoch)
         row = {"epoch": epoch, "rec": float(sums[0]), "adv": float(sums[1]),
                "dis": float(sums[2]), "cyc": float(sums[3]), "total": float(sums[4]),
                "val_total": float(val.total)}

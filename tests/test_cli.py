@@ -6,7 +6,7 @@ import pytest
 
 from styletx.checkpoint import load_params
 from styletx.cli import main
-from styletx.corpus import read_lines
+from styletx.corpus import read_lines, write_lines
 from styletx.evaluation import EvalReport, prepare_experiment
 from styletx.training import desk_config
 
@@ -190,6 +190,28 @@ def test_train_unknown_config_key(workdir, tmp_path):
                  "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
                  "--out", str(tmp_path / "x.ckpt"), "--log", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_train_refuses_judge_with_another_vocabulary(workdir, tmp_path, capsys):
+    # a judge pretrained on the first 100 lines counts its tokens differently,
+    # so its ids would not mean the run's tokens
+    _, data, cfg = workdir
+    for name in ("source.txt", "target.txt", "labels.txt"):
+        write_lines(tmp_path / name, read_lines(data / name)[:100])
+    ds = tmp_path / "ds_small.ckpt"
+    assert main(["pretrain-ds", "--source", str(tmp_path / "source.txt"),
+                 "--target", str(tmp_path / "target.txt"),
+                 "--labels", str(tmp_path / "labels.txt"),
+                 "--pad-len", "14", "--epochs", "1", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
+              "--labels", str(data / "labels.txt")]
+    out = tmp_path / "x.ckpt"
+    code = main(["train", *common, "--ds", str(ds), "--config", str(cfg),
+                 "--out", str(out), "--log", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--min-count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transfer_contract(workdir, tmp_path):

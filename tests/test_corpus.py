@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,15 +9,12 @@ from styletx.corpus import (
     PAD,
     UNK,
     EmptyInputError,
-    NgramLM,
     SpecError,
     SplitSpec,
     build_vocab,
     decode_to_text,
     encode,
     gen_synthetic,
-    moore_lewis_scores,
-    moore_lewis_select,
     synthetic_vocabulary,
     three_way_split,
 )
@@ -157,81 +152,6 @@ def test_split_parts_pairwise_disjoint(seed, n):
     sets = [set(p.all_sentences()) for p in parts]
     assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
     assert sum(len(s) for s in sets) == len(set(sentences))
-
-
-# ---------------------------------------------------------------------------
-# cross-entropy-difference selection
-
-
-def bigram_ce_oracle(sentence, train_sentences, alpha=0.1):
-    # independent scalar computation of the add-alpha bigram cross-entropy
-    vocab = set()
-    for s in train_sentences:
-        vocab.update(s.split())
-    v = len(vocab) + 1
-    unigrams, bigrams = {}, {}
-    for s in train_sentences:
-        toks = ["<s>"] + s.split()
-        for i in range(1, len(toks)):
-            bigrams[(toks[i - 1], toks[i])] = bigrams.get((toks[i - 1], toks[i]), 0) + 1
-            unigrams[toks[i - 1]] = unigrams.get(toks[i - 1], 0) + 1
-    toks = [t if t in vocab else "<unk>" for t in sentence.split()]
-    toks = ["<s>"] + toks
-    total = 0.0
-    for i in range(1, len(toks)):
-        num = bigrams.get((toks[i - 1], toks[i]), 0) + alpha
-        den = unigrams.get(toks[i - 1], 0) + alpha * v
-        total -= math.log(num / den)
-    return total / (len(toks) - 1)
-
-
-def test_ngram_ce_matches_hand_computed_bigram():
-    train = ["the cat sat", "the dog sat", "a cat ran"]
-    lm = NgramLM(order=2).fit(train)
-    for sentence in ["the cat ran", "a dog sat", "unknown words here"]:
-        expected = bigram_ce_oracle(sentence, train)
-        assert lm.per_token_cross_entropy(sentence) == pytest.approx(expected, rel=1e-12)
-
-
-def test_moore_lewis_ordering_matches_bigram_oracle():
-    in_domain = ["the food was great", "the soup was great", "the bread was fine"]
-    out_domain = ["stocks fell sharply today", "markets closed lower", "shares dropped again"]
-    pool = ["the food was fine", "markets fell again", "the bread was great"]
-    scores = moore_lewis_scores(pool, in_domain, out_domain, order=2)
-    expected = [bigram_ce_oracle(s, in_domain) - bigram_ce_oracle(s, out_domain) for s in pool]
-    assert scores == pytest.approx(expected, rel=1e-12)
-    picked = moore_lewis_select(pool, in_domain, out_domain, keep_fraction=2 / 3, order=2)
-    ranked = sorted(range(3), key=lambda i: expected[i])
-    assert picked == [pool[i] for i in sorted(ranked[:2])]
-
-
-def test_moore_lewis_verbatim_in_domain_ranks_first():
-    in_domain = ["alpha beta gamma", "alpha gamma beta", "beta alpha gamma"]
-    out_domain = ["delta epsilon zeta", "zeta delta epsilon", "epsilon zeta delta"]
-    pool = ["delta epsilon zeta", "alpha beta gamma", "zeta epsilon delta"]
-    scores = moore_lewis_scores(pool, in_domain, out_domain)
-    assert int(np.argmin(scores)) == 1
-    assert moore_lewis_select(pool, in_domain, out_domain, keep_fraction=1 / 3) == ["alpha beta gamma"]
-
-
-def test_moore_lewis_keep_all_is_identity():
-    pool = ["b b", "a a", "c c"]
-    assert moore_lewis_select(pool, ["a a"], ["c c"], keep_fraction=1.0) == pool
-
-
-def test_moore_lewis_equal_domains_scores_zero_stable_prefix():
-    domain = ["one two three", "two three four", "three four five"]
-    pool = ["one two", "four five", "two four"]
-    scores = moore_lewis_scores(pool, domain, domain)
-    assert all(abs(s) < 1e-12 for s in scores)
-    assert moore_lewis_select(pool, domain, domain, keep_fraction=2 / 3) == pool[:2]
-
-
-def test_moore_lewis_validation():
-    with pytest.raises(SpecError):
-        moore_lewis_select(["x"], ["x"], ["x"], keep_fraction=0.0)
-    with pytest.raises(EmptyInputError):
-        moore_lewis_select([], ["x"], ["x"], keep_fraction=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,31 @@ def test_pure_autoencoder_objective_learns(step_setup):
     assert last < 0.3 * first
 
 
+def test_step_tape_op_counts_do_not_grow(monkeypatch):
+    # each step clears its tape once; the counts are deterministic, so a
+    # change that records more ops per step fails here
+    from test_acceptance import tiny_world
+
+    recorded = []
+    clear = ad.Tape.clear
+
+    def counting_clear(tape):
+        recorded.append(len(tape))
+        clear(tape)
+
+    monkeypatch.setattr(ad.Tape, "clear", counting_clear)
+    model, d_clf, judge, batch_s, batch_t = tiny_world()
+    cfg = desk_config(seed=0, batch_size=2, pad_len=8, dropout=0.1,
+                      d_emb=6, d_z=8, d_y=6, d_maps=2)
+    rng = np.random.default_rng(1)
+    train_step_discriminator(model, d_clf, batch_s, batch_t, d_clf.params("d"),
+                             AdamState(), cfg, rng)
+    train_step_generator(model, d_clf, judge, batch_s, batch_t, model.params(), AdamState(),
+                         cfg, cfg.weights(), rng, np.random.default_rng(2))
+    d_ops, g_ops = recorded
+    assert d_ops <= 51 and g_ops <= 1062
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
