@@ -305,16 +305,6 @@ def relu(x: TensorLike) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def exp(x: TensorLike) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(x.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _record(out, (x,), bwd)
-
-
 def log(x: TensorLike) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0):
@@ -466,20 +456,6 @@ def unfold_windows(x: TensorLike, width: int) -> Tensor:
         for j in range(width):
             gx[..., j:j + n_win, :] += gw[..., :, j, :]
         return (gx,)
-
-    return _record(out, (x,), bwd)
-
-
-def l2_norm(x: TensorLike) -> Tensor:
-    """Euclidean norm of all entries; subgradient 0 at the origin."""
-    x = as_tensor(x)
-    n = float(np.sqrt((x.data * x.data).sum()))
-    out = np.asarray(n)
-
-    def bwd(g):
-        if n == 0.0:
-            return (np.zeros_like(x.data),)
-        return (g * x.data / n,)
 
     return _record(out, (x,), bwd)
 

@@ -146,23 +146,10 @@ def _classifier_command(args, part_index: int, seed_offset: int, command: str) -
                                                args.split_seed, args.min_count)
     reserved = [src_parts[i].all_sentences() + tgt_parts[i].all_sentences()
                 for i in range(3) if i != part_index]
-    part_s, part_t = src_parts[part_index], tgt_parts[part_index]
-    if args.part_source or args.part_target:
-        if not (args.part_source and args.part_target):
-            raise UsageError("--part-source and --part-target must be given together")
-        from .corpus import CorpusPart, Dataset
-        custom_s = read_lines(args.part_source)
-        custom_t = read_lines(args.part_target)
-        cut_s, cut_t = max(1, len(custom_s) // 5), max(1, len(custom_t) // 5)
-        part_s = CorpusPart(train=Dataset(custom_s[cut_s:]), test=Dataset(custom_s[:cut_s]),
-                            val=Dataset([]))
-        part_t = CorpusPart(train=Dataset(custom_t[cut_t:]), test=Dataset(custom_t[:cut_t]),
-                            val=Dataset([]))
     cls_cfg = ClassifierConfig(d_emb=args.emb_dim, maps=args.maps, epochs=args.epochs,
                                lr=args.lr)
-    clf, acc = train_part_classifier(part_s, part_t, vocab, args.pad_len, cls_cfg,
-                                     seed=[args.split_seed, seed_offset],
-                                     use_style_labels=source_labels is not None,
+    clf, acc = train_part_classifier(src_parts[part_index], tgt_parts[part_index], vocab,
+                                     args.pad_len, cls_cfg, seed=[args.split_seed, seed_offset],
                                      reserved=reserved)
     save_params(args.out, clf.params())
     vocab.to_file(args.out + ".vocab")
@@ -246,8 +233,7 @@ def cmd_evaluate(args) -> int:
         cfg = _resolve_config(args)
         source_sents, target_sents, source_labels = _load_corpus(args.source, args.target,
                                                                  args.labels)
-        setup = prepare_experiment(source_sents, source_labels, target_sents, cfg,
-                                   use_style_labels=source_labels is not None)
+        setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
         result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
         report = result.report
         gate_tripped = setup.eval_acc < QUALITY_GATE
@@ -327,8 +313,6 @@ def build_parser() -> Parser:
         p.add_argument("--lr", type=float, default=ClassifierConfig.lr)
         p.add_argument("--maps", type=int, default=ClassifierConfig.maps)
         p.add_argument("--emb-dim", type=int, default=ClassifierConfig.d_emb)
-        p.add_argument("--part-source", help="custom classifier part (sentences)")
-        p.add_argument("--part-target", help="custom classifier part (sentences)")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("train", help="train the transfer model")

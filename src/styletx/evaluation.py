@@ -52,7 +52,7 @@ def check_disjoint(eval_sentences: Sequence[str], reserved: Sequence[Sequence[st
                 f"{len(overlap)} sentences shared with another split, e.g. {sample}")
 
 
-def binary_style_data(source: Dataset, target: Dataset, use_style_labels: bool = True):
+def binary_style_data(source: Dataset, target: Dataset):
     """Sentences plus 0/1 labels for classifier training: 1 means the
     sentence carries the target style.
 
@@ -61,24 +61,15 @@ def binary_style_data(source: Dataset, target: Dataset, use_style_labels: bool =
     labels this degrades to domain labels.
     """
     sentences = list(source.sentences) + list(target.sentences)
-    if use_style_labels and source.labels is not None:
+    if source.labels is not None:
         src_labels = [1.0 if l == STYLE_TARGET else 0.0 for l in source.labels]
     else:
         src_labels = [0.0] * len(source.sentences)
     return sentences, src_labels + [1.0] * len(target.sentences)
 
 
-def _classifier_sets(part_s: CorpusPart, part_t: CorpusPart, vocab: Vocab, pad_len: int,
-                     use_style_labels: bool):
-    train_sents, train_labels = binary_style_data(part_s.train, part_t.train, use_style_labels)
-    held_sents, held_labels = binary_style_data(part_s.test, part_t.test, use_style_labels)
-    enc = lambda sents: [encode(s, vocab, pad_len) for s in sents]
-    return enc(train_sents), train_labels, enc(held_sents), held_labels
-
-
 def train_part_classifier(part_s: CorpusPart, part_t: CorpusPart, vocab: Vocab,
                           pad_len: int, cfg: ClassifierConfig, seed,
-                          use_style_labels: bool = True,
                           reserved: Sequence[Sequence[str]] = ()) -> tuple:
     """Train a frozen style classifier on one data part; refuses to train if
     the part overlaps any reserved split."""
@@ -86,8 +77,11 @@ def train_part_classifier(part_s: CorpusPart, part_t: CorpusPart, vocab: Vocab,
         raise SpecError("classifier part is empty; adjust the split fractions")
     if reserved:
         check_disjoint(part_s.all_sentences() + part_t.all_sentences(), reserved)
-    a, b, c, d = _classifier_sets(part_s, part_t, vocab, pad_len, use_style_labels)
-    return pretrain_style_judge(a, b, c, d, len(vocab), cfg, seed)
+    train_sents, train_labels = binary_style_data(part_s.train, part_t.train)
+    held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
+    enc = lambda sents: [encode(s, vocab, pad_len) for s in sents]
+    return pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
+                                len(vocab), cfg, seed)
 
 
 @dataclass
@@ -164,40 +158,6 @@ class EvalReport:
         lines.append(f"std,,{self.std!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    @classmethod
-    def from_csv(cls, path) -> "EvalReport":
-        accuracies, seeds, failed = [], [], []
-        warning, fingerprint, by_style = None, "", {}
-        stated_mean = stated_std = None
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.startswith("# warning: "):
-                warning = line[len("# warning: "):]
-            elif line.startswith("# config: "):
-                fingerprint = line[len("# config: "):]
-            elif line.startswith("# style "):
-                name, value = line[len("# style "):].split(": ")
-                by_style[name] = float(value)
-            elif not line or line.startswith("#") or line.startswith("run,"):
-                continue
-            else:
-                run, seed, value = line.split(",")
-                if run == "mean":
-                    stated_mean = float(value)
-                elif run == "std":
-                    stated_std = float(value)
-                elif value == "failed":
-                    failed.append((int(run), int(seed)))
-                else:
-                    seeds.append(int(seed))
-                    accuracies.append(float(value))
-        report = cls(accuracies=accuracies, seeds=seeds, config_fingerprint=fingerprint,
-                     failed_runs=failed, warning=warning, by_style=by_style)
-        if stated_mean is not None and accuracies and abs(stated_mean - report.mean) > 1e-9:
-            raise ValueError(f"{path}: stated mean {stated_mean} != recomputed {report.mean}")
-        if stated_std is not None and accuracies and abs(stated_std - report.std) > 1e-9:
-            raise ValueError(f"{path}: stated std {stated_std} != recomputed {report.std}")
-        return report
-
 
 def write_sample_dump(path, pairs: Sequence[tuple]) -> None:
     Path(path).write_text("".join(f"{src}\t{out}\n" for src, out in pairs), encoding="utf-8")
@@ -231,21 +191,18 @@ class ExperimentResult:
 
 
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
-                       target_sentences: Sequence[str], cfg: TrainConfig,
-                       use_style_labels: bool = True) -> ExperimentSetup:
+                       target_sentences: Sequence[str], cfg: TrainConfig) -> ExperimentSetup:
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
                                                target_sentences, cfg.seed, cfg.min_count)
     cls_cfg = ClassifierConfig(d_emb=cfg.d_emb)
+    parts = [s.all_sentences() + t.all_sentences() for s, t in zip(src_parts, tgt_parts)]
 
     judge, judge_acc = train_part_classifier(
         src_parts[1], tgt_parts[1], vocab, cfg.pad_len, cls_cfg,
-        seed=[cfg.seed, SEED_JUDGE], use_style_labels=use_style_labels)
-    reserved = [src_parts[0].all_sentences() + tgt_parts[0].all_sentences(),
-                src_parts[1].all_sentences() + tgt_parts[1].all_sentences()]
+        seed=[cfg.seed, SEED_JUDGE], reserved=[parts[0], parts[2]])
     eval_clf, eval_acc = train_part_classifier(
         src_parts[2], tgt_parts[2], vocab, cfg.pad_len, cls_cfg,
-        seed=[cfg.seed, SEED_EVAL_CLF], use_style_labels=use_style_labels,
-        reserved=reserved)
+        seed=[cfg.seed, SEED_EVAL_CLF], reserved=[parts[0], parts[1]])
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_acc=judge_acc,
                            eval_clf=eval_clf, eval_acc=eval_acc,

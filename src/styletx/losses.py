@@ -104,20 +104,6 @@ def adversarial_loss(model: TransferModel, d_clf: TextCnnClassifier, batch_s: Ba
                   dropout_p, dropout_rng)["adv"]
 
 
-def style_discrepancy(y_s: Tensor, y_star: Tensor) -> Tensor:
-    """L2 distance between a style code and the shared target style."""
-    if y_s.shape != y_star.shape:
-        raise ShapeError(f"style dims disagree: {y_s.shape} vs {y_star.shape}")
-    return ad.l2_norm(y_s - y_star)
-
-
-def discrepancy_density(d) -> Tensor:
-    """Standard-normal density of the discrepancy; the single place to swap
-    in a different prior over style distances."""
-    d = ad.as_tensor(d)
-    return ad.mul(ad.exp(ad.mul(ad.mul(d, d), -0.5)), 1.0 / np.sqrt(2.0 * np.pi))
-
-
 def _squared_rows(y_s: Tensor, y_star: Tensor) -> Tensor:
     diff = y_s - ad.reshape(y_star, (1, y_star.shape[0]))
     return ad.sum_(ad.mul(diff, diff), axis=1)

@@ -163,9 +163,9 @@ class StyleEncoder:
 
     def features(self, emb_seq: Tensor) -> Tensor:
         """ReLU max-over-time maps of a [B, T, d_emb] sequence, widths in order."""
-        pooled = [ad.relu(ad.conv1d_maxpool(emb_seq, self.filters[w], self.biases[w]))
+        pooled = [ad.conv1d_maxpool(emb_seq, self.filters[w], self.biases[w])
                   for w in sorted(self.filters)]
-        return ad.concat(pooled, axis=1)
+        return ad.relu(ad.concat(pooled, axis=1))
 
     def encode(self, batch: Batch) -> Tensor:
         return self.features(ad.take_rows(self.embedding, batch.ids))
@@ -178,12 +178,12 @@ class StyleEncoder:
         return out
 
     @classmethod
-    def from_params(cls, params: dict, prefix: str, trainable: bool = True) -> "StyleEncoder":
+    def from_params(cls, params: dict, prefix: str) -> "StyleEncoder":
         widths = sorted(int(k[len(prefix) + 5:-7]) for k in params
                         if k.startswith(f"{prefix}.conv") and k.endswith(".weight"))
-        emb = Tensor(params[f"{prefix}.embedding"], requires_grad=trainable)
-        filters = {w: Tensor(params[f"{prefix}.conv{w}.weight"], requires_grad=trainable) for w in widths}
-        biases = {w: Tensor(params[f"{prefix}.conv{w}.bias"], requires_grad=trainable) for w in widths}
+        emb = Tensor(params[f"{prefix}.embedding"], requires_grad=True)
+        filters = {w: Tensor(params[f"{prefix}.conv{w}.weight"], requires_grad=True) for w in widths}
+        biases = {w: Tensor(params[f"{prefix}.conv{w}.bias"], requires_grad=True) for w in widths}
         return cls(emb, filters, biases)
 
 
@@ -194,7 +194,6 @@ class TextCnnClassifier:
         self.cnn = cnn
         self.head_w = head_w
         self.head_b = head_b
-        self.frozen = False
 
     @classmethod
     def create(cls, rng, vocab_size: int, d_emb: int, widths: Sequence[int], maps: int) -> "TextCnnClassifier":
@@ -222,17 +221,15 @@ class TextCnnClassifier:
         return out
 
     def freeze(self) -> None:
-        self.frozen = True
         for p in self.params().values():
             p.requires_grad = False
 
     @classmethod
-    def from_params(cls, params: dict, prefix: str = "clf") -> "TextCnnClassifier":
+    def from_params(cls, params: dict) -> "TextCnnClassifier":
         """The frozen classifier a checkpoint holds."""
-        clf = cls(StyleEncoder.from_params(params, f"{prefix}.cnn", trainable=False),
-                  head_w=Tensor(params[f"{prefix}.head.weight"]),
-                  head_b=Tensor(params[f"{prefix}.head.bias"]))
-        clf.frozen = True
+        clf = cls(StyleEncoder.from_params(params, "clf.cnn"),
+                  head_w=Tensor(params["clf.head.weight"]), head_b=Tensor(params["clf.head.bias"]))
+        clf.freeze()
         return clf
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styletx import autodiff as ad
-from styletx.autodiff import ShapeError, Tape, Tensor, backward, no_grad, recording
+from styletx.autodiff import Tape, Tensor, backward, no_grad, recording
 from styletx.corpus import SpecError, build_vocab
 from styletx.losses import (
     LossBreakdown,
@@ -14,9 +14,7 @@ from styletx.losses import (
     adversarial_loss,
     compute_breakdown,
     cycle_consistency_loss,
-    discrepancy_density,
     reconstruction_loss,
-    style_discrepancy,
     style_discrepancy_loss,
     total_loss,
 )
@@ -49,54 +47,6 @@ def zero_weight_clf(vocab_size, widths=(1, 2), d_emb=8):
         p.data[...] = 0.0
     clf.freeze()
     return clf
-
-
-# ---------------------------------------------------------------------------
-# style discrepancy and its density
-
-
-def test_style_discrepancy_identity_is_zero():
-    y = Tensor(np.arange(4.0))
-    assert style_discrepancy(y, Tensor(np.arange(4.0))).item() == 0.0
-
-
-def test_style_discrepancy_scalar_oracle():
-    a = Tensor([3.0, 4.0, 0.0, 0.0])
-    b = Tensor([0.0, 0.0, 0.0, 0.0])
-    assert style_discrepancy(a, b).item() == 5.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-       st.lists(st.floats(-50, 50), min_size=1, max_size=8))
-def test_style_discrepancy_symmetric(a, b):
-    n = min(len(a), len(b))
-    ta, tb = Tensor(a[:n]), Tensor(b[:n])
-    assert style_discrepancy(ta, tb).item() == pytest.approx(style_discrepancy(tb, ta).item())
-
-
-def test_style_discrepancy_dim_mismatch():
-    with pytest.raises(ShapeError):
-        style_discrepancy(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-
-
-def test_discrepancy_density_anchors():
-    assert discrepancy_density(0.0).item() == pytest.approx(0.39894, abs=1e-5)
-    assert discrepancy_density(1.0).item() == pytest.approx(0.24197, abs=1e-5)
-
-
-def test_discrepancy_density_matches_scalar_formula_on_1000_inputs():
-    rng = np.random.default_rng(0)
-    for d in rng.uniform(0, 6, size=1000):
-        expected = math.exp(-d * d / 2.0) / math.sqrt(2.0 * math.pi)
-        assert discrepancy_density(float(d)).item() == pytest.approx(expected, abs=1e-9)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0, 20), st.floats(0, 20))
-def test_discrepancy_density_monotone_decreasing(d1, d2):
-    lo, hi = sorted([d1, d2])
-    assert discrepancy_density(hi).item() <= discrepancy_density(lo).item()
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def test_pretrained_judge_inverted_labels_symmetry(judge_setup):
 
 def test_pretrained_judge_is_frozen(judge_setup):
     judge, _, vocab, _ = judge_setup
-    assert judge.frozen
+    assert not any(p.requires_grad for p in judge.params().values())
     before = snapshot(judge.params())
     batch = batch_of(["sadly the soup was dreadful"], vocab, max_len=16)
     tape = Tape()
@@ -354,7 +354,7 @@ def test_classifier_checkpoint_round_trip(tmp_path):
     batch = batch_of(["the soup was bland"], vocab)
     with no_grad():
         assert np.array_equal(clf.prob(batch).data, clone.prob(batch).data)
-    assert clone.frozen
+    assert not any(p.requires_grad for p in clone.params().values())
 
 
 def test_transfer_sentences_preserves_order_and_count():
