@@ -52,10 +52,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -317,41 +313,38 @@ def log(x: TensorLike) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def softmax(x: TensorLike, temperature: float = 1.0, axis: int = -1) -> Tensor:
-    """Temperature softmax along `axis`, stabilised by max subtraction."""
+def softmax(x: TensorLike, temperature: float = 1.0) -> Tensor:
+    """Temperature softmax along the last axis, stabilised by max subtraction."""
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     x = as_tensor(x)
     z = x.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner) / temperature,)
 
     return _record(out, (x,), bwd)
 
 
-def sum_(x: TensorLike, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(x: TensorLike, axis=None) -> Tensor:
     x = as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape),)
 
     return _record(out, (x,), bwd)
 
 
-def mean_(x: TensorLike, axis=None) -> Tensor:
+def mean_(x: TensorLike) -> Tensor:
     x = as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(sum_(x, axis=axis), 1.0 / n)
+    return mul(sum_(x), 1.0 / x.data.size)
 
 
 def reshape(x: TensorLike, shape) -> Tensor:
@@ -471,11 +464,11 @@ def clip(x: TensorLike, lo: float, hi: float) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def conv1d_maxpool(seq_emb: TensorLike, filters: TensorLike, bias: Optional[TensorLike] = None) -> Tensor:
-    """Valid 1-d convolution over time followed by max-over-time pooling.
+def conv1d_maxpool(seq_emb: TensorLike, filters: TensorLike, bias: TensorLike) -> Tensor:
+    """Valid 1-d convolution over time, plus bias, then max-over-time pooling.
 
-    seq_emb is [L, D] or [B, L, D]; filters is [width, D, C]. Returns one
-    value per feature map: [C] or [B, C].
+    seq_emb is [B, L, D], filters [width, D, C] and bias [C]. Returns one
+    value per sequence and feature map: [B, C].
     """
     seq_emb = as_tensor(seq_emb)
     filters = as_tensor(filters)
@@ -484,18 +477,13 @@ def conv1d_maxpool(seq_emb: TensorLike, filters: TensorLike, bias: Optional[Tens
     width, d_emb, n_maps = filters.shape
     if seq_emb.shape[-1] != d_emb:
         raise ShapeError(f"embedding dims disagree: sequence {seq_emb.shape} vs filters {filters.shape}")
-    squeeze = seq_emb.ndim == 2
-    x = reshape(seq_emb, (1, *seq_emb.shape)) if squeeze else seq_emb
-    batch, length = x.shape[0], x.shape[1]
+    batch, length = seq_emb.shape[0], seq_emb.shape[1]
 
-    win = unfold_windows(x, width)                      # [B, P, w*D]
+    win = unfold_windows(seq_emb, width)                # [B, P, w*D]
     flat = reshape(win, (batch * win.shape[1], width * d_emb))
     resp = matmul(flat, reshape(filters, (width * d_emb, n_maps)))
     resp = reshape(resp, (batch, length - width + 1, n_maps))
-    if bias is not None:
-        resp = add(resp, bias)
-    pooled = max_along(resp, axis=1)                    # [B, C]
-    return reshape(pooled, (n_maps,)) if squeeze else pooled
+    return max_along(add(resp, bias), axis=1)           # [B, C]
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +494,15 @@ def conv1d_maxpool(seq_emb: TensorLike, filters: TensorLike, bias: Optional[Tens
 class GradCheckReport:
     max_rel_err: float
     tol: float
-    n_checked: int
 
     @property
     def passed(self) -> bool:
         return self.max_rel_err <= self.tol
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-4,
-               tol: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients of scalar f against central differences.
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4) -> GradCheckReport:
+    """Compare analytic gradients of scalar f against central differences
+    with step 1e-4.
 
     Relative error per entry is |a - n| / max(1, |a|, |n|). Raises
     NonDeterministicError if two forward passes of f disagree.
@@ -539,6 +526,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-4,
         backward(loss, tape)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
 
+    step = 1e-4
     flat = base.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
@@ -554,4 +542,4 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-4,
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     max_rel = float((np.abs(analytic - numeric) / denom).max()) if base.size else 0.0
-    return GradCheckReport(max_rel_err=max_rel, tol=tol, n_checked=base.size)
+    return GradCheckReport(max_rel_err=max_rel, tol=tol)

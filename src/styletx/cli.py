@@ -29,8 +29,6 @@ from .corpus import (
 )
 from .evaluation import (
     QUALITY_GATE,
-    SEED_EVAL_CLF,
-    SEED_JUDGE,
     ContaminationError,
     EvalReport,
     prepare_experiment,
@@ -140,17 +138,14 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _classifier_command(args, part_index: int, seed_offset: int, command: str) -> int:
+def _classifier_command(args, part_index: int, command: str) -> int:
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
     vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
                                                args.split_seed, args.min_count)
-    reserved = [src_parts[i].all_sentences() + tgt_parts[i].all_sentences()
-                for i in range(3) if i != part_index]
     cls_cfg = ClassifierConfig(d_emb=args.emb_dim, maps=args.maps, epochs=args.epochs,
                                lr=args.lr)
-    clf, acc = train_part_classifier(src_parts[part_index], tgt_parts[part_index], vocab,
-                                     args.pad_len, cls_cfg, seed=[args.split_seed, seed_offset],
-                                     reserved=reserved)
+    clf, acc = train_part_classifier(src_parts, tgt_parts, part_index, vocab, args.pad_len,
+                                     cls_cfg, args.split_seed)
     save_params(args.out, clf.params())
     vocab.to_file(args.out + ".vocab")
     write_manifest(args.out + ".manifest.json", command,
@@ -164,13 +159,11 @@ def _classifier_command(args, part_index: int, seed_offset: int, command: str) -
 
 
 def cmd_pretrain_ds(args) -> int:
-    return _classifier_command(args, part_index=1, seed_offset=SEED_JUDGE,
-                               command="pretrain-ds")
+    return _classifier_command(args, part_index=1, command="pretrain-ds")
 
 
 def cmd_train_eval_clf(args) -> int:
-    return _classifier_command(args, part_index=2, seed_offset=SEED_EVAL_CLF,
-                               command="train-eval-clf")
+    return _classifier_command(args, part_index=2, command="train-eval-clf")
 
 
 def cmd_train(args) -> int:
@@ -226,11 +219,11 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    cfg = _resolve_config(args)
     gate_tripped = False
     if args.retrain:
         if not (args.source and args.target and args.config):
             raise UsageError("--retrain needs --source, --target and --config")
-        cfg = _resolve_config(args)
         source_sents, target_sents, source_labels = _load_corpus(args.source, args.target,
                                                                  args.labels)
         setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
@@ -253,10 +246,10 @@ def cmd_evaluate(args) -> int:
         clf_acc = None
         if labels is not None:
             truth = np.array([1.0 if l == STYLE_TARGET else 0.0 for l in labels])
-            preds = classify_texts(clf, clf_vocab, sentences, args.pad_len)
+            preds = classify_texts(clf, clf_vocab, sentences, cfg.pad_len)
             clf_acc = float((preds == truth).mean())
             gate_tripped = clf_acc < QUALITY_GATE
-        score = transfer_accuracy(model, vocab, clf, clf_vocab, sentences, args.pad_len,
+        score = transfer_accuracy(model, vocab, clf, clf_vocab, sentences, cfg.pad_len,
                                   true_styles=labels, clf_heldout_acc=clf_acc)
         # greedy decoding of a fixed checkpoint is deterministic: one measurement
         report = EvalReport(accuracies=[score.accuracy], seeds=[args.seed or 0],
@@ -266,7 +259,7 @@ def cmd_evaluate(args) -> int:
     report.to_csv(args.report)
     write_manifest(args.report + ".manifest.json", "evaluate",
                    {"runs": args.runs if args.retrain else None,
-                    "retrain": args.retrain or None, "pad_len": args.pad_len},
+                    "retrain": args.retrain or None, "pad_len": cfg.pad_len},
                    {"model": args.model, "eval_clf": args.eval_clf, "input": args.input,
                     "source": args.source, "target": args.target, "config": args.config},
                    extra={"mean": report.mean, "std": report.std})
@@ -359,7 +352,7 @@ def build_parser() -> Parser:
     p.add_argument("--target")
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--pad-len", type=int, default=20)
+    p.add_argument("--pad-len", type=int, help="default: the --config file's, else 20")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
     return parser

@@ -24,7 +24,7 @@ class EmptyInputError(ValueError):
 
 
 class SpecError(ValueError):
-    """Invalid split fractions, mixture weights or similar configuration."""
+    """Invalid mixture weights, lengths or similar configuration."""
 
 
 @dataclass
@@ -106,20 +106,10 @@ def decode_to_text(ids: Sequence[int], vocab: Vocab) -> str:
 # three-way splitting
 
 
-@dataclass
-class SplitSpec:
-    """Fractions for the (transfer model, style judge, evaluation classifier)
-    parts, and the train/test/validation sub-fractions inside each part."""
-
-    parts: tuple = (0.6, 0.2, 0.2)
-    sub: tuple = (0.8, 0.1, 0.1)
-
-    def __post_init__(self):
-        for name, fracs in (("parts", self.parts), ("sub", self.sub)):
-            if len(fracs) != 3 or any(f < 0 for f in fracs):
-                raise SpecError(f"{name} must be three non-negative fractions, got {fracs}")
-            if sum(fracs) > 1 + 1e-9:
-                raise SpecError(f"{name} fractions sum to {sum(fracs)}, above 1")
+# fractions for the (transfer model, style judge, evaluation classifier)
+# parts, and the train/test/validation sub-fractions inside each part
+PART_FRACTIONS = (0.6, 0.2, 0.2)
+SUB_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 def _apportion(n: int, fractions: Sequence[float]) -> list:
@@ -157,7 +147,7 @@ def _slice(sentences, labels, idx) -> Dataset:
                    [labels[i] for i in idx] if labels is not None else None)
 
 
-def three_way_split(sentences: Sequence[str], spec: SplitSpec, seed: int,
+def three_way_split(sentences: Sequence[str], seed: int,
                     labels: Optional[Sequence[str]] = None) -> tuple:
     """Disjoint (transfer, judge, eval) parts, each sub-split train/test/val.
 
@@ -168,13 +158,13 @@ def three_way_split(sentences: Sequence[str], spec: SplitSpec, seed: int,
     if labels is not None and len(labels) != n:
         raise SpecError(f"{len(labels)} labels for {n} sentences")
     perm = np.random.default_rng(seed).permutation(n)
-    sizes = _apportion(n, spec.parts)
+    sizes = _apportion(n, PART_FRACTIONS)
     parts = []
     start = 0
     for size in sizes:
         part_idx = perm[start:start + size]
         start += size
-        sub_sizes = _apportion(size, spec.sub)
+        sub_sizes = _apportion(size, SUB_FRACTIONS)
         train_idx = part_idx[: sub_sizes[0]]
         test_idx = part_idx[sub_sizes[0]: sub_sizes[0] + sub_sizes[1]]
         val_idx = part_idx[sub_sizes[0] + sub_sizes[1]: sum(sub_sizes)]
@@ -236,16 +226,6 @@ TEMPLATES = [
     ["it", "VERB", "a", "PAIR", "NOUN", "and", "a", "PAIR", "NOUN"],
     ["my", "NOUN", "and", "my", "NOUN", "VERB", "PAIR", "FILLER"],
 ]
-EXTRA = ["found"]
-
-
-def synthetic_vocabulary() -> list:
-    tokens = set(NOUNS_SHARED) | set(NOUNS_SOURCE) | set(NOUNS_TARGET)
-    tokens |= set(VERBS) | set(FILLERS) | set(EXTRA)
-    tokens.update(ADJ_FIRST + ADJ_SECOND + ["so", "too", "quite"])
-    tokens.update(["the", "a", "my", "this", "and", "i", "we", "it",
-                   "felt", "today", "again", "here"])
-    return sorted(tokens)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import STYLE_TARGET, CorpusPart, Dataset, SpecError, SplitSpec, Vocab, build_vocab, encode, three_way_split
+from .corpus import STYLE_TARGET, Dataset, SpecError, Vocab, build_vocab, encode, three_way_split
 from .model import (
     ClassifierConfig,
     TextCnnClassifier,
@@ -30,11 +30,10 @@ SEED_SPLIT_SOURCE, SEED_SPLIT_TARGET, SEED_JUDGE, SEED_EVAL_CLF = 6, 7, 8, 9
 def split_corpus(source: Sequence[str], labels: Optional[Sequence[str]],
                  target: Sequence[str], seed: int, min_count: int) -> tuple:
     """(vocab, source parts, target parts): the shared vocabulary and each
-    side's (transfer model, style judge, evaluation classifier) split. The
-    classifiers of parts 1 and 2 take [seed, SEED_JUDGE], [seed, SEED_EVAL_CLF]."""
+    side's (transfer model, style judge, evaluation classifier) split."""
     vocab = build_vocab(list(source) + list(target), min_count)
-    src_parts = three_way_split(source, SplitSpec(), [seed, SEED_SPLIT_SOURCE], labels=labels)
-    tgt_parts = three_way_split(target, SplitSpec(), [seed, SEED_SPLIT_TARGET])
+    src_parts = three_way_split(source, [seed, SEED_SPLIT_SOURCE], labels=labels)
+    tgt_parts = three_way_split(target, [seed, SEED_SPLIT_TARGET])
     return vocab, src_parts, tgt_parts
 
 
@@ -42,9 +41,9 @@ class ContaminationError(ValueError):
     """A classifier split shares sentences with another data part."""
 
 
-def check_disjoint(eval_sentences: Sequence[str], reserved: Sequence[Sequence[str]]) -> None:
+def check_disjoint(eval_sentences: Sequence[str], others: Sequence[Sequence[str]]) -> None:
     eval_set = set(eval_sentences)
-    for other in reserved:
+    for other in others:
         overlap = eval_set & set(other)
         if overlap:
             sample = sorted(overlap)[:3]
@@ -68,20 +67,22 @@ def binary_style_data(source: Dataset, target: Dataset):
     return sentences, src_labels + [1.0] * len(target.sentences)
 
 
-def train_part_classifier(part_s: CorpusPart, part_t: CorpusPart, vocab: Vocab,
-                          pad_len: int, cfg: ClassifierConfig, seed,
-                          reserved: Sequence[Sequence[str]] = ()) -> tuple:
-    """Train a frozen style classifier on one data part; refuses to train if
-    the part overlaps any reserved split."""
+def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Vocab,
+                          pad_len: int, cfg: ClassifierConfig, seed: int) -> tuple:
+    """(frozen classifier, held-out accuracy) of split_corpus part k: the
+    style judge for k = 1, seeded [seed, SEED_JUDGE], or the evaluation
+    classifier for k = 2, seeded [seed, SEED_EVAL_CLF]. Refuses to train if
+    part k shares a sentence with either other part."""
+    part_s, part_t = src_parts[k], tgt_parts[k]
     if not len(part_s.train) or not len(part_t.train):
-        raise SpecError("classifier part is empty; adjust the split fractions")
-    if reserved:
-        check_disjoint(part_s.all_sentences() + part_t.all_sentences(), reserved)
+        raise SpecError("classifier part is empty; the corpus is too small")
+    parts = [s.all_sentences() + t.all_sentences() for s, t in zip(src_parts, tgt_parts)]
+    check_disjoint(parts[k], [parts[i] for i in range(3) if i != k])
     train_sents, train_labels = binary_style_data(part_s.train, part_t.train)
     held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
     enc = lambda sents: [encode(s, vocab, pad_len) for s in sents]
     return pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
-                                len(vocab), cfg, seed)
+                                len(vocab), cfg, [seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
 
 
 @dataclass
@@ -185,9 +186,7 @@ class ExperimentSetup:
 @dataclass
 class ExperimentResult:
     report: EvalReport
-    setup: ExperimentSetup
     runs: list            # per-run TransferScore
-    results: list         # per-run TrainResult
 
 
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
@@ -195,14 +194,10 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
                                                target_sentences, cfg.seed, cfg.min_count)
     cls_cfg = ClassifierConfig(d_emb=cfg.d_emb)
-    parts = [s.all_sentences() + t.all_sentences() for s, t in zip(src_parts, tgt_parts)]
-
-    judge, judge_acc = train_part_classifier(
-        src_parts[1], tgt_parts[1], vocab, cfg.pad_len, cls_cfg,
-        seed=[cfg.seed, SEED_JUDGE], reserved=[parts[0], parts[2]])
-    eval_clf, eval_acc = train_part_classifier(
-        src_parts[2], tgt_parts[2], vocab, cfg.pad_len, cls_cfg,
-        seed=[cfg.seed, SEED_EVAL_CLF], reserved=[parts[0], parts[1]])
+    judge, judge_acc = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg.pad_len,
+                                             cls_cfg, cfg.seed)
+    eval_clf, eval_acc = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg.pad_len,
+                                               cls_cfg, cfg.seed)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_acc=judge_acc,
                            eval_clf=eval_clf, eval_acc=eval_acc,
@@ -218,13 +213,12 @@ def run_experiment(setup: ExperimentSetup, cfg: TrainConfig, n_runs: int = 3,
     """
     if n_runs < 1:
         raise SpecError(f"n_runs must be at least 1, got {n_runs}")
-    accuracies, seeds, failed, scores, results = [], [], [], [], []
+    accuracies, seeds, failed, scores = [], [], [], []
     test_sents = setup.corpora.source.test.sentences
     test_styles = setup.corpora.source.test.labels
     for i in range(n_runs):
         run_cfg = replace(cfg, seed=cfg.seed + i)
         result = train(run_cfg, setup.corpora, setup.judge, progress=progress)
-        results.append(result)
         diverged = result.skipped_steps > MAX_SKIPPED_STEPS or not np.isfinite(result.best_val)
         if diverged:
             failed.append((i, run_cfg.seed))
@@ -244,4 +238,4 @@ def run_experiment(setup: ExperimentSetup, cfg: TrainConfig, n_runs: int = 3,
     report = EvalReport(accuracies=accuracies, seeds=seeds,
                         config_fingerprint=cfg.fingerprint(), failed_runs=failed,
                         warning=scores[0].warning if scores else None, by_style=by_style)
-    return ExperimentResult(report=report, setup=setup, runs=scores, results=results)
+    return ExperimentResult(report=report, runs=scores)

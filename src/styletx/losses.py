@@ -42,9 +42,6 @@ class LossBreakdown:
     cyc: float
     total: float
 
-    def recompute_total(self, w: LossWeights) -> float:
-        return self.rec - w.lambda_adv * self.adv + w.lambda_cyc * self.cyc + w.lambda_dis * self.dis
-
     @property
     def finite(self) -> bool:
         return all(np.isfinite(v) for v in (self.rec, self.adv, self.dis, self.cyc, self.total))
@@ -94,47 +91,22 @@ def reconstruction_loss(model: TransferModel, batch_s: Batch, batch_t: Batch,
                   dropout_p=dropout_p, dropout_rng=dropout_rng)["rec"]
 
 
-def adversarial_loss(model: TransferModel, d_clf: TextCnnClassifier, batch_s: Batch,
-                     batch_t: Batch, temperature: float = 0.5,
-                     dropout_p: float = 0.0, dropout_rng=None) -> Tensor:
-    """Scores soft decodes of (source content, target style) against soft
-    target reconstructions. Minimised by the discriminator arm, maximised
-    (through the weighted total) by the generator arm."""
-    return _terms(model, d_clf, None, batch_s, batch_t, {"adv"}, temperature,
-                  dropout_p, dropout_rng)["adv"]
-
-
 def _squared_rows(y_s: Tensor, y_star: Tensor) -> Tensor:
     diff = y_s - ad.reshape(y_star, (1, y_star.shape[0]))
     return ad.sum_(ad.mul(diff, diff), axis=1)
 
 
 def style_discrepancy_loss(model: TransferModel, judge: TextCnnClassifier,
-                           batch_s: Batch, y_s: Optional[Tensor] = None) -> Tensor:
-    """Batch mean of p_judge(x has target style) times squared discrepancy.
+                           batch_s: Batch, y_s: Tensor) -> Tensor:
+    """Batch mean of p_judge(x has target style) times the squared distance
+    between x's style code (a row of y_s) and the target style.
 
     The judge is evaluated on the real source tokens with no gradient; the
     gradient reaches only the style encoder and the target style vector.
     """
     with no_grad():
         p = judge.prob(batch_s).data.copy()
-    if y_s is None:
-        y_s = model.encode_style(batch_s, SOURCE)
     return ad.mean_(ad.mul(_squared_rows(y_s, model.target_style), Tensor(p)))
-
-
-def cycle_consistency_loss(model: TransferModel, batch_s: Batch, batch_t: Batch,
-                           temperature: float = 0.5, draw_rng=None,
-                           draw_idx: Optional[np.ndarray] = None,
-                           dropout_p: float = 0.0, dropout_rng=None) -> Tensor:
-    """Round-trip NLL: soft-transfer, re-encode, decode the original back.
-
-    Source sentences ride to the target style and home with their own;
-    target sentences ride to a style drawn per-sample from the source batch
-    and home with the shared target style.
-    """
-    return _terms(model, None, None, batch_s, batch_t, {"cyc"}, temperature,
-                  dropout_p, dropout_rng, draw_rng, draw_idx)["cyc"]
 
 
 def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
@@ -155,7 +127,8 @@ def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
     content encoding, one set of source style codes and one soft generation.
     Its rows: source contents with the target style; then, for adv, target
     contents with the target style; then, for cyc, target contents with
-    styles drawn per sample from the source batch."""
+    styles drawn per sample from the source batch. The cycle term decodes
+    every sentence back from its transfer with its own style."""
     n_s, n_t = len(batch_s), len(batch_t)
     if not n_s or not n_t:
         raise SpecError("need non-empty source and target batches")
@@ -196,7 +169,7 @@ def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
             out["cyc"] = _domain_means(nll_cyc, n_s, n_t)
 
     if "dis" in need:
-        out["dis"] = style_discrepancy_loss(model, judge, batch_s, y_s=y_s)
+        out["dis"] = style_discrepancy_loss(model, judge, batch_s, y_s)
     return out
 
 

@@ -134,14 +134,14 @@ def test_softmax_positive_on_moderate_range(values):
     assert np.all(out.data > 0)
 
 
-def conv_maxpool_oracle(seq, filt):
+def conv_maxpool_oracle(seq, filt, bias):
     # explicit window loop: one dot product per window per map, max over time
     width, d, c = filt.shape
     n_win = seq.shape[0] - width + 1
     resp = np.zeros((n_win, c))
     for p in range(n_win):
         for m in range(c):
-            acc = 0.0
+            acc = bias[m]
             for j in range(width):
                 for k in range(d):
                     acc += seq[p + j, k] * filt[j, k, m]
@@ -151,36 +151,37 @@ def conv_maxpool_oracle(seq, filt):
 
 def test_conv1d_maxpool_zero_sequence():
     filt = np.random.default_rng(1).normal(size=(2, 3, 4))
-    out = conv1d_maxpool(Tensor(np.zeros((6, 3))), Tensor(filt))
-    np.testing.assert_array_equal(out.data, np.zeros(4))
+    out = conv1d_maxpool(Tensor(np.zeros((1, 6, 3))), Tensor(filt), Tensor(np.zeros(4)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
 
 def test_conv1d_maxpool_single_window_is_identity_pool():
     rng = np.random.default_rng(2)
-    seq, filt = rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 5))
-    out = conv1d_maxpool(Tensor(seq), Tensor(filt))
-    np.testing.assert_allclose(out.data, conv_maxpool_oracle(seq, filt), rtol=1e-12)
+    seq, filt, bias = rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 5)), rng.normal(size=5)
+    out = conv1d_maxpool(Tensor(seq[None]), Tensor(filt), Tensor(bias))
+    np.testing.assert_allclose(out.data[0], conv_maxpool_oracle(seq, filt, bias), rtol=1e-12)
 
 
 def test_conv1d_maxpool_window_loop_oracle():
     rng = np.random.default_rng(3)
-    seq, filt = rng.normal(size=(5, 2)), rng.normal(size=(2, 2, 1))
-    out = conv1d_maxpool(Tensor(seq), Tensor(filt))
-    np.testing.assert_allclose(out.data, conv_maxpool_oracle(seq, filt), rtol=1e-12)
+    seq, filt, bias = rng.normal(size=(5, 2)), rng.normal(size=(2, 2, 1)), rng.normal(size=1)
+    out = conv1d_maxpool(Tensor(seq[None]), Tensor(filt), Tensor(bias))
+    np.testing.assert_allclose(out.data[0], conv_maxpool_oracle(seq, filt, bias), rtol=1e-12)
 
 
 def test_conv1d_maxpool_batched_matches_per_sequence():
     rng = np.random.default_rng(4)
-    seqs, filt = rng.normal(size=(3, 6, 2)), rng.normal(size=(2, 2, 4))
-    batched = conv1d_maxpool(Tensor(seqs), Tensor(filt))
+    seqs, filt, bias = rng.normal(size=(3, 6, 2)), rng.normal(size=(2, 2, 4)), rng.normal(size=4)
+    batched = conv1d_maxpool(Tensor(seqs), Tensor(filt), Tensor(bias))
     for i in range(3):
-        single = conv1d_maxpool(Tensor(seqs[i]), Tensor(filt))
-        np.testing.assert_array_equal(batched.data[i], single.data)
+        single = conv1d_maxpool(Tensor(seqs[i:i + 1]), Tensor(filt), Tensor(bias))
+        np.testing.assert_array_equal(batched.data[i], single.data[0])
 
 
 def test_conv1d_maxpool_too_short():
     with pytest.raises(SequenceTooShortError):
-        conv1d_maxpool(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3, 1))))
+        conv1d_maxpool(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((4, 3, 1))),
+                       Tensor(np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def test_gru_cell_gradients_match_finite_differences():
             weights[name] = t
             return step(weights)
 
-        report = grad_check(f, Tensor(packs[name]), step=1e-4, tol=1e-4)
+        report = grad_check(f, Tensor(packs[name]), tol=1e-4)
         assert report.passed, f"{name}: {report.max_rel_err}"
 
 
@@ -334,7 +335,8 @@ PRIMITIVE_CASES = [
     ("max_along", lambda x: sum_(max_along(x, axis=1)), (2, 4)),
     ("unfold", lambda x: sum_(ad.mul(unfold_windows(x, 2), Tensor(np.arange(16.0).reshape(4, 4)))), (5, 2)),
     ("clip", lambda x: sum_(clip(x, -0.5, 0.5)), (6,)),
-    ("conv1d_maxpool", lambda x: sum_(conv1d_maxpool(x, Tensor(np.linspace(-1, 1, 12).reshape(2, 2, 3)))), (5, 2)),
+    ("conv1d_maxpool", lambda x: sum_(conv1d_maxpool(x, Tensor(np.linspace(-1, 1, 12).reshape(2, 2, 3)),
+                                                     Tensor([0.1, -0.2, 0.3]))), (1, 5, 2)),
 ]
 
 
@@ -347,7 +349,7 @@ def test_primitive_gradients_100_seeds(name, fn, shape):
             # keep entries away from the clip boundaries where the
             # subgradient is genuinely discontinuous
             x = np.where(np.abs(np.abs(x) - 0.5) < 1e-2, x + 0.05, x)
-        report = grad_check(fn, Tensor(x), step=1e-4, tol=1e-4)
+        report = grad_check(fn, Tensor(x), tol=1e-4)
         worst = max(worst, report.max_rel_err)
         assert report.passed, f"{name} seed {seed}: {report.max_rel_err}"
     assert worst <= 1e-4

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from styletx.checkpoint import load_params
 from styletx.cli import main
 from styletx.corpus import read_lines, write_lines
 from styletx.evaluation import prepare_experiment
-from styletx.training import desk_config
+from styletx.training import TrainConfig, desk_config
 
 DESK_CFG = """\
 d_emb=24
@@ -284,6 +285,22 @@ def test_evaluate_single_run_zero_std(workdir, tmp_path):
                  "--runs", "1", "--report", str(report_path), "--pad-len", "14"])
     assert code in (0, 4)
     assert float(report_rows(report_path)["std"]) == 0.0
+
+
+def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):
+    # DESK_CFG sets pad_len=14; only explicit flags override the file
+    _, data, cfg = workdir
+    report_path = tmp_path / "retrain.csv"
+    code = main(["evaluate", "--retrain", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
+                 "--config", str(cfg), "--seed", "1", "--runs", "1",
+                 "--report", str(report_path)])
+    assert code in (0, 4)
+    expected = replace(TrainConfig.from_file(cfg), seed=1)
+    assert expected.pad_len == 14
+    assert f"# config: {expected.fingerprint()}" in report_path.read_text().splitlines()
+    manifest = json.loads(Path(str(report_path) + ".manifest.json").read_text())
+    assert manifest["flags"]["pad_len"] == 14
 
 
 def test_evaluate_requires_inputs():

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +9,10 @@ from styletx.corpus import (
     UNK,
     EmptyInputError,
     SpecError,
-    SplitSpec,
     build_vocab,
     decode_to_text,
     encode,
     gen_synthetic,
-    synthetic_vocabulary,
     three_way_split,
 )
 
@@ -108,36 +105,34 @@ def test_encode_decode_round_trip(words):
 
 
 def test_split_degenerate_everything_in_part_one():
-    parts = three_way_split([f"s{i}" for i in range(10)], SplitSpec(parts=(1.0, 0.0, 0.0)), seed=0)
-    assert len(parts[0].all_sentences()) == 10
+    # largest-remainder rounding gives a lone sentence to the biggest fraction
+    parts = three_way_split(["s0"], seed=0)
+    assert parts[0].train.sentences == ["s0"]
     assert len(parts[1].all_sentences()) == 0 and len(parts[2].all_sentences()) == 0
 
 
 def test_split_exact_fraction_sizes():
     sentences = [f"s{i}" for i in range(100)]
-    parts = three_way_split(sentences, SplitSpec(parts=(0.5, 0.25, 0.25)), seed=3)
-    assert [len(p.all_sentences()) for p in parts] == [50, 25, 25]
+    parts = three_way_split(sentences, seed=3)
+    assert [len(p.all_sentences()) for p in parts] == [60, 20, 20]
+    assert [(len(p.train), len(p.test), len(p.val)) for p in parts] == [(48, 6, 6), (16, 2, 2),
+                                                                        (16, 2, 2)]
 
 
 def test_split_same_seed_identical():
     sentences = [f"s{i}" for i in range(57)]
-    a = three_way_split(sentences, SplitSpec(), seed=11)
-    b = three_way_split(sentences, SplitSpec(), seed=11)
+    a = three_way_split(sentences, seed=11)
+    b = three_way_split(sentences, seed=11)
     for pa, pb in zip(a, b):
         assert pa.train.sentences == pb.train.sentences
         assert pa.test.sentences == pb.test.sentences
         assert pa.val.sentences == pb.val.sentences
 
 
-def test_split_fraction_validation():
-    with pytest.raises(SpecError):
-        SplitSpec(parts=(0.7, 0.3, 0.3))
-
-
 def test_split_carries_labels():
     sentences = [f"s{i}" for i in range(30)]
     labels = [str(i % 2) for i in range(30)]
-    parts = three_way_split(sentences, SplitSpec(), seed=5, labels=labels)
+    parts = three_way_split(sentences, seed=5, labels=labels)
     for part in parts:
         for ds in (part.train, part.test, part.val):
             for s, l in zip(ds.sentences, ds.labels):
@@ -148,7 +143,7 @@ def test_split_carries_labels():
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=3, max_value=200))
 def test_split_parts_pairwise_disjoint(seed, n):
     sentences = [f"unique sentence {i}" for i in range(n)]
-    parts = three_way_split(sentences, SplitSpec(), seed=seed)
+    parts = three_way_split(sentences, seed=seed)
     sets = [set(p.all_sentences()) for p in parts]
     assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
     assert sum(len(s) for s in sets) == len(set(sentences))
@@ -159,7 +154,8 @@ def test_split_parts_pairwise_disjoint(seed, n):
 
 
 def test_synthetic_vocabulary_is_small():
-    assert len(synthetic_vocabulary()) + 4 <= 100
+    data = gen_synthetic(seed=0, n_source=2000, n_target=2000, mix=(0.3, 0.3, 0.4))
+    assert len(build_vocab(data.source + data.target)) <= 100
 
 
 def test_synthetic_determinism():

@@ -1,23 +1,14 @@
 import numpy as np
 import pytest
 
-from styletx.corpus import (
-    CorpusPart,
-    Dataset,
-    SpecError,
-    SplitSpec,
-    build_vocab,
-    encode,
-    gen_synthetic,
-    three_way_split,
-)
+from styletx.corpus import Dataset, SpecError, build_vocab, encode, gen_synthetic, three_way_split
 from styletx.evaluation import (
     ContaminationError,
     EvalReport,
-    TransferScore,
     binary_style_data,
     check_disjoint,
     prepare_experiment,
+    split_corpus,
     train_part_classifier,
     transfer_accuracy,
     write_sample_dump,
@@ -86,16 +77,13 @@ def test_check_disjoint_raises_on_overlap():
         check_disjoint(["a", "b"], [["b", "c"]])
 
 
-def test_train_part_classifier_rejects_contaminated_part():
+@pytest.mark.parametrize("k,other", [(1, 0), (1, 2), (2, 0), (2, 1)])
+def test_part_classifier_rejects_a_sentence_shared_with_another_part(k, other):
     data = gen_synthetic(seed=40, n_source=60, n_target=60, mix=(0.0, 1.0, 0.0))
-    vocab = build_vocab(data.source + data.target)
-    part_s = CorpusPart(train=Dataset(data.source[:40]), test=Dataset(data.source[40:50]),
-                        val=Dataset(data.source[50:]))
-    part_t = CorpusPart(train=Dataset(data.target[:40]), test=Dataset(data.target[40:50]),
-                        val=Dataset(data.target[50:]))
-    with pytest.raises(ContaminationError):
-        train_part_classifier(part_s, part_t, vocab, 14, ClassifierConfig(epochs=1),
-                              seed=0, reserved=[data.source[:5]])
+    vocab, src_parts, tgt_parts = split_corpus(data.source, None, data.target, 0, 1)
+    tgt_parts[k].val.sentences.append(tgt_parts[other].train.sentences[0])
+    with pytest.raises(ContaminationError, match="1 sentences shared"):
+        train_part_classifier(src_parts, tgt_parts, k, vocab, 14, ClassifierConfig(epochs=1), 0)
 
 
 def test_prepare_experiment_rejects_judge_part_sharing_a_sentence():
@@ -126,12 +114,10 @@ def test_binary_style_data_uses_ground_truth_when_present():
 def eval_world():
     data = gen_synthetic(seed=41, n_source=900, n_target=900, mix=(0.3, 0.7, 0.0))
     vocab = build_vocab(data.source + data.target)
-    spec = SplitSpec()
-    src_parts = three_way_split(data.source, spec, 1, labels=data.source_styles)
-    tgt_parts = three_way_split(data.target, spec, 2)
-    clf, acc = train_part_classifier(src_parts[2], tgt_parts[2], vocab, 16,
-                                     ClassifierConfig(d_emb=24, maps=8, epochs=20),
-                                     seed=3)
+    src_parts = three_way_split(data.source, 1, labels=data.source_styles)
+    tgt_parts = three_way_split(data.target, 2)
+    clf, acc = train_part_classifier(src_parts, tgt_parts, 2, vocab, 16,
+                                     ClassifierConfig(d_emb=24, maps=8, epochs=20), 3)
     return data, vocab, src_parts, tgt_parts, clf, acc
 
 

@@ -1,11 +1,14 @@
-"""Every name a `styletx` module imports is used in that module."""
+"""Every name a module of `styletx`, its tests or its scripts imports is
+used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "styletx").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = [path for pattern in ("src/styletx/*.py", "tests/*.py", "scripts/*.py")
+           for path in sorted(ROOT.glob(pattern))]
 
 
 def unused_imports(source: str) -> list:

@@ -9,16 +9,14 @@ from styletx import autodiff as ad
 from styletx.autodiff import Tape, Tensor, backward, no_grad, recording
 from styletx.corpus import SpecError, build_vocab
 from styletx.losses import (
-    LossBreakdown,
     LossWeights,
-    adversarial_loss,
+    _terms,
     compute_breakdown,
-    cycle_consistency_loss,
     reconstruction_loss,
     style_discrepancy_loss,
     total_loss,
 )
-from styletx.model import Batch, TextCnnClassifier, TransferModel, snapshot
+from styletx.model import Batch, TextCnnClassifier, TransferModel
 from styletx.optim import AdamState, adam_step, zero_grads
 
 
@@ -39,6 +37,18 @@ def setup(seed=0, d_emb=8, d_z=12, d_y=10):
     batch_t = Batch.from_sentences(["the food was great", "we came here today"],
                                    vocab, 8, "target")
     return model, d_clf, judge, batch_s, batch_t, vocab
+
+
+def adversarial(model, d_clf, batch_s, batch_t):
+    return _terms(model, d_clf, None, batch_s, batch_t, {"adv"})["adv"]
+
+
+def cycle(model, batch_s, batch_t, **draw):
+    return _terms(model, None, None, batch_s, batch_t, {"cyc"}, **draw)["cyc"]
+
+
+def discrepancy(model, judge, batch_s):
+    return style_discrepancy_loss(model, judge, batch_s, model.encode_style(batch_s, "source"))
 
 
 def zero_weight_clf(vocab_size, widths=(1, 2), d_emb=8):
@@ -64,7 +74,7 @@ def test_style_discrepancy_loss_exact_anchor():
     model.target_style.data[0] = 2.0
     one = Batch(ids=batch_s.ids[:1], lengths=batch_s.lengths[:1])
     with no_grad():
-        loss = style_discrepancy_loss(model, judge, one)
+        loss = discrepancy(model, judge, one)
     assert loss.item() == pytest.approx(2.0, abs=1e-12)
 
 
@@ -73,7 +83,7 @@ def test_style_discrepancy_loss_zero_probability_annihilates():
     judge = zero_weight_clf(len(vocab))
     judge.head_b.data[...] = -1e9  # clamps to the -30 logit floor: p ~ 1e-14
     with no_grad():
-        loss = style_discrepancy_loss(model, judge, batch_s)
+        loss = discrepancy(model, judge, batch_s)
     assert abs(loss.item()) < 1e-9
 
 
@@ -82,10 +92,10 @@ def test_style_discrepancy_loss_monotone_in_distance():
     judge = zero_weight_clf(len(vocab))  # fixed positive probability 0.5
     with no_grad():
         y_s = model.encode_style(batch_s, "source")
-        base = style_discrepancy_loss(model, judge, batch_s, y_s=y_s)
+        base = style_discrepancy_loss(model, judge, batch_s, y_s)
         # scaling the offset from the target style up can never shrink the loss
         y_far = ad.add(model.target_style, ad.mul(ad.sub(y_s, model.target_style), 2.0))
-        far = style_discrepancy_loss(model, judge, batch_s, y_s=y_far)
+        far = style_discrepancy_loss(model, judge, batch_s, y_far)
     assert far.item() >= base.item()
 
 
@@ -101,7 +111,7 @@ def test_style_discrepancy_loss_optimisation_pulls_styles_together():
     for _ in range(500):
         tape = Tape()
         with recording(tape):
-            loss = style_discrepancy_loss(model, judge, batch_s)
+            loss = discrepancy(model, judge, batch_s)
             backward(loss, tape)
         history.append(loss.item())
         adam_step(params, state, 5e-3)
@@ -113,7 +123,7 @@ def test_style_discrepancy_loss_gradient_stays_out_of_judge_and_generator():
     model, d_clf, judge, batch_s, _, _ = setup(seed=4)
     tape = Tape()
     with recording(tape):
-        loss = style_discrepancy_loss(model, judge, batch_s)
+        loss = discrepancy(model, judge, batch_s)
         backward(loss, tape)
     groups = model.param_groups()
     assert any(p.grad is not None and np.abs(p.grad).sum() > 0
@@ -131,7 +141,7 @@ def test_adversarial_loss_at_half_is_two_log_two():
     model, _, _, batch_s, batch_t, vocab = setup(seed=5)
     d_half = zero_weight_clf(len(vocab))
     with no_grad():
-        loss = adversarial_loss(model, d_half, batch_s, batch_t)
+        loss = adversarial(model, d_half, batch_s, batch_t)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
 
 
@@ -143,7 +153,7 @@ def test_adversarial_loss_matches_scalar_recomputation():
         z = model.encode_content(joint)
         soft = model.generate_soft(z, model.target_style, joint.max_len, 0.5)
         p = d_clf.prob(soft).data
-        loss = adversarial_loss(model, d_clf, batch_s, batch_t)
+        loss = adversarial(model, d_clf, batch_s, batch_t)
     n = len(batch_s)
     expected = np.mean(-np.log(1 - p[:n])) + np.mean(-np.log(p[n:]))
     assert loss.item() == pytest.approx(expected, abs=1e-9)
@@ -154,7 +164,7 @@ def test_adversarial_loss_extreme_discriminator_is_clamped_not_fatal():
     sure = zero_weight_clf(len(vocab))
     sure.head_b.data[...] = 1e9  # p pinned at sigmoid(30) on everything
     with no_grad():
-        loss = adversarial_loss(model, sure, batch_s, batch_t)
+        loss = adversarial(model, sure, batch_s, batch_t)
     assert np.isfinite(loss.item())
     # the fake term hits the clamp: -log(eps-ish) stays huge but finite
     assert loss.item() > 10
@@ -164,7 +174,7 @@ def test_adversarial_loss_gradients_reach_both_arms():
     model, d_clf, _, batch_s, batch_t, _ = setup(seed=8)
     tape = Tape()
     with recording(tape):
-        loss = adversarial_loss(model, d_clf, batch_s, batch_t)
+        loss = adversarial(model, d_clf, batch_s, batch_t)
         backward(loss, tape)
     assert any(p.grad is not None and np.abs(p.grad).sum() > 0
                for p in d_clf.params().values())
@@ -236,7 +246,7 @@ def test_cycle_loss_copy_generator_equals_reconstruction_of_copies():
     model.generate_soft = copying_soft
     try:
         with no_grad():
-            cyc = cycle_consistency_loss(model, batch_s, batch_t,
+            cyc = cycle(model, batch_s, batch_t,
                                          draw_idx=np.array([0, 1]))
             soft = copying_soft(None, None, batch_s.max_len, 0.5)
             z_back = model.encode_content(soft)
@@ -256,8 +266,8 @@ def test_cycle_loss_copy_generator_equals_reconstruction_of_copies():
 def test_cycle_loss_non_negative_and_deterministic():
     model, _, _, batch_s, batch_t, _ = setup(seed=12)
     with no_grad():
-        a = cycle_consistency_loss(model, batch_s, batch_t, draw_idx=np.array([1, 0]))
-        b = cycle_consistency_loss(model, batch_s, batch_t, draw_idx=np.array([1, 0]))
+        a = cycle(model, batch_s, batch_t, draw_idx=np.array([1, 0]))
+        b = cycle(model, batch_s, batch_t, draw_idx=np.array([1, 0]))
     assert a.item() >= 0.0
     assert a.item() == b.item()
 
@@ -266,7 +276,7 @@ def test_cycle_loss_requires_source_styles():
     model, _, _, batch_s, batch_t, _ = setup(seed=13)
     empty = Batch(ids=batch_s.ids[:0], lengths=batch_s.lengths[:0])
     with pytest.raises(SpecError):
-        cycle_consistency_loss(model, empty, batch_t, draw_idx=np.array([0, 0]))
+        cycle(model, empty, batch_t, draw_idx=np.array([0, 0]))
 
 
 def test_cycle_loss_falls_under_overfitting():
@@ -279,7 +289,7 @@ def test_cycle_loss_falls_under_overfitting():
         tape = Tape()
         with recording(tape):
             rec = reconstruction_loss(model, batch_s, batch_t)
-            cyc = cycle_consistency_loss(model, batch_s, batch_t, draw_rng=rng)
+            cyc = cycle(model, batch_s, batch_t, draw_rng=rng)
             loss = rec + cyc
             backward(loss, tape)
         if first is None:
@@ -287,7 +297,7 @@ def test_cycle_loss_falls_under_overfitting():
         adam_step(params, state, 5e-3)
         zero_grads(params)
     with no_grad():
-        final = cycle_consistency_loss(model, batch_s, batch_t,
+        final = cycle(model, batch_s, batch_t,
                                        draw_idx=np.array([0, 1])).item()
     assert final < 0.1 * first
 
@@ -296,7 +306,7 @@ def test_cycle_loss_gradients_stay_out_of_discriminators():
     model, d_clf, judge, batch_s, batch_t, _ = setup(seed=15)
     tape = Tape()
     with recording(tape):
-        loss = cycle_consistency_loss(model, batch_s, batch_t, draw_idx=np.array([0, 1]))
+        loss = cycle(model, batch_s, batch_t, draw_idx=np.array([0, 1]))
         backward(loss, tape)
     groups = model.param_groups()
     for name in ("content_enc", "style_enc", "generator"):
@@ -331,10 +341,9 @@ def test_total_loss_ablation_weights():
 @given(st.floats(0, 100), st.floats(0, 100), st.floats(0, 100), st.floats(0, 100),
        st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
 def test_breakdown_identity(rec, adv, cyc, dis, l1, l2, l3):
-    w = LossWeights(l1, l2, l3)
-    total = total_loss(Tensor(rec), Tensor(adv), Tensor(cyc), Tensor(dis), w).item()
-    br = LossBreakdown(rec=rec, adv=adv, dis=dis, cyc=cyc, total=total)
-    assert abs(br.total - br.recompute_total(w)) < 1e-9
+    total = total_loss(Tensor(rec), Tensor(adv), Tensor(cyc), Tensor(dis),
+                       LossWeights(l1, l2, l3)).item()
+    assert abs(total - (rec - l1 * adv + l2 * cyc + l3 * dis)) < 1e-9
 
 
 @pytest.mark.parametrize("lambda_adv", [1.0, 0.0])
@@ -347,14 +356,15 @@ def test_compute_breakdown_matches_standalone_terms(lambda_adv):
         total, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, w,
                                       draw_idx=draw)
         rec = reconstruction_loss(model, batch_s, batch_t).item()
-        adv = adversarial_loss(model, d_clf, batch_s, batch_t).item()
-        cyc = cycle_consistency_loss(model, batch_s, batch_t, draw_idx=draw).item()
-        dis = style_discrepancy_loss(model, judge, batch_s).item()
+        adv = adversarial(model, d_clf, batch_s, batch_t).item()
+        cyc = cycle(model, batch_s, batch_t, draw_idx=draw).item()
+        dis = discrepancy(model, judge, batch_s).item()
     assert br.rec == pytest.approx(rec, rel=1e-9)
     assert br.adv == (pytest.approx(adv, rel=1e-9) if lambda_adv else 0.0)
     assert br.cyc == pytest.approx(cyc, rel=1e-9)
     assert br.dis == pytest.approx(dis, rel=1e-9)
-    assert br.total == pytest.approx(br.recompute_total(w), abs=1e-9)
+    assert br.total == pytest.approx(br.rec - w.lambda_adv * br.adv + w.lambda_cyc * br.cyc
+                                     + w.lambda_dis * br.dis, abs=1e-9)
     assert total.item() == pytest.approx(br.total)
 
 

@@ -9,7 +9,6 @@ from styletx.model import (
     classifier_accuracy,
     Batch,
     ClassifierConfig,
-    GruCell,
     TextCnnClassifier,
     TransferModel,
     classify_texts,

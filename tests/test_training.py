@@ -6,10 +6,10 @@ from styletx import losses as losses_mod
 from styletx import training as training_mod
 from styletx.autodiff import Tensor
 from styletx.checkpoint import load_params
-from styletx.corpus import SpecError, SplitSpec, build_vocab, gen_synthetic, three_way_split
+from styletx.corpus import CorpusPart, Dataset, SpecError, build_vocab, gen_synthetic
 from styletx.losses import LossBreakdown, LossWeights
 from styletx.model import Batch, TextCnnClassifier, TransferModel, snapshot
-from styletx.optim import AdamState, adam_step, clip_global_norm, zero_grads
+from styletx.optim import AdamState, adam_step, clip_global_norm
 from styletx.training import (
     ConfigError,
     TrainConfig,
@@ -154,8 +154,8 @@ def test_discriminator_step_moves_only_discriminator(step_setup):
 def test_discriminator_step_returns_the_adversarial_loss(step_setup):
     cfg, model, d_clf, judge, batch_s, batch_t = step_setup
     with ad.no_grad():
-        expected = losses_mod.adversarial_loss(model, d_clf, batch_s, batch_t,
-                                               cfg.temperature).item()
+        expected = losses_mod._terms(model, d_clf, None, batch_s, batch_t, {"adv"},
+                                     cfg.temperature)["adv"].item()
     got = train_step_discriminator(model, d_clf, batch_s, batch_t,
                                    d_clf.params("d"), AdamState(), cfg)
     assert got == expected
@@ -256,12 +256,21 @@ def test_step_tape_op_counts_do_not_grow(monkeypatch):
 # full runs
 
 
+def one_part(sentences, seed):
+    """Every sentence in one shuffled part, split 70/15/15."""
+    shuffled = [sentences[i] for i in np.random.default_rng(seed).permutation(len(sentences))]
+    n_train = 7 * len(shuffled) // 10
+    n_test = (len(shuffled) - n_train) // 2
+    return CorpusPart(train=Dataset(shuffled[:n_train]),
+                      test=Dataset(shuffled[n_train:n_train + n_test]),
+                      val=Dataset(shuffled[n_train + n_test:]))
+
+
 def small_corpora(n=120, seed=31):
     data = gen_synthetic(seed=seed, n_source=n, n_target=n, mix=(0.3, 0.7, 0.0))
     vocab = build_vocab(data.source + data.target)
-    spec = SplitSpec(parts=(1.0, 0.0, 0.0), sub=(0.7, 0.15, 0.15))
-    (src,) , (tgt,) = three_way_split(data.source, spec, 0)[:1], three_way_split(data.target, spec, 1)[:1]
-    return TransferCorpora(vocab=vocab, source=src, target=tgt)
+    return TransferCorpora(vocab=vocab, source=one_part(data.source, 0),
+                           target=one_part(data.target, 1))
 
 
 def judge_for(corpora, cfg):
