@@ -486,6 +486,131 @@ def conv1d_maxpool(seq_emb: TensorLike, filters: TensorLike, bias: TensorLike) -
     return max_along(add(resp, bias), axis=1)           # [B, C]
 
 
+def _sigmoid_inplace(a: Array) -> Array:
+    """In-place 1 / (1 + exp(-a)), the operation order of `sigmoid`."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
+
+
+def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
+                 lengths: Optional[Array] = None) -> Tensor:
+    """Masked GRU unroll over a whole sequence, recorded as one tape op.
+
+    x is [B, T, d_in], h0 [B, h], and weights the nine gate tensors
+    (w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c). Each step computes
+
+        z = σ((x·W_z + h·U_z) + b_z)    r = σ((x·W_r + h·U_r) + b_r)
+        c = tanh((x·W_c + (r∘h)·U_c) + b_c)    h' = (1 − z)∘h + z∘c
+
+    From step `lengths.min()` on, h' = h + active∘(h' − h), so a row keeps
+    its state once t reaches its length. Returns the state after every
+    step, [B, T, h].
+
+    The input projections of all steps are one matmul per gate, overwritten
+    in place by the gate values. Backward keeps just those, the states and
+    the input; it runs BPTT in one reverse loop, then forms each weight
+    gradient with one matmul over all steps.
+    """
+    x, h0 = as_tensor(x), as_tensor(h0)
+    weights = tuple(as_tensor(w) for w in weights)
+    if len(weights) != 9:
+        raise ShapeError(f"gru_sequence takes nine gate tensors, got {len(weights)}")
+    wz, uz, bz, wr, ur, br, wc, uc, bc = (w.data for w in weights)
+    if x.ndim != 3 or x.shape[2] != wz.shape[0] or h0.shape != (x.shape[0], uz.shape[0]):
+        raise ShapeError(f"gru_sequence expects x [B, T, {wz.shape[0]}] and h0 [B, {uz.shape[0]}], "
+                         f"got {x.shape} and {h0.shape}")
+    inputs = (x, h0) + weights
+    batch, steps, d_in = x.shape
+    d_h = uz.shape[0]
+    first_masked = steps if lengths is None else int(np.min(lengths))
+
+    def time_major(a: Array) -> Array:
+        """[B, T, n] -> [T*B, n], so each step's rows form one contiguous block."""
+        return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(steps * batch, a.shape[2])
+
+    # one buffer for the gates z, r, c of every step, then h0 and the state
+    # after every step: one large allocation faults in much faster than
+    # several mid-sized ones (numpy asks for huge pages from 4 MB up)
+    work = np.empty((4 * steps + 1, batch, d_h))
+    zs, rs, cs = work[:3 * steps].reshape(3, steps, batch, d_h)
+    hs = work[3 * steps:]
+    flat_x = time_major(x.data)
+    for gate, w in zip((zs, rs, cs), (wz, wr, wc)):
+        np.matmul(flat_x, w, out=gate.reshape(steps * batch, d_h))
+    hs[0] = h0.data
+    rh, tmp = np.empty((2, batch, d_h))
+    with np.errstate(over="ignore"):   # exp overflow gives the correct sigmoid 0
+        for t in range(steps):
+            z, r, c, h, h_next = zs[t], rs[t], cs[t], hs[t], hs[t + 1]
+            z += h @ uz
+            z += bz
+            _sigmoid_inplace(z)
+            r += h @ ur
+            r += br
+            _sigmoid_inplace(r)
+            np.multiply(r, h, out=rh)
+            c += rh @ uc
+            c += bc
+            np.tanh(c, out=c)
+            np.subtract(1.0, z, out=h_next)
+            h_next *= h
+            np.multiply(z, c, out=tmp)
+            h_next += tmp
+            if t >= first_masked:
+                np.subtract(h_next, h, out=tmp)
+                tmp *= (lengths > t)[:, None]
+                np.add(h, tmp, out=h_next)
+    out = np.ascontiguousarray(hs[1:].swapaxes(0, 1))
+
+    def bwd(g):
+        # g_hs[t] collects the gradient of hs[t]; each step adds its terms
+        # in the order of the per-gate ops' reverse sweep
+        g_hs = np.zeros((steps + 1, batch, d_h))
+        g_hs[1:] = g.swapaxes(0, 1)
+        g_pre = np.empty((3, steps, batch, d_h))      # pre-activation z, r, c
+        for t in reversed(range(steps)):
+            h, z, r, c = hs[t], zs[t], rs[t], cs[t]
+            g_h, g_prev = g_hs[t + 1], g_hs[t]
+            if t >= first_masked:
+                g_new = g_h * (lengths > t)[:, None]
+                g_prev += g_h
+                g_prev -= g_new
+            else:
+                g_new = g_h
+            omz = 1.0 - z
+            g_z = g_new * c
+            g_c = g_new * z
+            g_prev += g_new * omz
+            g_z -= g_new * h
+            gz_pre, gr_pre, gc_pre = g_pre[:, t]
+            np.multiply(c, c, out=gc_pre)
+            np.subtract(1.0, gc_pre, out=gc_pre)
+            gc_pre *= g_c
+            g_rh = gc_pre @ uc.T
+            g_prev += g_rh * r
+            np.multiply(g_rh * h, r, out=gr_pre)
+            gr_pre *= 1.0 - r
+            g_prev += gr_pre @ ur.T
+            np.multiply(g_z, z, out=gz_pre)
+            gz_pre *= omz
+            g_prev += gz_pre @ uz.T
+        gz_all, gr_all, gc_all = g_pre.reshape(3, steps * batch, d_h)
+        flat_h = hs[:-1].reshape(steps * batch, d_h)
+        flat_rh = (rs * hs[:-1]).reshape(steps * batch, d_h)
+        gx = None
+        if x.requires_grad:
+            gx = (gc_all @ wc.T + gr_all @ wr.T) + gz_all @ wz.T
+            gx = np.ascontiguousarray(gx.reshape(steps, batch, d_in).swapaxes(0, 1))
+        return (gx, g_hs[0],
+                flat_x.T @ gz_all, flat_h.T @ gz_all, gz_all.sum(axis=0),
+                flat_x.T @ gr_all, flat_h.T @ gr_all, gr_all.sum(axis=0),
+                flat_x.T @ gc_all, flat_rh.T @ gc_all, gc_all.sum(axis=0))
+
+    return _record(out, inputs, bwd)
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 

@@ -8,6 +8,7 @@ The same container serves classifier and transfer-model checkpoints.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -21,19 +22,33 @@ class CheckpointFormatError(ValueError):
 
 
 def save_params(path, params: dict) -> None:
-    """Write name -> array (or Tensor) in insertion order."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for name, value in params.items():
-            # asarray keeps 0-d arrays 0-d where ascontiguousarray would not
-            arr = np.asarray(getattr(value, "data", value), dtype="<f8", order="C")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write name -> array (or Tensor) in insertion order.
+
+    The records go to a temporary file in the same directory, which then
+    replaces `path` in one step: a write that fails part way leaves the
+    file already at `path` as it was, and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(params)))
+            for name, value in params.items():
+                # asarray keeps 0-d arrays 0-d where ascontiguousarray would not
+                arr = np.asarray(getattr(value, "data", value), dtype="<f8", order="C")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path) -> dict:

@@ -66,10 +66,15 @@ SoftSeq = list  # list of [B, V] distribution tensors, one per step
 
 
 def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout. A [B, T, d] sequence draws its mask time-major: T
+    draws of [B, d] in step order, as a step-by-step decode does."""
     if rng is None or p <= 0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return ad.mul(x, Tensor(mask))
+    if x.ndim == 3:
+        draw = rng.random((x.shape[1], x.shape[0], x.shape[2])).swapaxes(0, 1)
+    else:
+        draw = rng.random(x.shape)
+    return ad.mul(x, Tensor((draw >= p) / (1.0 - p)))
 
 
 def style_rows(y: Tensor, batch_size: int) -> Tensor:
@@ -103,11 +108,15 @@ class GruCell:
     def hidden_dim(self) -> int:
         return self.u_update.shape[0]
 
+    def unroll(self, x: Tensor, h0: Tensor, lengths: Optional[np.ndarray] = None) -> Tensor:
+        """States [B, T, h] after each step of a [B, T, d_in] sequence; a row
+        keeps its state once t reaches its length."""
+        return ad.gru_sequence(x, h0, [getattr(self, f.name) for f in fields(self)], lengths)
+
     def step(self, x: Tensor, h: Tensor) -> Tensor:
-        z = ad.sigmoid(x @ self.w_update + h @ self.u_update + self.b_update)
-        r = ad.sigmoid(x @ self.w_reset + h @ self.u_reset + self.b_reset)
-        cand = ad.tanh(x @ self.w_cand + ad.mul(r, h) @ self.u_cand + self.b_cand)
-        return (1.0 - z) * h + z * cand
+        """One step on [B, d_in] inputs: an unroll of length 1."""
+        b = x.shape[0]
+        return ad.reshape(self.unroll(ad.reshape(x, (b, 1, x.shape[1])), h), (b, self.hidden_dim))
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
@@ -118,28 +127,11 @@ class GruCell:
                       for f in fields(cls)})
 
 
-def _masked_unroll(cell: GruCell, emb_steps: Sequence[Tensor], lengths: np.ndarray,
-                   h: Tensor) -> list:
-    """Run the GRU over per-step embeddings, freezing each row of h once its
-    sentence is past true_len. Returns the hidden state after every step."""
-    states = []
-    for t, x_t in enumerate(emb_steps):
-        h_new = cell.step(x_t, h)
-        if t < lengths.min():
-            h = h_new
-        else:
-            active = (lengths > t).astype(np.float64)[:, None]
-            h = h + Tensor(active) * (h_new - h)
-        states.append(h)
-    return states
-
-
-def _hard_emb_steps(embedding: Tensor, ids: np.ndarray) -> list:
-    return [ad.take_rows(embedding, ids[:, t]) for t in range(ids.shape[1])]
-
-
-def _soft_emb_steps(embedding: Tensor, soft: SoftSeq) -> list:
-    return [dist @ embedding for dist in soft]
+def _soft_embed(embedding: Tensor, soft: SoftSeq) -> Tensor:
+    """Expected embeddings [B, T, d] of a soft sequence, in one matmul."""
+    b, t, v = soft[0].shape[0], len(soft), soft[0].shape[1]
+    flat = ad.reshape(ad.concat(soft, axis=1), (b * t, v))
+    return ad.reshape(flat @ embedding, (b, t, embedding.shape[1]))
 
 
 class StyleEncoder:
@@ -204,9 +196,7 @@ class TextCnnClassifier:
         if isinstance(x, Batch):
             emb_seq = ad.take_rows(self.cnn.embedding, x.ids)
         else:
-            steps = _soft_emb_steps(self.cnn.embedding, x)
-            emb_seq = ad.reshape(ad.concat(steps, axis=1),
-                                 (steps[0].shape[0], len(steps), steps[0].shape[1]))
+            emb_seq = _soft_embed(self.cnn.embedding, x)
         feats = self.cnn.features(emb_seq)
         raw = ad.reshape(feats @ self.head_w + self.head_b, (feats.shape[0],))
         return ad.clip(raw, -LOGIT_CLAMP, LOGIT_CLAMP)
@@ -277,14 +267,16 @@ class TransferModel:
                        dropout_rng=None) -> Tensor:
         """GRU over token embeddings; the last real hidden state is the content code."""
         if isinstance(x, Batch):
-            steps = _hard_emb_steps(self.embedding, x.ids[:, : int(x.lengths.max())])
+            emb = ad.take_rows(self.embedding, x.ids[:, : int(x.lengths.max())])
             lengths = x.lengths
         else:
-            steps = _soft_emb_steps(self.embedding, x)
-            lengths = np.full(len(steps[0].data), len(steps), dtype=np.int64)
-        steps = [_dropout(s, dropout_p, dropout_rng) for s in steps]
-        h = Tensor(np.zeros((steps[0].shape[0], self.d_z)))
-        return _masked_unroll(self.enc_cell, steps, lengths, h)[-1]
+            emb = _soft_embed(self.embedding, x)
+            lengths = None
+        b, t = emb.shape[0], emb.shape[1]
+        states = self.enc_cell.unroll(_dropout(emb, dropout_p, dropout_rng),
+                                      Tensor(np.zeros((b, self.d_z))), lengths)
+        # row i's last state is row i*t + t-1 of the flattened [B*T, d_z]
+        return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), np.arange(b) * t + t - 1)
 
     def encode_style(self, batch: Batch, domain_tag: Optional[str] = None) -> Tensor:
         """Dispatch on domain: source sentences get the CNN code, target
@@ -303,10 +295,9 @@ class TransferModel:
         t_eff = int(batch.lengths.max())
         h = ad.concat([z, style_rows(y, b)], axis=1)
         prev = np.concatenate([np.full((b, 1), BOS, dtype=np.int64), batch.ids[:, : t_eff - 1]], axis=1)
-        states = _masked_unroll(self.gen_cell, [
-            _dropout(e, dropout_p, dropout_rng) for e in _hard_emb_steps(self.embedding, prev)
-        ], batch.lengths, h)
-        flat = ad.reshape(ad.concat(states, axis=1), (b * t_eff, states[0].shape[1]))
+        emb = _dropout(ad.take_rows(self.embedding, prev), dropout_p, dropout_rng)
+        states = self.gen_cell.unroll(emb, h, batch.lengths)
+        flat = ad.reshape(states, (b * t_eff, self.gen_cell.hidden_dim))
         probs = ad.softmax(flat @ self.out_w + self.out_b, temperature=1.0)
         gold = ad.take_along_last(ad.reshape(probs, (b, t_eff, self.vocab_size)),
                                   batch.ids[:, :t_eff])

@@ -312,6 +312,104 @@ def test_gru_cell_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# gru_sequence: the fused masked unroll
+
+GRU_NAMES = ("x", "h0", "w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c")
+GRU_LENGTHS = {"lengths": np.array([1, 4, 2]), "none": None}   # 1, T and a middle value
+
+
+def gru_inputs(seed=5, batch=3, steps=4, d_in=2, d_h=3):
+    rng = np.random.default_rng(seed)
+    shapes = [(batch, steps, d_in), (batch, d_h)] + [(d_in, d_h), (d_h, d_h), (d_h,)] * 3
+    return [rng.normal(size=s) * 0.7 for s in shapes]
+
+
+def reference_unroll(x, h0, weights, lengths):
+    """The per-gate unroll from elementwise primitives, one step at a time."""
+    wz, uz, bz, wr, ur, br, wc, uc, bc = weights
+    batch, steps, d_in = x.shape
+    flat_x = reshape(x, (batch * steps, d_in))
+    h, states = h0, []
+    for t in range(steps):
+        x_t = take_rows(flat_x, np.arange(batch) * steps + t)
+        z = ad.sigmoid(matmul(x_t, wz) + matmul(h, uz) + bz)
+        r = ad.sigmoid(matmul(x_t, wr) + matmul(h, ur) + br)
+        c = ad.tanh(matmul(x_t, wc) + matmul(ad.mul(r, h), uc) + bc)
+        h_new = (1.0 - z) * h + z * c
+        if lengths is not None and t >= lengths.min():
+            h_new = h + Tensor((lengths > t).astype(np.float64)[:, None]) * (h_new - h)
+        h = h_new
+        states.append(reshape(h, (batch, 1, h.shape[1])))
+    return concat(states, axis=1)
+
+
+def gru_loss(unroll, values, lengths):
+    states = unroll(values[0], values[1], values[2:], lengths)
+    probe = np.random.default_rng(9).normal(size=states.shape)
+    return sum_(ad.mul(states, Tensor(probe)))
+
+
+@pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
+@pytest.mark.parametrize("k", range(len(GRU_NAMES)), ids=GRU_NAMES)
+def test_gru_sequence_gradients_match_finite_differences(k, lengths):
+    values = [Tensor(v) for v in gru_inputs()]
+
+    def f(t):
+        return gru_loss(ad.gru_sequence, values[:k] + [t] + values[k + 1:], lengths)
+
+    report = grad_check(f, Tensor(values[k].data))
+    assert report.passed, f"{GRU_NAMES[k]}: {report.max_rel_err}"
+
+
+@pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
+def test_gru_sequence_matches_per_gate_unroll(lengths):
+    grads = []
+    for unroll in (ad.gru_sequence, reference_unroll):
+        values = [Tensor(v, requires_grad=True) for v in gru_inputs()]
+        tape = Tape()
+        with recording(tape):
+            loss = gru_loss(unroll, values, lengths)
+            backward(loss, tape)
+        grads.append((loss.item(), [v.grad for v in values]))
+    (fused_loss, fused), (ref_loss, ref) = grads
+    assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
+    for name, a, b in zip(GRU_NAMES, fused, ref):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
+    with no_grad():
+        inputs = [Tensor(v) for v in gru_inputs()]
+        np.testing.assert_allclose(ad.gru_sequence(inputs[0], inputs[1], inputs[2:], lengths).data,
+                                   reference_unroll(inputs[0], inputs[1], inputs[2:], lengths).data,
+                                   rtol=1e-12, atol=1e-14)
+
+
+def test_gru_sequence_inactive_rows_keep_their_state():
+    lengths = np.array([1, 4, 2])
+    values = gru_inputs()
+    states = ad.gru_sequence(values[0], values[1], values[2:], lengths).data
+    for row, n in enumerate(lengths):
+        for t in range(n, states.shape[1]):
+            assert np.array_equal(states[row, t], states[row, n - 1])
+    # a row's state never depends on inputs past its length
+    values[0][0, 1:] += 1.0
+    moved = ad.gru_sequence(values[0], values[1], values[2:], lengths).data
+    assert np.array_equal(moved[0], states[0])
+
+
+def test_gru_sequence_no_grad_records_nothing_and_agrees():
+    values = gru_inputs()
+    tape = Tape()
+    with recording(tape):
+        tracked = ad.gru_sequence(Tensor(values[0], requires_grad=True), values[1], values[2:],
+                                  GRU_LENGTHS["lengths"])
+        assert len(tape) == 1
+        with no_grad():
+            plain = ad.gru_sequence(Tensor(values[0], requires_grad=True), values[1], values[2:],
+                                    GRU_LENGTHS["lengths"])
+    assert len(tape) == 1 and not plain.requires_grad
+    assert np.array_equal(tracked.data, plain.data)
+
+
+# ---------------------------------------------------------------------------
 # per-primitive finite differences, many seeds
 
 

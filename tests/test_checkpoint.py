@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,23 @@ def test_utf8_names(tmp_path):
     path = tmp_path / "n.ckpt"
     save_params(path, {"weights.per-layer/0": np.ones(1)})
     assert "weights.per-layer/0" in load_params(path)
+
+
+class _DiskFull:
+    """A parameter whose bytes cannot be written: the disk fills up."""
+
+    @property
+    def data(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_the_old_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_params(path, {"w": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+    # the first record is written before the second one fails
+    with pytest.raises(OSError, match="No space"):
+        save_params(path, {"w": np.zeros((2, 3)), "b": _DiskFull()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    assert np.array_equal(load_params(path)["w"], np.arange(6.0).reshape(2, 3))
