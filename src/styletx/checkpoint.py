@@ -3,13 +3,16 @@
 Layout: magic b"LSTX1", then a uint32 record count, then per record a
 uint32 name length, the UTF-8 name, a uint32 rank, rank uint32 dims, and
 the row-major float64 payload. All integers and floats little-endian.
-The same container serves classifier and transfer-model checkpoints.
+The same container serves classifier and transfer-model checkpoints; a
+model's `params()` is the one place its tensor names are spelt, and
+`load_into` refuses a checkpoint whose names or shapes differ from them.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,34 +24,40 @@ class CheckpointFormatError(ValueError):
     pass
 
 
-def save_params(path, params: dict) -> None:
-    """Write name -> array (or Tensor) in insertion order.
-
-    The records go to a temporary file in the same directory, which then
-    replaces `path` in one step: a write that fails part way leaves the
-    file already at `path` as it was, and removes the temporary file.
-    """
+@contextmanager
+def atomic_write(path):
+    """A binary file handle whose contents replace `path` in one step when
+    the block ends. Everything goes to a temporary file in the same
+    directory, which is flushed to disk and then renamed over `path`: a
+    write that fails part way leaves the file already at `path` as it was,
+    and removes the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(params)))
-            for name, value in params.items():
-                # asarray keeps 0-d arrays 0-d where ascontiguousarray would not
-                arr = np.asarray(getattr(value, "data", value), dtype="<f8", order="C")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_params(path, params: dict) -> None:
+    """Write name -> array (or Tensor) in insertion order, atomically."""
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(params)))
+        for name, value in params.items():
+            # asarray keeps 0-d arrays 0-d where ascontiguousarray would not
+            arr = np.asarray(getattr(value, "data", value), dtype="<f8", order="C")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_params(path) -> dict:
@@ -84,3 +93,30 @@ def load_params(path) -> dict:
     if offset != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - offset} trailing bytes")
     return params
+
+
+def shape_of(arrays: dict, name: str, rank: int) -> tuple:
+    """The shape of checkpoint tensor `name`, which must exist with `rank` axes."""
+    arr = arrays.get(name)
+    if arr is None:
+        raise CheckpointFormatError(f"no tensor {name!r}; is it the right kind of checkpoint?")
+    if arr.ndim != rank:
+        raise CheckpointFormatError(f"tensor {name!r} has shape {arr.shape}, expected {rank} axes")
+    return arr.shape
+
+
+def load_into(params: dict, arrays: dict) -> None:
+    """Set each parameter tensor of a name -> Tensor map to the same-named
+    checkpoint array. Refuses, before changing any parameter, a checkpoint
+    with a missing, unexpected or mis-shaped tensor."""
+    missing = [name for name in params if name not in arrays]
+    unexpected = [name for name in arrays if name not in params]
+    if missing or unexpected:
+        raise CheckpointFormatError(f"checkpoint tensors differ from the model's: missing "
+                                    f"{missing or 'none'}, unexpected {unexpected or 'none'}")
+    for name, p in params.items():
+        if arrays[name].shape != p.shape:
+            raise CheckpointFormatError(f"tensor {name!r} has shape {arrays[name].shape}, "
+                                        f"the model expects {p.shape}")
+    for name, p in params.items():
+        p.data = np.asarray(arrays[name], dtype=np.float64)

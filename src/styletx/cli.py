@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointFormatError, load_params, save_params
+from .checkpoint import CheckpointFormatError, atomic_write, load_params, save_params
 from .corpus import (
     STYLE_TARGET,
     EmptyInputError,
@@ -72,8 +72,8 @@ def write_manifest(out_path, command: str, flags: dict, inputs: dict, extra: dic
     }
     if extra:
         manifest.update(extra)
-    Path(out_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    with atomic_write(out_path) as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _parse_mix(text: str):
@@ -94,9 +94,7 @@ def _load_corpus(source, target, labels):
 
 def _resolve_config(args) -> TrainConfig:
     """built-in defaults < config file < explicit flags."""
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        cfg = TrainConfig.from_file(args.config, base=cfg)
+    cfg = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
     overrides = {}
     for key in ("seed", "epochs", "lr", "batch_size", "pad_len", "dropout"):
         value = getattr(args, key, None)
@@ -110,12 +108,21 @@ def _resolve_config(args) -> TrainConfig:
 
 
 def _load_with_vocab(path, from_params) -> tuple:
-    """A checkpoint rebuilt by from_params, plus its vocabulary sidecar."""
-    loaded = from_params(load_params(path))
+    """A checkpoint rebuilt by from_params, plus its vocabulary sidecar,
+    which must have one token per embedding row."""
+    arrays = load_params(path)
+    try:
+        loaded = from_params(arrays)
+    except CheckpointFormatError as err:
+        raise CheckpointFormatError(f"{path}: {err}") from None
     vocab_path = Path(str(path) + ".vocab")
     if not vocab_path.exists():
         raise FileNotFoundError(f"missing vocabulary sidecar {vocab_path}")
-    return loaded, Vocab.from_file(vocab_path)
+    vocab = Vocab.from_file(vocab_path)
+    if len(vocab) != loaded.vocab_size:
+        raise CheckpointFormatError(f"{vocab_path} holds {len(vocab)} tokens, but the embedding "
+                                    f"of {path} has {loaded.vocab_size} rows")
+    return loaded, vocab
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +195,8 @@ def cmd_train(args) -> int:
                    {"split_seed": args.split_seed, "no_cyc": args.no_cyc or None,
                     "no_dis": args.no_dis or None,
                     **{k: getattr(cfg, k) for k in ("seed", "epochs", "lr", "batch_size",
-                                                    "pad_len", "dropout", "lambda_adv",
-                                                    "lambda_cyc", "lambda_dis")}},
+                                                    "pad_len", "dropout", "lambda_cyc",
+                                                    "lambda_dis")}},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "ds": args.ds, "config": args.config},
                    extra={"config_fingerprint": cfg.fingerprint(),

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -40,7 +42,8 @@ class Vocab:
 
     def to_file(self, path) -> None:
         # one non-reserved token per line, line number = id - 4
-        Path(path).write_text("\n".join(self.id_to_token[len(RESERVED):]) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(("\n".join(self.id_to_token[len(RESERVED):]) + "\n").encode("utf-8"))
 
     @classmethod
     def from_file(cls, path) -> "Vocab":
@@ -299,7 +302,8 @@ def gen_synthetic(seed: int, n_source: int, n_target: int, mix: Sequence[float])
 
 
 def write_lines(path, lines: Sequence[str]) -> None:
-    Path(path).write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("".join(ln + "\n" for ln in lines).encode("utf-8"))
 
 
 def read_lines(path) -> list:

@@ -5,11 +5,11 @@ population standard deviation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .corpus import STYLE_TARGET, Dataset, SpecError, Vocab, build_vocab, encode, three_way_split
 from .model import (
     ClassifierConfig,
@@ -157,11 +157,13 @@ class EvalReport:
             lines.append(f"{run},{seed},failed")
         lines.append(f"mean,,{self.mean!r}")
         lines.append(f"std,,{self.std!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_sample_dump(path, pairs: Sequence[tuple]) -> None:
-    Path(path).write_text("".join(f"{src}\t{out}\n" for src, out in pairs), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("".join(f"{src}\t{out}\n" for src, out in pairs).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

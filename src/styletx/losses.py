@@ -21,6 +21,7 @@ from .corpus import SpecError
 from .model import SOURCE, Batch, TextCnnClassifier, TransferModel, style_rows
 
 PROB_EPS = 1e-7
+TEMPERATURE = 0.5  # softmax temperature of every soft generation
 
 
 @dataclass
@@ -121,7 +122,7 @@ def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
 
 def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
            judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
-           need, temperature: float = 0.5, dropout_p: float = 0.0, dropout_rng=None,
+           need, temperature: float = TEMPERATURE, dropout_p: float = 0.0, dropout_rng=None,
            draw_rng=None, draw_idx: Optional[np.ndarray] = None) -> dict:
     """The requested subset of {rec, adv, cyc, dis}, keyed by name, from one
     content encoding, one set of source style codes and one soft generation.
@@ -175,7 +176,7 @@ def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
 
 def compute_breakdown(model: TransferModel, d_clf: TextCnnClassifier,
                       judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
-                      w: LossWeights, temperature: float = 0.5,
+                      w: LossWeights, temperature: float = TEMPERATURE,
                       dropout_p: float = 0.0, dropout_rng=None,
                       draw_rng=None, draw_idx: Optional[np.ndarray] = None):
     """Full weighted objective in one pass; returns (total tensor, floats).

@@ -17,11 +17,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
+from .checkpoint import CheckpointFormatError, load_into, shape_of
 from .corpus import BOS, EOS, PAD, TokenSeq, Vocab, encode
 from .optim import AdamState, adam_step, zero_grads
 
 INIT_SCALE = 0.08
 LOGIT_CLAMP = 30.0  # keeps sigmoid outputs strictly inside (0, 1) at float64
+STYLE_WIDTHS = (1, 2, 3, 4, 5)  # filter widths of the style encoder and the discriminator
+CLASSIFIER_WIDTHS, CLASSIFIER_BATCH = (2, 3, 4, 5), 32  # the judge and evaluation classifier
+TRANSFER_BATCH, CLASSIFY_BATCH = 256, 512  # sentences per forward-only batch
 
 SOURCE, TARGET = "source", "target"
 
@@ -121,11 +125,6 @@ class GruCell:
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_params(cls, params: dict, prefix: str) -> "GruCell":
-        return cls(**{f.name: Tensor(params[f"{prefix}.{f.name}"], requires_grad=True)
-                      for f in fields(cls)})
-
 
 def _soft_embed(embedding: Tensor, soft: SoftSeq) -> Tensor:
     """Expected embeddings [B, T, d] of a soft sequence, in one matmul."""
@@ -169,14 +168,14 @@ class StyleEncoder:
             out[f"{prefix}.conv{w}.bias"] = self.biases[w]
         return out
 
-    @classmethod
-    def from_params(cls, params: dict, prefix: str) -> "StyleEncoder":
-        widths = sorted(int(k[len(prefix) + 5:-7]) for k in params
-                        if k.startswith(f"{prefix}.conv") and k.endswith(".weight"))
-        emb = Tensor(params[f"{prefix}.embedding"], requires_grad=True)
-        filters = {w: Tensor(params[f"{prefix}.conv{w}.weight"], requires_grad=True) for w in widths}
-        biases = {w: Tensor(params[f"{prefix}.conv{w}.bias"], requires_grad=True) for w in widths}
-        return cls(emb, filters, biases)
+
+def _conv_shapes(arrays: dict) -> list:
+    """[width, d_emb, maps] of each convolution filter in a checkpoint: the
+    filters are its only 3-d tensors."""
+    shapes = sorted(a.shape for a in arrays.values() if a.ndim == 3)
+    if not shapes:
+        raise CheckpointFormatError("no convolution filters (3-d tensors) in checkpoint")
+    return shapes
 
 
 class TextCnnClassifier:
@@ -204,6 +203,10 @@ class TextCnnClassifier:
     def prob(self, x: Union[Batch, SoftSeq]) -> Tensor:
         return ad.sigmoid(self.logit(x))
 
+    @property
+    def vocab_size(self) -> int:
+        return self.cnn.embedding.shape[0]
+
     def params(self, prefix: str = "clf") -> dict:
         out = self.cnn.params(f"{prefix}.cnn")
         out[f"{prefix}.head.weight"] = self.head_w
@@ -215,10 +218,13 @@ class TextCnnClassifier:
             p.requires_grad = False
 
     @classmethod
-    def from_params(cls, params: dict) -> "TextCnnClassifier":
+    def from_params(cls, arrays: dict) -> "TextCnnClassifier":
         """The frozen classifier a checkpoint holds."""
-        clf = cls(StyleEncoder.from_params(params, "clf.cnn"),
-                  head_w=Tensor(params["clf.head.weight"]), head_b=Tensor(params["clf.head.bias"]))
+        vocab_size, d_emb = shape_of(arrays, "clf.cnn.embedding", 2)
+        shapes = _conv_shapes(arrays)
+        clf = cls.create(np.random.default_rng(0), vocab_size, d_emb,
+                         [s[0] for s in shapes], shapes[0][2])
+        load_into(clf.params(), arrays)
         clf.freeze()
         return clf
 
@@ -235,7 +241,7 @@ class TransferModel:
 
     @classmethod
     def create(cls, rng: np.random.Generator, vocab_size: int, d_emb: int, d_z: int,
-               d_y: int, style_widths: Sequence[int] = (1, 2, 3, 4, 5)) -> "TransferModel":
+               d_y: int, style_widths: Sequence[int] = STYLE_WIDTHS) -> "TransferModel":
         if d_y % len(style_widths):
             raise ValueError(f"d_y={d_y} not divisible by {len(style_widths)} filter widths")
         maps = d_y // len(style_widths)
@@ -360,16 +366,15 @@ class TransferModel:
         return flat
 
     @classmethod
-    def from_params(cls, params: dict) -> "TransferModel":
-        return cls(
-            embedding=Tensor(params["embedding"], requires_grad=True),
-            enc_cell=GruCell.from_params(params, "enc"),
-            style_enc=StyleEncoder.from_params(params, "style"),
-            target_style=Tensor(params["target_style"], requires_grad=True),
-            gen_cell=GruCell.from_params(params, "gen"),
-            out_w=Tensor(params["out.weight"], requires_grad=True),
-            out_b=Tensor(params["out.bias"], requires_grad=True),
-        )
+    def from_params(cls, arrays: dict) -> "TransferModel":
+        """The transfer model a checkpoint holds."""
+        vocab_size, d_emb = shape_of(arrays, "embedding", 2)
+        d_z = shape_of(arrays, "enc.u_update", 2)[0]
+        (d_y,) = shape_of(arrays, "target_style", 1)
+        model = cls.create(np.random.default_rng(0), vocab_size, d_emb, d_z, d_y,
+                           [s[0] for s in _conv_shapes(arrays)])
+        load_into(model.params(), arrays)
+        return model
 
 
 def snapshot(params: dict) -> dict:
@@ -377,13 +382,13 @@ def snapshot(params: dict) -> dict:
 
 
 def transfer_sentences(model: TransferModel, vocab: Vocab, sentences: Sequence[str],
-                       pad_len: int, batch_size: int = 256) -> list:
+                       pad_len: int) -> list:
     """Greedy-transfer each sentence into the target style, order preserved."""
     from .corpus import decode_to_text
 
     out: list = []
-    for lo in range(0, len(sentences), batch_size):
-        chunk = sentences[lo: lo + batch_size]
+    for lo in range(0, len(sentences), TRANSFER_BATCH):
+        chunk = sentences[lo: lo + TRANSFER_BATCH]
         batch = Batch.from_sentences(chunk, vocab, pad_len, SOURCE)
         with no_grad():
             z = model.encode_content(batch)
@@ -402,11 +407,11 @@ def _seq_for_classifier(text: str, vocab: Vocab, pad_len: int) -> TokenSeq:
 
 
 def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
-                   pad_len: int, batch_size: int = 512) -> np.ndarray:
+                   pad_len: int) -> np.ndarray:
     """0/1 prediction per text: does the classifier call it target-styled."""
     preds = []
-    for lo in range(0, len(texts), batch_size):
-        seqs = [_seq_for_classifier(t, vocab, pad_len) for t in texts[lo: lo + batch_size]]
+    for lo in range(0, len(texts), CLASSIFY_BATCH):
+        seqs = [_seq_for_classifier(t, vocab, pad_len) for t in texts[lo: lo + CLASSIFY_BATCH]]
         with no_grad():
             p = clf.prob(Batch.from_seqs(seqs)).data
         preds.append(p > 0.5)
@@ -420,11 +425,9 @@ def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
 @dataclass
 class ClassifierConfig:
     d_emb: int = 32
-    widths: tuple = (2, 3, 4, 5)
     maps: int = 8
     epochs: int = 12
     lr: float = 2e-2  # Adam moves each weight ~lr per step from ±0.08; 2e-3 stalls at ln 2
-    batch_size: int = 32
 
 
 def classifier_accuracy(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
@@ -449,15 +452,15 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
     if not train_seqs or not heldout_seqs:
         raise ValueError("classifier training needs non-empty train and held-out sets")
     rng = np.random.default_rng(seed)
-    clf = TextCnnClassifier.create(rng, vocab_size, cfg.d_emb, cfg.widths, cfg.maps)
+    clf = TextCnnClassifier.create(rng, vocab_size, cfg.d_emb, CLASSIFIER_WIDTHS, cfg.maps)
     params = clf.params()
     state = AdamState()
     labels = np.asarray(train_labels, dtype=np.float64)
     n = len(train_seqs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo: lo + cfg.batch_size]
+        for lo in range(0, n, CLASSIFIER_BATCH):
+            idx = order[lo: lo + CLASSIFIER_BATCH]
             batch = Batch.from_seqs([train_seqs[i] for i in idx])
             ybat = Tensor(labels[idx])
             tape = ad.Tape()

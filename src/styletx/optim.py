@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -24,7 +23,7 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -41,7 +40,7 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
         v += (1 - b2) * (g * g)
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def zero_grads(params: dict) -> None:

@@ -6,18 +6,19 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import save_params
+from .checkpoint import atomic_write, save_params
 from .corpus import CorpusPart, SpecError, Vocab, encode
-from .losses import LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
+from .losses import TEMPERATURE, LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
 from .model import (
     SOURCE,
+    STYLE_WIDTHS,
     TARGET,
     Batch,
     TextCnnClassifier,
@@ -30,6 +31,7 @@ from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 
 # fixed offsets deriving every RNG stream from the run seed
 SEED_MODEL, SEED_SHUFFLE, SEED_DROPOUT, SEED_DRAW, SEED_VAL = 1, 2, 3, 4, 5
+CLIP_NORM = 5.0  # global gradient-norm cap of each generator step
 
 
 def rng_for(seed: int, offset: int, extra: Optional[int] = None) -> np.random.Generator:
@@ -44,8 +46,9 @@ class ConfigError(ValueError):
 @dataclass
 class TrainConfig:
     """Every knob of a run. Defaults are the reference settings: embedding
-    200, content 1000, style 500, dropout 0.5, Adam at 1e-4, weights
-    (1, 1, 5), padding 20."""
+    200, content 1000, style 500, dropout 0.5, Adam at 1e-4, weights 1
+    (cycle) and 5 (discrepancy) beside the adversarial term's fixed 1,
+    padding 20."""
 
     d_emb: int = 200
     d_z: int = 1000
@@ -56,26 +59,22 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 30
     pad_len: int = 20
-    temperature: float = 0.5
-    d_steps: int = 1
     seed: int = 0
-    lambda_adv: float = 1.0
     lambda_cyc: float = 1.0
     lambda_dis: float = 5.0
-    clip_norm: float = 5.0
-    adv_warmup_epochs: int = 0
     min_count: int = 1
 
     def weights(self) -> LossWeights:
-        return LossWeights(self.lambda_adv, self.lambda_cyc, self.lambda_dis)
+        return LossWeights(lambda_cyc=self.lambda_cyc, lambda_dis=self.lambda_dis)
 
     def to_file(self, path) -> None:
         lines = [f"{f.name}={getattr(self, f.name)!r}".replace("'", "") for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
-    def from_file(cls, path, base: Optional["TrainConfig"] = None) -> "TrainConfig":
-        cfg = base if base is not None else cls()
+    def from_file(cls, path) -> "TrainConfig":
+        """The defaults, overridden by the file's key=value lines."""
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float}
         overrides = {}
@@ -92,7 +91,7 @@ class TrainConfig:
                 overrides[key] = casts[types[key]](value)
             except ValueError as err:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
-        return replace(cfg, **overrides)
+        return cls(**overrides)
 
     def fingerprint(self) -> str:
         text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -136,7 +135,8 @@ def metrics_to_csv(rows: Sequence[dict], path) -> None:
     for row in rows:
         lines.append(",".join(repr(float(row[c])) if c != "epoch" else str(row[c])
                               for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
         joint = _cat_batches(batch_s, batch_t)
         z = model.encode_content(joint, cfg.dropout, dropout_rng)
         soft = model.generate_soft(z, model.target_style, joint.max_len,
-                                   cfg.temperature, cfg.dropout, dropout_rng)
+                                   TEMPERATURE, cfg.dropout, dropout_rng)
     soft = [s.detach() for s in soft]
     tape = ad.Tape()
     with ad.recording(tape):
@@ -178,14 +178,13 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
     tape = ad.Tape()
     with ad.recording(tape):
         total, breakdown = compute_breakdown(
-            model, d_clf, judge, batch_s, batch_t, weights,
-            temperature=cfg.temperature, dropout_p=cfg.dropout,
+            model, d_clf, judge, batch_s, batch_t, weights, dropout_p=cfg.dropout,
             dropout_rng=dropout_rng, draw_rng=draw_rng)
         if not breakdown.finite:
             tape.clear()
             return None
         ad.backward(total, tape)
-    clip_global_norm(g_params, cfg.clip_norm)
+    clip_global_norm(g_params, CLIP_NORM)
     adam_step(g_params, g_state, cfg.lr)
     zero_grads(all_params)
     tape.clear()
@@ -218,8 +217,7 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
         batch_t = Batch.from_seqs(val_t[sl])
         with ad.no_grad():
             _, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, weights,
-                                      temperature=cfg.temperature, dropout_p=0.0,
-                                      draw_rng=rng)
+                                      dropout_p=0.0, draw_rng=rng)
         sums += [br.rec, br.adv, br.dis, br.cyc, br.total]
         chunks += 1
     sums /= max(chunks, 1)
@@ -229,9 +227,9 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
 def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnClassifier],
           eval_clf: Optional[TextCnnClassifier] = None, eval_vocab: Optional[Vocab] = None,
           ckpt_path=None, log_path=None, progress: bool = False) -> TrainResult:
-    """Full run: per batch, cfg.d_steps discriminator updates then one
-    generator update; per epoch, a validation pass; the checkpoint with the
-    best validation total wins."""
+    """Full run: per batch, one discriminator update then one generator
+    update; per epoch, a validation pass; the checkpoint with the best
+    validation total wins."""
     t_start = time.time()
     vocab = corpora.vocab
     src_train, tgt_train = corpora.source.train.sentences, corpora.target.train.sentences
@@ -247,11 +245,11 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     rng_draw = rng_for(cfg.seed, SEED_DRAW)
 
     model = TransferModel.create(rng_model, len(vocab), cfg.d_emb, cfg.d_z, cfg.d_y)
-    d_clf = TextCnnClassifier.create(rng_model, len(vocab), cfg.d_emb,
-                                     (1, 2, 3, 4, 5), cfg.d_maps)
+    d_clf = TextCnnClassifier.create(rng_model, len(vocab), cfg.d_emb, STYLE_WIDTHS, cfg.d_maps)
     g_params = model.params()
     d_params = d_clf.params("d")
     g_state, d_state = AdamState(), AdamState()
+    weights = cfg.weights()
 
     seqs_s = _encode_all(src_train, vocab, cfg.pad_len, SOURCE)
     seqs_t = _encode_all(tgt_train, vocab, cfg.pad_len, TARGET)
@@ -266,20 +264,16 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     for epoch in range(cfg.epochs):
         order_s = _epoch_order(rng_shuffle, len(seqs_s), steps_per_epoch * cfg.batch_size)
         order_t = _epoch_order(rng_shuffle, len(seqs_t), steps_per_epoch * cfg.batch_size)
-        warm = epoch < cfg.adv_warmup_epochs
-        w_eff = LossWeights(0.0 if warm else cfg.lambda_adv, cfg.lambda_cyc, cfg.lambda_dis)
         sums, counted = np.zeros(5), 0
         for step in range(steps_per_epoch):
             idx_s = order_s[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             idx_t = order_t[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             batch_s = Batch.from_seqs([seqs_s[i] for i in idx_s])
             batch_t = Batch.from_seqs([seqs_t[i] for i in idx_t])
-            if not warm and cfg.lambda_adv > 0:
-                for _ in range(cfg.d_steps):
-                    train_step_discriminator(model, d_clf, batch_s, batch_t,
-                                             d_params, d_state, cfg, rng_dropout)
+            train_step_discriminator(model, d_clf, batch_s, batch_t,
+                                     d_params, d_state, cfg, rng_dropout)
             br = train_step_generator(model, d_clf, judge, batch_s, batch_t,
-                                      g_params, g_state, cfg, w_eff, rng_dropout,
+                                      g_params, g_state, cfg, weights, rng_dropout,
                                       rng_draw)
             if br is None:
                 skipped += 1
@@ -287,8 +281,7 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
             sums += [br.rec, br.adv, br.dis, br.cyc, br.total]
             counted += 1
         sums /= max(counted, 1)
-        val = _validation_pass(model, d_clf, judge, cfg, cfg.weights(),
-                               val_s, val_t, epoch)
+        val = _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t, epoch)
         row = {"epoch": epoch, "rec": float(sums[0]), "adv": float(sums[1]),
                "dis": float(sums[2]), "cyc": float(sums[3]), "total": float(sums[4]),
                "val_total": float(val.total)}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from styletx.checkpoint import load_params
+from styletx.checkpoint import load_params, save_params
 from styletx.cli import main
 from styletx.corpus import read_lines, write_lines
 from styletx.evaluation import prepare_experiment
@@ -139,7 +139,7 @@ def test_train_manifest_echoes_reference_defaults(workdir):
     flags = manifest["flags"]
     # config file sets dims only: the balance weights and learning rate fall
     # through from the built-in defaults
-    assert (flags["lambda_adv"], flags["lambda_cyc"], flags["lambda_dis"]) == (1.0, 1.0, 5.0)
+    assert (flags["lambda_cyc"], flags["lambda_dis"]) == (1.0, 5.0)
     assert flags["lr"] == 0.002  # from the config file
     assert manifest["inputs"]["ds"]
 
@@ -233,6 +233,53 @@ def test_transfer_contract(workdir, tmp_path):
                      "--pad-len", "14"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert len(read_lines(out_a)) == 7
+
+
+def _transfer_exit(model, tmp_path, capsys) -> tuple:
+    """(exit code, stderr) of `transfer --model model` on one sentence."""
+    inp = tmp_path / "in.txt"
+    inp.write_text("the food was great\n")
+    capsys.readouterr()
+    code = main(["transfer", "--model", str(model), "--input", str(inp),
+                 "--output", str(tmp_path / "out.txt"), "--pad-len", "14"])
+    return code, capsys.readouterr().err
+
+
+def _copy_model(root, tmp_path, edit_params=None, edit_vocab=None) -> Path:
+    """model.ckpt and its sidecar under tmp_path, each optionally edited."""
+    params = load_params(root / "model.ckpt")
+    tokens = read_lines(str(root / "model.ckpt") + ".vocab")
+    out = tmp_path / "edited.ckpt"
+    save_params(out, edit_params(params) if edit_params else params)
+    write_lines(str(out) + ".vocab", edit_vocab(tokens) if edit_vocab else tokens)
+    return out
+
+
+def test_transfer_refuses_a_classifier_checkpoint(workdir, tmp_path, capsys):
+    root, _, _ = workdir
+    code, err = _transfer_exit(root / "ds.ckpt", tmp_path, capsys)
+    assert code == 2
+    assert "ds.ckpt" in err and "'embedding'" in err and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_transfer_refuses_a_mis_shaped_tensor(workdir, tmp_path, capsys):
+    root, _, _ = workdir
+    model = _copy_model(root, tmp_path,
+                        edit_params=lambda p: {**p, "gen.u_update": p["gen.u_update"][:-1]})
+    code, err = _transfer_exit(model, tmp_path, capsys)
+    assert code == 2
+    assert "'gen.u_update' has shape" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_transfer_refuses_a_vocab_sidecar_of_another_size(workdir, tmp_path, capsys):
+    root, _, _ = workdir
+    model = _copy_model(root, tmp_path, edit_vocab=lambda tokens: tokens + ["zorble"])
+    code, err = _transfer_exit(model, tmp_path, capsys)
+    assert code == 2
+    assert "edited.ckpt.vocab" in err and "tokens" in err and "rows" in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_transfer_handles_out_of_vocabulary_tokens(workdir, tmp_path):

@@ -6,6 +6,7 @@ from styletx.autodiff import SequenceTooShortError, Tape, Tensor, backward, no_g
 from styletx.checkpoint import load_params, save_params
 from styletx.corpus import EOS, PAD, build_vocab, gen_synthetic, encode
 from styletx.model import (
+    CLASSIFIER_WIDTHS,
     classifier_accuracy,
     Batch,
     ClassifierConfig,
@@ -354,6 +355,26 @@ def test_classifier_checkpoint_round_trip(tmp_path):
     with no_grad():
         assert np.array_equal(clf.prob(batch).data, clone.prob(batch).data)
     assert not any(p.requires_grad for p in clone.params().values())
+
+
+GRU_NAMES = ["w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
+             "w_cand", "u_cand", "b_cand"]
+
+
+def test_checkpoint_names_are_pinned(tmp_path):
+    # a rename or reorder here breaks every checkpoint already written
+    model, vocab = make_model()
+    assert list(model.params()) == (
+        ["embedding"] + [f"enc.{n}" for n in GRU_NAMES] + ["style.embedding"]
+        + [f"style.conv{w}.{part}" for w in (1, 2, 3, 4, 5) for part in ("weight", "bias")]
+        + ["target_style"] + [f"gen.{n}" for n in GRU_NAMES] + ["out.weight", "out.bias"])
+    clf = TextCnnClassifier.create(np.random.default_rng(0), len(vocab), 8, CLASSIFIER_WIDTHS, 4)
+    path = tmp_path / "clf.ckpt"
+    save_params(path, clf.params())
+    assert list(load_params(path)) == (
+        ["clf.cnn.embedding"]
+        + [f"clf.cnn.conv{w}.{part}" for w in (2, 3, 4, 5) for part in ("weight", "bias")]
+        + ["clf.head.weight", "clf.head.bias"])
 
 
 def test_transfer_sentences_preserves_order_and_count():

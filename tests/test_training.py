@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from styletx import training as training_mod
 from styletx.autodiff import Tensor
 from styletx.checkpoint import load_params
 from styletx.corpus import CorpusPart, Dataset, SpecError, build_vocab, gen_synthetic
-from styletx.losses import LossBreakdown, LossWeights
+from styletx.losses import TEMPERATURE, LossBreakdown, LossWeights
 from styletx.model import Batch, TextCnnClassifier, TransferModel, snapshot
 from styletx.optim import AdamState, adam_step, clip_global_norm
 from styletx.training import (
@@ -81,9 +83,10 @@ def test_config_reference_defaults():
     cfg = TrainConfig()
     assert cfg.dropout == 0.5
     assert cfg.lr == 1e-4
-    assert (cfg.lambda_adv, cfg.lambda_cyc, cfg.lambda_dis) == (1.0, 1.0, 5.0)
+    assert cfg.weights() == LossWeights(1.0, 1.0, 5.0)
     assert cfg.pad_len == 20
     assert (cfg.d_emb, cfg.d_z, cfg.d_y) == (200, 1000, 500)
+    assert len(fields(TrainConfig)) == 13
 
 
 def test_config_file_round_trip(tmp_path):
@@ -107,11 +110,14 @@ def test_config_file_bad_value(tmp_path):
         TrainConfig.from_file(path)
 
 
-def test_config_file_overrides_base(tmp_path):
+def test_config_file_overrides_defaults(tmp_path):
     path = tmp_path / "part.cfg"
     path.write_text("# only one key\nlr=0.5\n")
-    merged = TrainConfig.from_file(path, base=desk_config(epochs=9))
-    assert merged.lr == 0.5 and merged.epochs == 9 and merged.d_emb == 32
+    assert TrainConfig.from_file(path) == replace(TrainConfig(), lr=0.5)
+    # a module constant is not a config key: naming one is refused, not ignored
+    path.write_text("lr=0.5\ntemperature=0.5\n")
+    with pytest.raises(ConfigError, match="temperature"):
+        TrainConfig.from_file(path)
 
 
 def test_config_fingerprint_tracks_content():
@@ -155,7 +161,7 @@ def test_discriminator_step_returns_the_adversarial_loss(step_setup):
     cfg, model, d_clf, judge, batch_s, batch_t = step_setup
     with ad.no_grad():
         expected = losses_mod._terms(model, d_clf, None, batch_s, batch_t, {"adv"},
-                                     cfg.temperature)["adv"].item()
+                                     TEMPERATURE)["adv"].item()
     got = train_step_discriminator(model, d_clf, batch_s, batch_t,
                                    d_clf.params("d"), AdamState(), cfg)
     assert got == expected
@@ -310,7 +316,7 @@ def test_train_metrics_identity_and_checkpoint(tmp_path):
     log = tmp_path / "run.csv"
     result = train(cfg, corpora, judge, ckpt_path=ckpt, log_path=log)
     for row in result.metrics:
-        recomputed = row["rec"] - cfg.lambda_adv * row["adv"] \
+        recomputed = row["rec"] - cfg.weights().lambda_adv * row["adv"] \
             + cfg.lambda_cyc * row["cyc"] + cfg.lambda_dis * row["dis"]
         assert row["total"] == pytest.approx(recomputed, abs=1e-6)
     assert result.best_val == min(r["val_total"] for r in result.metrics)
@@ -331,15 +337,6 @@ def test_train_csv_includes_val_acc_with_eval_classifier(tmp_path):
     result = train(cfg, corpora, judge, eval_clf=eval_clf, log_path=log)
     assert "val_acc" in result.metrics[0]
     assert log.read_text().splitlines()[0].endswith(",val_acc")
-
-
-def test_adversarial_warmup_disables_discriminator_updates():
-    corpora = small_corpora()
-    cfg = desk_config(seed=7, epochs=1, batch_size=32, pad_len=14, adv_warmup_epochs=1)
-    judge = judge_for(corpora, cfg)
-    result = train(cfg, corpora, judge)
-    # during warm-up the adversarial term is skipped and logged as zero
-    assert result.metrics[0]["adv"] == 0.0
 
 
 def test_metrics_csv_round_trip(tmp_path):
