@@ -26,7 +26,9 @@ def matrix(out: Path, seed: int, runs: int, epochs: int):
     cfg = desk_config(seed=seed, epochs=epochs)
     data = gen_synthetic(seed=seed, n_source=2000, n_target=2000, mix=(0.3, 0.7, 0.0))
     setup = prepare_experiment(data.source, data.source_styles, data.target, cfg)
-    print(f"judge heldout {setup.judge_acc:.3f}, evaluator heldout {setup.eval_acc:.3f}")
+    for name, fit in (("judge", setup.judge_fit), ("evaluator", setup.eval_fit)):
+        print(f"{name} heldout accuracy {fit.heldout_accuracy:.3f}, "
+              f"mean |p - 0.5| {fit.heldout_margin:.3f}, training BCE {fit.train_bce:.3g}")
 
     small = gen_synthetic(seed=seed, n_source=2000, n_target=500, mix=(0.3, 0.7, 0.0))
     small_setup = prepare_experiment(small.source, small.source_styles, small.target, cfg)

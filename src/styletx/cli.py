@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +83,19 @@ def _parse_mix(text: str):
     return tuple(parts)
 
 
+def _read_labels(path, sentences) -> list | None:
+    """The style labels in path, one line per sentence; None without a path."""
+    if not path:
+        return None
+    labels = read_lines(path)
+    if len(labels) != len(sentences):
+        raise SpecError(f"{path} holds {len(labels)} labels for {len(sentences)} sentences")
+    return labels
+
+
 def _load_corpus(source, target, labels):
     source_sents = read_lines(source)
-    target_sents = read_lines(target)
-    source_labels = read_lines(labels) if labels else None
-    if source_labels is not None and len(source_labels) != len(source_sents):
-        raise SpecError(f"{len(source_labels)} labels for {len(source_sents)} source sentences")
-    return source_sents, target_sents, source_labels
+    return source_sents, read_lines(target), _read_labels(labels, source_sents)
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -151,7 +157,7 @@ def _classifier_command(args, part_index: int, command: str) -> int:
                                                args.split_seed, args.min_count)
     cls_cfg = ClassifierConfig(d_emb=args.emb_dim, maps=args.maps, epochs=args.epochs,
                                lr=args.lr)
-    clf, acc = train_part_classifier(src_parts, tgt_parts, part_index, vocab, args.pad_len,
+    clf, fit = train_part_classifier(src_parts, tgt_parts, part_index, vocab, args.pad_len,
                                      cls_cfg, args.split_seed)
     save_params(args.out, clf.params())
     vocab.to_file(args.out + ".vocab")
@@ -160,8 +166,8 @@ def _classifier_command(args, part_index: int, command: str) -> int:
                     "epochs": args.epochs, "lr": args.lr, "maps": args.maps,
                     "emb_dim": args.emb_dim, "style_labels": source_labels is not None},
                    {"source": args.source, "target": args.target, "labels": args.labels},
-                   extra={"heldout_accuracy": acc})
-    print(f"accuracy={acc}")
+                   extra=asdict(fit))
+    print(f"accuracy={fit.heldout_accuracy}")
     return 0
 
 
@@ -249,7 +255,7 @@ def cmd_evaluate(args) -> int:
         model, vocab = _load_with_vocab(args.model, TransferModel.from_params)
         clf, clf_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
         sentences = read_lines(args.input)
-        labels = read_lines(args.labels) if args.labels else None
+        labels = _read_labels(args.labels, sentences)
         clf_acc = None
         if labels is not None:
             truth = np.array([1.0 if l == STYLE_TARGET else 0.0 for l in labels])

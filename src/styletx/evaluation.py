@@ -13,6 +13,7 @@ from .checkpoint import atomic_write
 from .corpus import STYLE_TARGET, Dataset, SpecError, Vocab, build_vocab, encode, three_way_split
 from .model import (
     ClassifierConfig,
+    ClassifierFit,
     TextCnnClassifier,
     TransferModel,
     classify_texts,
@@ -69,7 +70,7 @@ def binary_style_data(source: Dataset, target: Dataset):
 
 def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Vocab,
                           pad_len: int, cfg: ClassifierConfig, seed: int) -> tuple:
-    """(frozen classifier, held-out accuracy) of split_corpus part k: the
+    """(frozen classifier, ClassifierFit) of split_corpus part k: the
     style judge for k = 1, seeded [seed, SEED_JUDGE], or the evaluation
     classifier for k = 2, seeded [seed, SEED_EVAL_CLF]. Refuses to train if
     part k shares a sentence with either other part."""
@@ -173,16 +174,24 @@ def write_sample_dump(path, pairs: Sequence[tuple]) -> None:
 @dataclass
 class ExperimentSetup:
     """Everything that is fixed across the repeated runs: the vocabulary,
-    the three-way split, and the two frozen classifiers."""
+    the three-way split, and the two frozen classifiers with their fits."""
 
     vocab: Vocab
     corpora: TransferCorpora
     judge: TextCnnClassifier
-    judge_acc: float
+    judge_fit: ClassifierFit
     eval_clf: TextCnnClassifier
-    eval_acc: float
+    eval_fit: ClassifierFit
     source_parts: tuple
     target_parts: tuple
+
+    @property
+    def judge_acc(self) -> float:
+        return self.judge_fit.heldout_accuracy
+
+    @property
+    def eval_acc(self) -> float:
+        return self.eval_fit.heldout_accuracy
 
 
 @dataclass
@@ -196,13 +205,13 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
                                                target_sentences, cfg.seed, cfg.min_count)
     cls_cfg = ClassifierConfig(d_emb=cfg.d_emb)
-    judge, judge_acc = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg.pad_len,
+    judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg.pad_len,
                                              cls_cfg, cfg.seed)
-    eval_clf, eval_acc = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg.pad_len,
+    eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg.pad_len,
                                                cls_cfg, cfg.seed)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
-    return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_acc=judge_acc,
-                           eval_clf=eval_clf, eval_acc=eval_acc,
+    return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_fit=judge_fit,
+                           eval_clf=eval_clf, eval_fit=eval_fit,
                            source_parts=src_parts, target_parts=tgt_parts)
 
 

@@ -330,7 +330,8 @@ class TransferModel:
 
     def generate_greedy(self, z: Tensor, y: Tensor, max_len: int) -> Batch:
         """Argmax decode, cut at the first end-of-sentence token. Ties break
-        toward the lowest token id."""
+        toward the lowest token id. Decoding stops once every row has ended,
+        so a batch costs as many steps as its longest output."""
         with no_grad():
             b = z.shape[0]
             h = ad.concat([z.detach(), style_rows(y.detach(), b)], axis=1)
@@ -347,6 +348,8 @@ class TransferModel:
                 hit = (~done) & (tok == EOS)
                 lengths[hit] = t + 1
                 done |= hit
+                if done.all():  # an ended row only gets <pad>, which ids already holds
+                    break
                 x = ad.take_rows(self.embedding, tok)
             ids[~done, max_len - 1] = EOS  # no end token emitted: close at the cap
         return Batch(ids=ids, lengths=lengths, domain_tag=TARGET)
@@ -430,12 +433,27 @@ class ClassifierConfig:
     lr: float = 2e-2  # Adam moves each weight ~lr per step from ±0.08; 2e-3 stalls at ln 2
 
 
-def classifier_accuracy(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
-                        labels: Sequence[float]) -> float:
+@dataclass(frozen=True)
+class ClassifierFit:
+    """How well a pretrained classifier fits. The discrepancy loss uses the
+    judge's probabilities, so an accurate judge whose probabilities sit near
+    0.5 (a small margin, a training BCE near ln 2) still gives it little
+    signal."""
+
+    heldout_accuracy: float
+    train_bce: float       # last epoch's mean per-sentence training BCE
+    heldout_margin: float  # held-out mean |p - 0.5|
+
+
+def heldout_scores(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
+                   labels: Sequence[float]) -> tuple:
+    """(accuracy, mean |p - 0.5|) of clf on labelled sequences, from one
+    forward pass."""
     with no_grad():
         p = clf.prob(Batch.from_seqs(list(seqs))).data
     predicted = (p > 0.5).astype(np.float64)
-    return float((predicted == np.asarray(labels, dtype=np.float64)).mean())
+    accuracy = float((predicted == np.asarray(labels, dtype=np.float64)).mean())
+    return accuracy, float(np.abs(p - 0.5).mean())
 
 
 def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[float],
@@ -446,11 +464,13 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
 
     Binary cross-entropy training of a text CNN on its own data part, before
     the transfer model; never updated afterwards. Label 1 means the sentence
-    has the target style. Returns the classifier and its held-out accuracy.
+    has the target style. Returns the classifier and its ClassifierFit.
     """
     cfg = cfg or ClassifierConfig()
     if not train_seqs or not heldout_seqs:
         raise ValueError("classifier training needs non-empty train and held-out sets")
+    if cfg.epochs < 1:
+        raise ValueError(f"classifier training needs at least one epoch, got {cfg.epochs}")
     rng = np.random.default_rng(seed)
     clf = TextCnnClassifier.create(rng, vocab_size, cfg.d_emb, CLASSIFIER_WIDTHS, cfg.maps)
     params = clf.params()
@@ -459,6 +479,7 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
     n = len(train_seqs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        bce_sum = 0.0
         for lo in range(0, n, CLASSIFIER_BATCH):
             idx = order[lo: lo + CLASSIFIER_BATCH]
             batch = Batch.from_seqs([train_seqs[i] for i in idx])
@@ -468,9 +489,11 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
                 p = ad.clip(clf.prob(batch), 1e-7, 1 - 1e-7)
                 loss = ad.neg(ad.mean_(ybat * ad.log(p) + (1.0 - ybat) * ad.log(1.0 - p)))
                 ad.backward(loss, tape)
+            bce_sum += loss.item() * len(idx)
             adam_step(params, state, cfg.lr)
             zero_grads(params)
             tape.clear()
-    acc = classifier_accuracy(clf, heldout_seqs, heldout_labels)
+        train_bce = bce_sum / n
+    acc, margin = heldout_scores(clf, heldout_seqs, heldout_labels)
     clf.freeze()
-    return clf, acc
+    return clf, ClassifierFit(heldout_accuracy=acc, train_bce=train_bce, heldout_margin=margin)

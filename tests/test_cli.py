@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,8 @@ def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys):
     assert len(line) == 1
     assert 0.0 <= float(line[0].split("=", 1)[1]) <= 1.0
     manifest = json.loads(Path(str(root / "ds2.ckpt") + ".manifest.json").read_text())
-    assert "heldout_accuracy" in manifest
+    assert float(line[0].split("=", 1)[1]) == manifest["heldout_accuracy"]
+    assert 0.0 < manifest["train_bce"] and 0.0 <= manifest["heldout_margin"] <= 0.5
     assert set(manifest["inputs"]) == {"source", "target", "labels"}
 
 
@@ -110,6 +111,10 @@ def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path):
     expected = {k: p.data for k, p in setup.judge.params().items()}
     assert list(saved) == list(expected)
     assert all(np.array_equal(saved[k], expected[k]) for k in expected)
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    fit = asdict(setup.judge_fit)
+    assert {k: manifest[k] for k in fit} == fit
+    assert setup.judge_acc == fit["heldout_accuracy"]
 
 
 def test_pretrain_ds_missing_file(tmp_path):
@@ -332,6 +337,22 @@ def test_evaluate_single_run_zero_std(workdir, tmp_path):
                  "--runs", "1", "--report", str(report_path), "--pad-len", "14"])
     assert code in (0, 4)
     assert float(report_rows(report_path)["std"]) == 0.0
+
+
+@pytest.mark.parametrize("n_labels", [1, 3])
+def test_evaluate_refuses_a_label_file_of_another_length(workdir, tmp_path, capsys, n_labels):
+    root, data, _ = workdir
+    inp, labels = tmp_path / "in.txt", tmp_path / "labels.txt"
+    write_lines(inp, read_lines(data / "source.txt")[:4])
+    write_lines(labels, read_lines(data / "labels.txt")[:n_labels])
+    report_path = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(root / "model.ckpt"),
+                 "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
+                 "--labels", str(labels), "--report", str(report_path),
+                 "--pad-len", "14"]) == 2
+    assert f"{labels} holds {n_labels} labels for 4 sentences" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):

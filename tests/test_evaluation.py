@@ -116,9 +116,9 @@ def eval_world():
     vocab = build_vocab(data.source + data.target)
     src_parts = three_way_split(data.source, 1, labels=data.source_styles)
     tgt_parts = three_way_split(data.target, 2)
-    clf, acc = train_part_classifier(src_parts, tgt_parts, 2, vocab, 16,
+    clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, 16,
                                      ClassifierConfig(d_emb=24, maps=8, epochs=20), 3)
-    return data, vocab, src_parts, tgt_parts, clf, acc
+    return data, vocab, src_parts, tgt_parts, clf, fit.heldout_accuracy
 
 
 def test_eval_classifier_quality(eval_world):
@@ -145,10 +145,10 @@ def test_shuffled_labels_give_chance_accuracy():
     rng.shuffle(labels)
     held_sents = data.source[400:] + data.target[400:]
     held_labels = [0.0] * 100 + [1.0] * 100
-    _, acc = pretrain_style_judge(enc(sents), labels, enc(held_sents), held_labels,
+    _, fit = pretrain_style_judge(enc(sents), labels, enc(held_sents), held_labels,
                                   len(vocab), ClassifierConfig(d_emb=24, maps=8, epochs=8),
                                   seed=1)
-    assert abs(acc - 0.5) <= 0.1
+    assert abs(fit.heldout_accuracy - 0.5) <= 0.1
 
 
 def test_transfer_accuracy_contract(eval_world):

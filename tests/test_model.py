@@ -4,17 +4,18 @@ import pytest
 from styletx import autodiff as ad
 from styletx.autodiff import SequenceTooShortError, Tape, Tensor, backward, no_grad, recording
 from styletx.checkpoint import load_params, save_params
-from styletx.corpus import EOS, PAD, build_vocab, gen_synthetic, encode
+from styletx.corpus import BOS, EOS, PAD, build_vocab, gen_synthetic, encode
 from styletx.model import (
     CLASSIFIER_WIDTHS,
-    classifier_accuracy,
     Batch,
     ClassifierConfig,
     TextCnnClassifier,
     TransferModel,
     classify_texts,
+    heldout_scores,
     pretrain_style_judge,
     snapshot,
+    style_rows,
     transfer_sentences,
 )
 from styletx.optim import AdamState, adam_step, zero_grads
@@ -235,6 +236,81 @@ def test_generate_greedy_ties_break_to_lowest_id():
     assert out.ids[0, 3] == EOS
 
 
+def full_length_greedy(model, z, y, max_len):
+    """Reference greedy decode that runs all max_len steps whatever the rows
+    emit: (ids, lengths)."""
+    with no_grad():
+        b = z.shape[0]
+        h = ad.concat([z, style_rows(y, b)], axis=1)
+        x = ad.take_rows(model.embedding, np.full(b, BOS, dtype=np.int64))
+        ids = np.full((b, max_len), PAD, dtype=np.int64)
+        done = np.zeros(b, dtype=bool)
+        lengths = np.full(b, max_len, dtype=np.int64)
+        for t in range(max_len):
+            h = model.gen_cell.step(x, h)
+            tok = (h @ model.out_w + model.out_b).data.argmax(axis=1)
+            tok[done] = PAD
+            ids[:, t] = tok
+            hit = (~done) & (tok == EOS)
+            lengths[hit] = t + 1
+            done |= hit
+            x = ad.take_rows(model.embedding, tok)
+        ids[~done, max_len - 1] = EOS
+    return ids, lengths
+
+
+def staggered_model(ends):
+    """A model and content codes whose row i emits <eos> first at step
+    ends[i] (0-based). With zero GRU weights every step halves the state;
+    token 4's logit 1.5 * 2**(k - t - 1) falls below <eos>'s fixed logit 1
+    exactly when t reaches k."""
+    model, _ = make_model(seed=10)
+    for p in model.gen_cell.params("gen").values():
+        p.data[...] = 0.0
+    model.target_style.data[...] = 0.0
+    model.out_w.data[...] = 0.0
+    model.out_w.data[0, 4] = 1.0
+    model.out_b.data[...] = 0.0
+    model.out_b.data[EOS] = 1.0
+    z = np.zeros((len(ends), model.d_z))
+    z[:, 0] = 1.5 * 2.0 ** np.asarray(ends, dtype=np.float64)
+    return model, Tensor(z)
+
+
+def random_model_with_eos_bias(bias):
+    model, vocab = make_model(seed=8)
+    model.out_b.data[EOS] = bias
+    with no_grad():
+        z = model.encode_content(batch_of(["the food was great", "we came here",
+                                           "the soup"], vocab))
+    return model, z
+
+
+GREEDY_CASES = {
+    "every-row-ends-at-step-1": (lambda: random_model_with_eos_bias(1e3), [1, 1, 1]),
+    "rows-end-at-different-steps": (lambda: staggered_model([0, 3, 1]), [1, 4, 2]),
+    "no-row-ends": (lambda: random_model_with_eos_bias(-1e3), [6, 6, 6]),
+}
+
+
+@pytest.mark.parametrize("case", list(GREEDY_CASES))
+def test_generate_greedy_stops_once_every_row_has_ended(monkeypatch, case):
+    build, expected_lengths = GREEDY_CASES[case]
+    model, z = build()
+    max_len = 6
+    ref_ids, ref_lengths = full_length_greedy(model, z, model.target_style, max_len)
+    calls = []
+    step = model.gen_cell.step
+    monkeypatch.setattr(model.gen_cell, "step", lambda x, h: calls.append(1) or step(x, h))
+    out = model.generate_greedy(z, model.target_style, max_len)
+    assert len(calls) == max(expected_lengths)
+    assert out.lengths.tolist() == expected_lengths
+    assert np.array_equal(out.ids, ref_ids)
+    assert np.array_equal(out.lengths, ref_lengths)
+    if case == "no-row-ends":
+        assert np.all(out.ids[:, -1] == EOS)
+
+
 # ---------------------------------------------------------------------------
 # classifier
 
@@ -293,24 +369,53 @@ def judge_setup():
     held_seqs = make(data.source[200:], "source") + make(data.target[200:], "target")
     held_labels = [0.0] * 40 + [1.0] * 40
     cfg = ClassifierConfig(d_emb=16, maps=4, epochs=6)
-    judge, acc = pretrain_style_judge(train_seqs, train_labels, held_seqs, held_labels,
+    judge, fit = pretrain_style_judge(train_seqs, train_labels, held_seqs, held_labels,
                                       len(vocab), cfg, seed=0)
-    return judge, acc, vocab, (train_seqs, train_labels, held_seqs, held_labels, cfg)
+    return judge, fit, vocab, (train_seqs, train_labels, held_seqs, held_labels, cfg)
 
 
 def test_pretrained_judge_reaches_95_percent(judge_setup):
-    _, acc, _, _ = judge_setup
-    assert acc >= 0.95
+    _, fit, _, _ = judge_setup
+    assert fit.heldout_accuracy >= 0.95
+
+
+def test_pretrained_judge_reports_its_margin_and_training_bce(judge_setup):
+    judge, fit, _, (_, _, he_s, he_l, _) = judge_setup
+    with no_grad():
+        p = judge.prob(Batch.from_seqs(he_s)).data
+    assert fit.heldout_margin == float(np.abs(p - 0.5).mean())
+    assert 0.0 < fit.train_bce < np.log(2)  # a converged judge is off the ln 2 plateau
+
+
+def test_judge_training_bce_is_the_per_sentence_mean_of_the_last_epoch(judge_setup):
+    # lr 0 keeps the initial weights, so every batch loss is the initial
+    # judge's; 400 sentences in batches of 32 end in a short batch of 16,
+    # which a plain mean of batch means would over-weight
+    _, _, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
+    frozen_cfg = ClassifierConfig(d_emb=cfg.d_emb, maps=cfg.maps, epochs=2, lr=0.0)
+    judge, fit = pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab), frozen_cfg, seed=0)
+    with no_grad():
+        p = np.clip(judge.prob(Batch.from_seqs(tr_s)).data, 1e-7, 1 - 1e-7)
+    y = np.asarray(tr_l)
+    expected = float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+    assert fit.train_bce == pytest.approx(expected, rel=1e-12)
+
+
+def test_judge_training_needs_an_epoch(judge_setup):
+    _, _, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
+    with pytest.raises(ValueError, match="at least one epoch"):
+        pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab),
+                             ClassifierConfig(d_emb=cfg.d_emb, maps=cfg.maps, epochs=0))
 
 
 def test_pretrained_judge_inverted_labels_symmetry(judge_setup):
     # a judge trained on flipped labels scores 1 - original against the
     # true labels
-    judge, acc, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
+    judge, fit, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
     flipped, _ = pretrain_style_judge(
         tr_s, [1.0 - l for l in tr_l], he_s, [1.0 - l for l in he_l], len(vocab), cfg, seed=0)
-    acc_vs_true = classifier_accuracy(flipped, he_s, he_l)
-    assert abs(acc_vs_true - (1.0 - acc)) <= 0.05
+    acc_vs_true, _ = heldout_scores(flipped, he_s, he_l)
+    assert abs(acc_vs_true - (1.0 - fit.heldout_accuracy)) <= 0.05
 
 
 def test_pretrained_judge_is_frozen(judge_setup):
