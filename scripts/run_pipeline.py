@@ -33,8 +33,10 @@ def run(out: Path, seed: int, n_source: int, n_target: int, mix: str, epochs: in
         "--n-source", str(n_source), "--n-target", str(n_target), "--mix", mix])
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    sh(["pretrain-ds", *corpus, "--split-seed", str(seed), "--out", str(out / "ds.ckpt")])
-    sh(["train-eval-clf", *corpus, "--split-seed", str(seed), "--out", str(out / "eval.ckpt")])
+    sh(["pretrain-ds", *corpus, "--config", str(cfg), "--split-seed", str(seed),
+        "--out", str(out / "ds.ckpt")])
+    sh(["train-eval-clf", *corpus, "--config", str(cfg), "--split-seed", str(seed),
+        "--out", str(out / "eval.ckpt")])
     sh(["train", *corpus, "--ds", str(out / "ds.ckpt"), "--eval-clf", str(out / "eval.ckpt"),
         "--config", str(cfg), "--seed", str(seed), "--split-seed", str(seed),
         "--out", str(out / "model.ckpt"), "--log", str(out / "metrics.csv"), "--verbose"])

@@ -60,7 +60,6 @@ class Vocab:
 class TokenSeq:
     ids: np.ndarray          # fixed length max_len, PAD after true_len
     true_len: int            # real tokens including EOS
-    domain_tag: str          # "source" or "target"
 
 
 def tokenize(sentence: str) -> list:
@@ -80,7 +79,7 @@ def build_vocab(sentences: Iterable[str], min_count: int = 1) -> Vocab:
     return Vocab.from_tokens(kept)
 
 
-def encode(sentence: str, vocab: Vocab, max_len: int, domain_tag: str = "source") -> TokenSeq:
+def encode(sentence: str, vocab: Vocab, max_len: int) -> TokenSeq:
     if max_len < 2:
         raise SpecError(f"max_len must be at least 2, got {max_len}")
     tokens = tokenize(sentence)
@@ -91,7 +90,7 @@ def encode(sentence: str, vocab: Vocab, max_len: int, domain_tag: str = "source"
     for i, t in enumerate(tokens):
         ids[i] = vocab.lookup(t)
     ids[len(tokens)] = EOS
-    return TokenSeq(ids=ids, true_len=len(tokens) + 1, domain_tag=domain_tag)
+    return TokenSeq(ids=ids, true_len=len(tokens) + 1)
 
 
 def decode_to_text(ids: Sequence[int], vocab: Vocab) -> str:

@@ -12,7 +12,6 @@ import numpy as np
 from .checkpoint import atomic_write
 from .corpus import STYLE_TARGET, Dataset, SpecError, Vocab, build_vocab, encode, three_way_split
 from .model import (
-    ClassifierConfig,
     ClassifierFit,
     TextCnnClassifier,
     TransferModel,
@@ -69,11 +68,12 @@ def binary_style_data(source: Dataset, target: Dataset):
 
 
 def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Vocab,
-                          pad_len: int, cfg: ClassifierConfig, seed: int) -> tuple:
+                          cfg: TrainConfig, seed: int) -> tuple:
     """(frozen classifier, ClassifierFit) of split_corpus part k: the
     style judge for k = 1, seeded [seed, SEED_JUDGE], or the evaluation
-    classifier for k = 2, seeded [seed, SEED_EVAL_CLF]. Refuses to train if
-    part k shares a sentence with either other part."""
+    classifier for k = 2, seeded [seed, SEED_EVAL_CLF]. It embeds in
+    cfg.d_emb dimensions and pads to cfg.pad_len. Refuses to train if part k
+    shares a sentence with either other part."""
     part_s, part_t = src_parts[k], tgt_parts[k]
     if not len(part_s.train) or not len(part_t.train):
         raise SpecError("classifier part is empty; the corpus is too small")
@@ -81,9 +81,9 @@ def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Voc
     check_disjoint(parts[k], [parts[i] for i in range(3) if i != k])
     train_sents, train_labels = binary_style_data(part_s.train, part_t.train)
     held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
-    enc = lambda sents: [encode(s, vocab, pad_len) for s in sents]
+    enc = lambda sents: [encode(s, vocab, cfg.pad_len) for s in sents]
     return pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
-                                len(vocab), cfg, [seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
+                                len(vocab), cfg.d_emb, [seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
 
 
 @dataclass
@@ -204,11 +204,8 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
                        target_sentences: Sequence[str], cfg: TrainConfig) -> ExperimentSetup:
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
                                                target_sentences, cfg.seed, cfg.min_count)
-    cls_cfg = ClassifierConfig(d_emb=cfg.d_emb)
-    judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg.pad_len,
-                                             cls_cfg, cfg.seed)
-    eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg.pad_len,
-                                               cls_cfg, cfg.seed)
+    judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg, cfg.seed)
+    eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg, cfg.seed)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_fit=judge_fit,
                            eval_clf=eval_clf, eval_fit=eval_fit,

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, no_grad
 from .corpus import SpecError
-from .model import SOURCE, Batch, TextCnnClassifier, TransferModel, style_rows
+from .model import Batch, TextCnnClassifier, TransferModel, style_rows
 
 PROB_EPS = 1e-7
 TEMPERATURE = 0.5  # softmax temperature of every soft generation
@@ -142,7 +142,7 @@ def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
         raise SpecError("style discrepancy term needs the pre-trained judge")
     joint = _cat_batches(batch_s, batch_t)
     z = model.encode_content(joint, dropout_p, dropout_rng)
-    y_s = model.encode_style(batch_s, SOURCE) if need & {"rec", "cyc", "dis"} else None
+    y_s = model.encode_style(batch_s) if need & {"rec", "cyc", "dis"} else None
     out = {}
 
     if "rec" in need:

@@ -24,10 +24,13 @@ from .optim import AdamState, adam_step, zero_grads
 INIT_SCALE = 0.08
 LOGIT_CLAMP = 30.0  # keeps sigmoid outputs strictly inside (0, 1) at float64
 STYLE_WIDTHS = (1, 2, 3, 4, 5)  # filter widths of the style encoder and the discriminator
-CLASSIFIER_WIDTHS, CLASSIFIER_BATCH = (2, 3, 4, 5), 32  # the judge and evaluation classifier
+# the judge and the evaluation classifier
+CLASSIFIER_WIDTHS, CLASSIFIER_MAPS, CLASSIFIER_BATCH = (2, 3, 4, 5), 8, 32
+CLASSIFIER_EPOCHS = 12
+CLASSIFIER_LR = 2e-2  # Adam moves each weight ~lr per step from ±0.08; 2e-3 stalls at ln 2
 TRANSFER_BATCH, CLASSIFY_BATCH = 256, 512  # sentences per forward-only batch
 
-SOURCE, TARGET = "source", "target"
+SOURCE, TARGET = "source", "target"  # only the benchmark still passes these to from_sentences
 
 
 def _init(rng: np.random.Generator, *shape) -> Tensor:
@@ -44,19 +47,19 @@ class Batch:
 
     ids: np.ndarray       # [B, T] int64
     lengths: np.ndarray   # [B] int64
-    domain_tag: str = SOURCE
 
     @classmethod
     def from_seqs(cls, seqs: Sequence[TokenSeq]) -> "Batch":
         ids = np.stack([s.ids for s in seqs])
         lengths = np.array([s.true_len for s in seqs], dtype=np.int64)
-        tags = {s.domain_tag for s in seqs}
-        return cls(ids=ids, lengths=lengths, domain_tag=tags.pop() if len(tags) == 1 else SOURCE)
+        return cls(ids=ids, lengths=lengths)
 
     @classmethod
     def from_sentences(cls, sentences: Sequence[str], vocab: Vocab, max_len: int,
-                       domain_tag: str = SOURCE) -> "Batch":
-        return cls.from_seqs([encode(s, vocab, max_len, domain_tag) for s in sentences])
+                       _unused=None) -> "Batch":
+        # _unused is ignored; its only reason is that perfbench/workloads.py:192-193,
+        # 214-215 still pass model.SOURCE / model.TARGET positionally
+        return cls.from_seqs([encode(s, vocab, max_len) for s in sentences])
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -264,10 +267,6 @@ class TransferModel:
     def d_z(self) -> int:
         return self.enc_cell.hidden_dim
 
-    @property
-    def d_y(self) -> int:
-        return self.target_style.shape[0]
-
     # --- encoders ---------------------------------------------------------
     def encode_content(self, x: Union[Batch, SoftSeq], dropout_p: float = 0.0,
                        dropout_rng=None) -> Tensor:
@@ -284,12 +283,9 @@ class TransferModel:
         # row i's last state is row i*t + t-1 of the flattened [B*T, d_z]
         return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), np.arange(b) * t + t - 1)
 
-    def encode_style(self, batch: Batch, domain_tag: Optional[str] = None) -> Tensor:
-        """Dispatch on domain: source sentences get the CNN code, target
-        sentences all share the single learnt vector (the same object)."""
-        tag = domain_tag if domain_tag is not None else batch.domain_tag
-        if tag == TARGET:
-            return self.target_style
+    def encode_style(self, batch: Batch) -> Tensor:
+        """The CNN style code of each source sentence; target sentences all
+        share target_style instead."""
         return self.style_enc.encode(batch)
 
     # --- decoding ---------------------------------------------------------
@@ -352,7 +348,7 @@ class TransferModel:
                     break
                 x = ad.take_rows(self.embedding, tok)
             ids[~done, max_len - 1] = EOS  # no end token emitted: close at the cap
-        return Batch(ids=ids, lengths=lengths, domain_tag=TARGET)
+        return Batch(ids=ids, lengths=lengths)
 
     # --- parameter bookkeeping ---------------------------------------------
     def param_groups(self) -> dict:
@@ -392,7 +388,7 @@ def transfer_sentences(model: TransferModel, vocab: Vocab, sentences: Sequence[s
     out: list = []
     for lo in range(0, len(sentences), TRANSFER_BATCH):
         chunk = sentences[lo: lo + TRANSFER_BATCH]
-        batch = Batch.from_sentences(chunk, vocab, pad_len, SOURCE)
+        batch = Batch.from_sentences(chunk, vocab, pad_len)
         with no_grad():
             z = model.encode_content(batch)
         gen = model.generate_greedy(z, model.target_style, pad_len)
@@ -402,11 +398,11 @@ def transfer_sentences(model: TransferModel, vocab: Vocab, sentences: Sequence[s
 
 def _seq_for_classifier(text: str, vocab: Vocab, pad_len: int) -> TokenSeq:
     if text.strip():
-        return encode(text, vocab, pad_len, TARGET)
+        return encode(text, vocab, pad_len)
     # an empty generation still needs a classifiable shape: end token only
     ids = np.full(pad_len, PAD, dtype=np.int64)
     ids[0] = EOS
-    return TokenSeq(ids=ids, true_len=1, domain_tag=TARGET)
+    return TokenSeq(ids=ids, true_len=1)
 
 
 def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
@@ -423,14 +419,6 @@ def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
 
 # ---------------------------------------------------------------------------
 # classifier pretraining
-
-
-@dataclass
-class ClassifierConfig:
-    d_emb: int = 32
-    maps: int = 8
-    epochs: int = 12
-    lr: float = 2e-2  # Adam moves each weight ~lr per step from ±0.08; 2e-3 stalls at ln 2
 
 
 @dataclass(frozen=True)
@@ -458,26 +446,22 @@ def heldout_scores(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
 
 def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[float],
                          heldout_seqs: Sequence[TokenSeq], heldout_labels: Sequence[float],
-                         vocab_size: int, cfg: Optional[ClassifierConfig] = None,
-                         seed: int = 0) -> tuple:
+                         vocab_size: int, d_emb: int, seed: int = 0) -> tuple:
     """The pre-trained, then frozen, probability-of-target-style classifier.
 
     Binary cross-entropy training of a text CNN on its own data part, before
     the transfer model; never updated afterwards. Label 1 means the sentence
     has the target style. Returns the classifier and its ClassifierFit.
     """
-    cfg = cfg or ClassifierConfig()
     if not train_seqs or not heldout_seqs:
         raise ValueError("classifier training needs non-empty train and held-out sets")
-    if cfg.epochs < 1:
-        raise ValueError(f"classifier training needs at least one epoch, got {cfg.epochs}")
     rng = np.random.default_rng(seed)
-    clf = TextCnnClassifier.create(rng, vocab_size, cfg.d_emb, CLASSIFIER_WIDTHS, cfg.maps)
+    clf = TextCnnClassifier.create(rng, vocab_size, d_emb, CLASSIFIER_WIDTHS, CLASSIFIER_MAPS)
     params = clf.params()
     state = AdamState()
     labels = np.asarray(train_labels, dtype=np.float64)
     n = len(train_seqs)
-    for _ in range(cfg.epochs):
+    for _ in range(CLASSIFIER_EPOCHS):
         order = rng.permutation(n)
         bce_sum = 0.0
         for lo in range(0, n, CLASSIFIER_BATCH):
@@ -490,7 +474,7 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
                 loss = ad.neg(ad.mean_(ybat * ad.log(p) + (1.0 - ybat) * ad.log(1.0 - p)))
                 ad.backward(loss, tape)
             bce_sum += loss.item() * len(idx)
-            adam_step(params, state, cfg.lr)
+            adam_step(params, state, CLASSIFIER_LR)
             zero_grads(params)
             tape.clear()
         train_bce = bce_sum / n

@@ -17,9 +17,7 @@ from .checkpoint import atomic_write, save_params
 from .corpus import CorpusPart, SpecError, Vocab, encode
 from .losses import TEMPERATURE, LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
 from .model import (
-    SOURCE,
     STYLE_WIDTHS,
-    TARGET,
     Batch,
     TextCnnClassifier,
     TransferModel,
@@ -195,8 +193,8 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
 # full run
 
 
-def _encode_all(sentences: Sequence[str], vocab: Vocab, pad_len: int, tag: str) -> list:
-    return [encode(s, vocab, pad_len, tag) for s in sentences]
+def _encode_all(sentences: Sequence[str], vocab: Vocab, pad_len: int) -> list:
+    return [encode(s, vocab, pad_len) for s in sentences]
 
 
 def _epoch_order(rng, n: int, needed: int) -> np.ndarray:
@@ -251,10 +249,10 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     g_state, d_state = AdamState(), AdamState()
     weights = cfg.weights()
 
-    seqs_s = _encode_all(src_train, vocab, cfg.pad_len, SOURCE)
-    seqs_t = _encode_all(tgt_train, vocab, cfg.pad_len, TARGET)
-    val_s = _encode_all(corpora.source.val.sentences, vocab, cfg.pad_len, SOURCE)
-    val_t = _encode_all(corpora.target.val.sentences, vocab, cfg.pad_len, TARGET)
+    seqs_s = _encode_all(src_train, vocab, cfg.pad_len)
+    seqs_t = _encode_all(tgt_train, vocab, cfg.pad_len)
+    val_s = _encode_all(corpora.source.val.sentences, vocab, cfg.pad_len)
+    val_t = _encode_all(corpora.target.val.sentences, vocab, cfg.pad_len)
 
     steps_per_epoch = len(seqs_s) // cfg.batch_size
     metrics: list = []

@@ -45,8 +45,8 @@ def tiny_world(seed=0):
     d_clf = TextCnnClassifier.create(rng, len(vocab), 6, (1, 2, 3), 2)
     judge = TextCnnClassifier.create(rng, len(vocab), 6, (2, 3), 2)
     judge.freeze()
-    batch_s = Batch.from_sentences(sentences[:2], vocab, 8, "source")
-    batch_t = Batch.from_sentences(sentences[2:], vocab, 8, "target")
+    batch_s = Batch.from_sentences(sentences[:2], vocab, 8)
+    batch_t = Batch.from_sentences(sentences[2:], vocab, 8)
     return model, d_clf, judge, batch_s, batch_t
 
 
@@ -113,7 +113,7 @@ def test_criterion_1_gradient_correctness():
         "adversarial": lambda: _terms(model, d_clf, None, batch_s, batch_t, {"adv"},
                                       0.5)["adv"],
         "discrepancy": lambda: style_discrepancy_loss(model, judge, batch_s,
-                                                      model.encode_style(batch_s, "source")),
+                                                      model.encode_style(batch_s)),
         "cycle": lambda: _terms(model, None, None, batch_s, batch_t, {"cyc"}, 0.5,
                                 draw_idx=np.array([0, 1]))["cyc"],
         "total": lambda: compute_breakdown(model, d_clf, judge, batch_s, batch_t,
@@ -156,7 +156,7 @@ def test_criterion_2_loss_formula_oracles():
     model.target_style.data[0] = 2.0
     one = Batch(ids=batch_s.ids[:1], lengths=batch_s.lengths[:1])
     with no_grad():
-        y_s = model.encode_style(one, "source")
+        y_s = model.encode_style(one)
         anchor_loss = abs(style_discrepancy_loss(model, judge, one, y_s).item() - 2.0)
     ok = worst <= 1e-9 and anchor_loss <= 1e-9
     report("2 loss-formula oracles",
@@ -190,16 +190,30 @@ def test_criterion_3_arm_isolation_over_200_steps():
            f"(200 alternating steps, judge bit-identical: {frozen_ok})")
 
 
-def test_criterion_4_style_dispatch_contract():
-    model, _, _, batch_s, batch_t = tiny_world(seed=7)
-    same_object = model.encode_style(batch_t, "target") is model.target_style
-    other_t = Batch(ids=batch_t.ids[::-1].copy(), lengths=batch_t.lengths[::-1].copy(),
-                    domain_tag="target")
-    still_same = model.encode_style(other_t) is model.target_style
+def test_criterion_4_style_dispatch_contract(monkeypatch):
+    # every style code _terms decodes or generates from: a target row of rec,
+    # adv or cyc carries the one learnt target_style, a source row its
+    # sentence's CNN code
+    model, d_clf, judge, batch_s, batch_t = tiny_world(seed=7)
+    n_s, n_t = len(batch_s), len(batch_t)
+    draw_idx = np.array([1, 0])
+    seen = {"decode_teacher_forced": [], "generate_soft": []}
+    for name, calls in seen.items():
+        def capture(z, y, *args, _original=getattr(model, name), _calls=calls, **kwargs):
+            _calls.append(y.data.copy())
+            return _original(z, y, *args, **kwargs)
+        monkeypatch.setattr(model, name, capture)
     with no_grad():
-        y_model = model.encode_style(batch_s, "source")
-        y_direct = model.style_enc.encode(batch_s)
-    source_exact = np.array_equal(y_model.data, y_direct.data)
-    ok = same_object and still_same and source_exact
+        _terms(model, d_clf, judge, batch_s, batch_t, {"rec", "adv", "cyc", "dis"},
+               draw_idx=draw_idx)
+        y_src = model.style_enc.encode(batch_s).data
+    (rec, cyc), (gen,) = seen["decode_teacher_forced"], seen["generate_soft"]
+    target_rows = [rec[n_s:], gen[: n_s + n_t], cyc[n_s:]]
+    target_ok = all(np.array_equal(rows, np.broadcast_to(model.target_style.data, rows.shape))
+                    for rows in target_rows)
+    source_ok = (np.array_equal(rec[:n_s], y_src) and np.array_equal(cyc[:n_s], y_src)
+                 and np.array_equal(gen[n_s + n_t:], y_src[draw_idx]))
+    ok = target_ok and source_ok and len(gen) == n_s + 2 * n_t
     report("4 style dispatch contract", ok,
-           f"(target identity: {same_object and still_same}, source equality: {source_exact})")
+           f"(target rows carry target_style: {target_ok}, source rows their CNN code: "
+           f"{source_ok})")

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from styletx import model as model_module
 from styletx.checkpoint import load_params, save_params
 from styletx.cli import main
 from styletx.corpus import read_lines, write_lines
 from styletx.evaluation import prepare_experiment
-from styletx.training import TrainConfig, desk_config
+from styletx.training import TrainConfig
 
 DESK_CFG = """\
 d_emb=24
@@ -42,10 +43,10 @@ def workdir(tmp_path_factory):
     cfg.write_text(DESK_CFG)
     common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    assert main(["pretrain-ds", *common, "--split-seed", "0", "--pad-len", "14",
-                 "--epochs", "25", "--out", str(root / "ds.ckpt")]) == 0
-    assert main(["train-eval-clf", *common, "--split-seed", "0", "--pad-len", "14",
-                 "--epochs", "25", "--out", str(root / "eval.ckpt")]) == 0
+    assert main(["pretrain-ds", *common, "--split-seed", "0", "--config", str(cfg),
+                 "--out", str(root / "ds.ckpt")]) == 0
+    assert main(["train-eval-clf", *common, "--split-seed", "0", "--config", str(cfg),
+                 "--out", str(root / "eval.ckpt")]) == 0
     assert main(["train", *common, "--ds", str(root / "ds.ckpt"),
                  "--config", str(cfg), "--out", str(root / "model.ckpt"),
                  "--log", str(root / "metrics.csv")]) == 0
@@ -79,13 +80,14 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys):
-    root, data, _ = workdir
+def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys, monkeypatch):
+    root, data, cfg = workdir
+    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)
     capsys.readouterr()
     assert main(["pretrain-ds", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
-                 "--split-seed", "1", "--pad-len", "14", "--epochs", "2",
+                 "--split-seed", "1", "--config", str(cfg),
                  "--out", str(root / "ds2.ckpt")]) == 0
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("accuracy=")]
     assert len(line) == 1
@@ -93,28 +95,53 @@ def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys):
     manifest = json.loads(Path(str(root / "ds2.ckpt") + ".manifest.json").read_text())
     assert float(line[0].split("=", 1)[1]) == manifest["heldout_accuracy"]
     assert 0.0 < manifest["train_bce"] and 0.0 <= manifest["heldout_margin"] <= 0.5
-    assert set(manifest["inputs"]) == {"source", "target", "labels"}
+    assert set(manifest["inputs"]) == {"source", "target", "labels", "config"}
+    assert (manifest["flags"]["d_emb"], manifest["flags"]["pad_len"]) == (24, 14)
 
 
-def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path):
-    # `pretrain-ds --split-seed s` and `evaluate --retrain --seed s` share
-    # one split and one judge seed, so they train the same judge
+def _assert_writes_protocol_classifier(out, clf, fit) -> None:
+    """The checkpoint at out holds clf parameter for parameter, and its
+    manifest records fit."""
+    saved = load_params(out)
+    expected = {k: p.data for k, p in clf.params().items()}
+    assert list(saved) == list(expected)
+    assert all(np.array_equal(saved[k], expected[k]) for k in expected)
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert {k: manifest[k] for k in asdict(fit)} == asdict(fit)
+
+
+def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path, monkeypatch):
+    # without --config, `pretrain-ds --split-seed s` trains the judge that
+    # the reference settings' protocol trains with seed s
     _, data, _ = workdir
+    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)  # keeps the d_emb 200 run short
     out = tmp_path / "ds.ckpt"
     assert main(["pretrain-ds", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
                  "--split-seed", "2", "--out", str(out)]) == 0
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
-                               read_lines(data / "target.txt"), desk_config(seed=2))
-    saved = load_params(out)
-    expected = {k: p.data for k, p in setup.judge.params().items()}
-    assert list(saved) == list(expected)
-    assert all(np.array_equal(saved[k], expected[k]) for k in expected)
-    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    fit = asdict(setup.judge_fit)
-    assert {k: manifest[k] for k in fit} == fit
-    assert setup.judge_acc == fit["heldout_accuracy"]
+                               read_lines(data / "target.txt"), TrainConfig(seed=2))
+    _assert_writes_protocol_classifier(out, setup.judge, setup.judge_fit)
+    assert load_params(out)["clf.cnn.embedding"].shape[1] == TrainConfig().d_emb
+
+
+def test_classifier_commands_write_the_protocol_classifiers(workdir, tmp_path):
+    # `pretrain-ds` and `train-eval-clf` with `--config F --split-seed s`
+    # write exactly the judge and evaluation classifier that
+    # `evaluate --retrain --config F --seed s` trains
+    _, data, cfg = workdir
+    corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
+              "--labels", str(data / "labels.txt")]
+    for command, name in (("pretrain-ds", "ds.ckpt"), ("train-eval-clf", "eval.ckpt")):
+        assert main([command, *corpus, "--config", str(cfg), "--split-seed", "2",
+                     "--out", str(tmp_path / name)]) == 0
+    setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
+                               read_lines(data / "target.txt"),
+                               replace(TrainConfig.from_file(cfg), seed=2))
+    assert (setup.judge.cnn.embedding.shape[1], TrainConfig.from_file(cfg).pad_len) == (24, 14)
+    _assert_writes_protocol_classifier(tmp_path / "ds.ckpt", setup.judge, setup.judge_fit)
+    _assert_writes_protocol_classifier(tmp_path / "eval.ckpt", setup.eval_clf, setup.eval_fit)
 
 
 def test_pretrain_ds_missing_file(tmp_path):
@@ -124,7 +151,7 @@ def test_pretrain_ds_missing_file(tmp_path):
 
 
 def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsys):
-    root, data, _ = workdir
+    root, data, cfg = workdir
     # every line written twice: the split puts the two copies of many
     # sentences in different parts, so the classifier part overlaps the others
     doubled, doubled_labels = tmp_path / "doubled.txt", tmp_path / "doubled_labels.txt"
@@ -132,7 +159,7 @@ def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsy
     write_lines(doubled_labels, read_lines(data / "labels.txt") * 2)
     code = main(["train-eval-clf", "--source", str(doubled),
                  "--target", str(data / "target.txt"), "--labels", str(doubled_labels),
-                 "--split-seed", "0", "--pad-len", "14", "--epochs", "1",
+                 "--split-seed", "0", "--config", str(cfg),
                  "--out", str(root / "contaminated.ckpt")])
     assert code == 2
     assert "shared" in capsys.readouterr().err
@@ -204,17 +231,18 @@ def test_train_unknown_config_key(workdir, tmp_path):
     assert code == 2
 
 
-def test_train_refuses_judge_with_another_vocabulary(workdir, tmp_path, capsys):
+def test_train_refuses_judge_with_another_vocabulary(workdir, tmp_path, capsys, monkeypatch):
     # a judge pretrained on the first 100 lines counts its tokens differently,
     # so its ids would not mean the run's tokens
     _, data, cfg = workdir
+    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 1)
     for name in ("source.txt", "target.txt", "labels.txt"):
         write_lines(tmp_path / name, read_lines(data / name)[:100])
     ds = tmp_path / "ds_small.ckpt"
     assert main(["pretrain-ds", "--source", str(tmp_path / "source.txt"),
                  "--target", str(tmp_path / "target.txt"),
                  "--labels", str(tmp_path / "labels.txt"),
-                 "--pad-len", "14", "--epochs", "1", "--out", str(ds)]) == 0
+                 "--config", str(cfg), "--out", str(ds)]) == 0
     capsys.readouterr()
     common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
@@ -222,7 +250,7 @@ def test_train_refuses_judge_with_another_vocabulary(workdir, tmp_path, capsys):
     code = main(["train", *common, "--ds", str(ds), "--config", str(cfg),
                  "--out", str(out), "--log", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "--min-count" in capsys.readouterr().err
+    assert "--config" in capsys.readouterr().err
     assert not out.exists()
 
 

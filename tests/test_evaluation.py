@@ -13,7 +13,8 @@ from styletx.evaluation import (
     transfer_accuracy,
     write_sample_dump,
 )
-from styletx.model import ClassifierConfig, TextCnnClassifier, TransferModel, pretrain_style_judge
+from styletx import model as model_module
+from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge
 from styletx.training import desk_config
 
 
@@ -83,7 +84,7 @@ def test_part_classifier_rejects_a_sentence_shared_with_another_part(k, other):
     vocab, src_parts, tgt_parts = split_corpus(data.source, None, data.target, 0, 1)
     tgt_parts[k].val.sentences.append(tgt_parts[other].train.sentences[0])
     with pytest.raises(ContaminationError, match="1 sentences shared"):
-        train_part_classifier(src_parts, tgt_parts, k, vocab, 14, ClassifierConfig(epochs=1), 0)
+        train_part_classifier(src_parts, tgt_parts, k, vocab, desk_config(pad_len=14), 0)
 
 
 def test_prepare_experiment_rejects_judge_part_sharing_a_sentence():
@@ -116,8 +117,8 @@ def eval_world():
     vocab = build_vocab(data.source + data.target)
     src_parts = three_way_split(data.source, 1, labels=data.source_styles)
     tgt_parts = three_way_split(data.target, 2)
-    clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, 16,
-                                     ClassifierConfig(d_emb=24, maps=8, epochs=20), 3)
+    clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab,
+                                     desk_config(d_emb=24, pad_len=16), 3)
     return data, vocab, src_parts, tgt_parts, clf, fit.heldout_accuracy
 
 
@@ -134,7 +135,7 @@ def test_identity_transfer_upper_reference(eval_world):
     assert hits.mean() >= 0.95
 
 
-def test_shuffled_labels_give_chance_accuracy():
+def test_shuffled_labels_give_chance_accuracy(monkeypatch):
     # balanced corpus (pure anti-style source) so chance really is one half
     data = gen_synthetic(seed=42, n_source=500, n_target=500, mix=(0.0, 1.0, 0.0))
     vocab = build_vocab(data.source + data.target)
@@ -145,9 +146,9 @@ def test_shuffled_labels_give_chance_accuracy():
     rng.shuffle(labels)
     held_sents = data.source[400:] + data.target[400:]
     held_labels = [0.0] * 100 + [1.0] * 100
+    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 8)
     _, fit = pretrain_style_judge(enc(sents), labels, enc(held_sents), held_labels,
-                                  len(vocab), ClassifierConfig(d_emb=24, maps=8, epochs=8),
-                                  seed=1)
+                                  len(vocab), d_emb=24, seed=1)
     assert abs(fit.heldout_accuracy - 0.5) <= 0.1
 
 

@@ -48,7 +48,7 @@ def cycle(model, batch_s, batch_t, **draw):
 
 
 def discrepancy(model, judge, batch_s):
-    return style_discrepancy_loss(model, judge, batch_s, model.encode_style(batch_s, "source"))
+    return style_discrepancy_loss(model, judge, batch_s, model.encode_style(batch_s))
 
 
 def zero_weight_clf(vocab_size, widths=(1, 2), d_emb=8):
@@ -91,7 +91,7 @@ def test_style_discrepancy_loss_monotone_in_distance():
     model, _, _, batch_s, _, vocab = setup(seed=2)
     judge = zero_weight_clf(len(vocab))  # fixed positive probability 0.5
     with no_grad():
-        y_s = model.encode_style(batch_s, "source")
+        y_s = model.encode_style(batch_s)
         base = style_discrepancy_loss(model, judge, batch_s, y_s)
         # scaling the offset from the target style up can never shrink the loss
         y_far = ad.add(model.target_style, ad.mul(ad.sub(y_s, model.target_style), 2.0))
@@ -210,10 +210,10 @@ def test_reconstruction_is_sum_of_two_terms():
         both = reconstruction_loss(model, batch_s, batch_t)
         z_s = model.encode_content(batch_s)
         term_s = ad.mean_(model.decode_teacher_forced(
-            z_s, model.encode_style(batch_s, "source"), batch_s))
+            z_s, model.encode_style(batch_s), batch_s))
         z_t = model.encode_content(batch_t)
         term_t = ad.mean_(model.decode_teacher_forced(
-            z_t, model.encode_style(batch_t, "target"), batch_t))
+            z_t, model.target_style, batch_t))
     assert both.item() == pytest.approx(term_s.item() + term_t.item(), rel=1e-9)
 
 
@@ -250,7 +250,7 @@ def test_cycle_loss_copy_generator_equals_reconstruction_of_copies():
                                          draw_idx=np.array([0, 1]))
             soft = copying_soft(None, None, batch_s.max_len, 0.5)
             z_back = model.encode_content(soft)
-            y_s = model.encode_style(batch_s, "source")
+            y_s = model.encode_style(batch_s)
             idx_s = np.arange(len(batch_s))
             nll_s = model.decode_teacher_forced(
                 ad.take_rows(z_back, idx_s), y_s, batch_s)

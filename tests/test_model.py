@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from styletx import autodiff as ad
+from styletx import model as model_module
 from styletx.autodiff import SequenceTooShortError, Tape, Tensor, backward, no_grad, recording
 from styletx.checkpoint import load_params, save_params
 from styletx.corpus import BOS, EOS, PAD, build_vocab, gen_synthetic, encode
 from styletx.model import (
     CLASSIFIER_WIDTHS,
     Batch,
-    ClassifierConfig,
     TextCnnClassifier,
     TransferModel,
     classify_texts,
@@ -30,8 +30,8 @@ def make_model(seed=0, vocab=None, d_emb=8, d_z=12, d_y=10):
     return TransferModel.create(np.random.default_rng(seed), len(vocab), d_emb, d_z, d_y), vocab
 
 
-def batch_of(sentences, vocab, max_len=10, tag="source"):
-    return Batch.from_sentences(sentences, vocab, max_len, tag)
+def batch_of(sentences, vocab, max_len=10):
+    return Batch.from_sentences(sentences, vocab, max_len)
 
 
 def one_hot_steps(batch, vocab_size):
@@ -54,7 +54,7 @@ def test_reference_dimensions():
     batch = batch_of(["the food was great"], vocab)
     with no_grad():
         z = model.encode_content(batch)
-        y = model.encode_style(batch, "source")
+        y = model.encode_style(batch)
     assert z.shape == (1, 1000)
     assert y.shape == (1, 500)
     assert model.target_style.shape == (500,)
@@ -99,20 +99,12 @@ def test_encode_content_ignores_padding():
 # style dispatch
 
 
-def test_encode_style_target_returns_shared_parameter_object():
-    model, vocab = make_model()
-    batch = batch_of(["the food was great"], vocab, tag="target")
-    assert model.encode_style(batch, "target") is model.target_style
-    other = batch_of(["we came here again"], vocab, tag="target")
-    assert model.encode_style(other) is model.encode_style(batch)
-
-
 def test_encode_style_source_uses_cnn():
     model, vocab = make_model()
     batch = batch_of(["the food was great", "the soup was bland"], vocab)
     with no_grad():
-        y = model.encode_style(batch, "source")
-    assert y.shape == (2, model.d_y)
+        y = model.encode_style(batch)
+    assert y.shape == (2, model.target_style.shape[0])
     assert not np.array_equal(y.data[0], y.data[1])
 
 
@@ -127,7 +119,7 @@ def test_uniform_model_nll_is_length_times_log_vocab():
     batch = batch_of(["the food was great", "we came here"], vocab, max_len=8)
     with no_grad():
         z = model.encode_content(batch)
-        nll = model.decode_teacher_forced(z, model.encode_style(batch, "source"), batch)
+        nll = model.decode_teacher_forced(z, model.encode_style(batch), batch)
     expected = batch.lengths * np.log(len(vocab))
     assert np.allclose(nll.data, expected, rtol=1e-12)
 
@@ -152,7 +144,7 @@ def test_decoder_overfits_single_sentence():
         tape = Tape()
         with recording(tape):
             z = model.encode_content(batch)
-            nll = model.decode_teacher_forced(z, model.encode_style(batch, "source"), batch)
+            nll = model.decode_teacher_forced(z, model.encode_style(batch), batch)
             loss = ad.sum_(nll)
             backward(loss, tape)
         if first is None:
@@ -363,15 +355,14 @@ def test_discriminate_sequence_too_short():
 def judge_setup():
     data = gen_synthetic(seed=11, n_source=240, n_target=240, mix=(0.0, 1.0, 0.0))
     vocab = build_vocab(data.source + data.target)
-    make = lambda sents, tag: [encode(s, vocab, 16, tag) for s in sents]
-    train_seqs = make(data.source[:200], "source") + make(data.target[:200], "target")
+    make = lambda sents: [encode(s, vocab, 16) for s in sents]
+    train_seqs = make(data.source[:200]) + make(data.target[:200])
     train_labels = [0.0] * 200 + [1.0] * 200
-    held_seqs = make(data.source[200:], "source") + make(data.target[200:], "target")
+    held_seqs = make(data.source[200:]) + make(data.target[200:])
     held_labels = [0.0] * 40 + [1.0] * 40
-    cfg = ClassifierConfig(d_emb=16, maps=4, epochs=6)
     judge, fit = pretrain_style_judge(train_seqs, train_labels, held_seqs, held_labels,
-                                      len(vocab), cfg, seed=0)
-    return judge, fit, vocab, (train_seqs, train_labels, held_seqs, held_labels, cfg)
+                                      len(vocab), d_emb=16, seed=0)
+    return judge, fit, vocab, (train_seqs, train_labels, held_seqs, held_labels)
 
 
 def test_pretrained_judge_reaches_95_percent(judge_setup):
@@ -380,20 +371,22 @@ def test_pretrained_judge_reaches_95_percent(judge_setup):
 
 
 def test_pretrained_judge_reports_its_margin_and_training_bce(judge_setup):
-    judge, fit, _, (_, _, he_s, he_l, _) = judge_setup
+    judge, fit, _, (_, _, he_s, he_l) = judge_setup
     with no_grad():
         p = judge.prob(Batch.from_seqs(he_s)).data
     assert fit.heldout_margin == float(np.abs(p - 0.5).mean())
     assert 0.0 < fit.train_bce < np.log(2)  # a converged judge is off the ln 2 plateau
 
 
-def test_judge_training_bce_is_the_per_sentence_mean_of_the_last_epoch(judge_setup):
+def test_judge_training_bce_is_the_per_sentence_mean_of_the_last_epoch(judge_setup,
+                                                                        monkeypatch):
     # lr 0 keeps the initial weights, so every batch loss is the initial
     # judge's; 400 sentences in batches of 32 end in a short batch of 16,
     # which a plain mean of batch means would over-weight
-    _, _, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
-    frozen_cfg = ClassifierConfig(d_emb=cfg.d_emb, maps=cfg.maps, epochs=2, lr=0.0)
-    judge, fit = pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab), frozen_cfg, seed=0)
+    _, _, vocab, (tr_s, tr_l, he_s, he_l) = judge_setup
+    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)
+    monkeypatch.setattr(model_module, "CLASSIFIER_LR", 0.0)
+    judge, fit = pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab), d_emb=16, seed=0)
     with no_grad():
         p = np.clip(judge.prob(Batch.from_seqs(tr_s)).data, 1e-7, 1 - 1e-7)
     y = np.asarray(tr_l)
@@ -401,19 +394,12 @@ def test_judge_training_bce_is_the_per_sentence_mean_of_the_last_epoch(judge_set
     assert fit.train_bce == pytest.approx(expected, rel=1e-12)
 
 
-def test_judge_training_needs_an_epoch(judge_setup):
-    _, _, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
-    with pytest.raises(ValueError, match="at least one epoch"):
-        pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab),
-                             ClassifierConfig(d_emb=cfg.d_emb, maps=cfg.maps, epochs=0))
-
-
 def test_pretrained_judge_inverted_labels_symmetry(judge_setup):
     # a judge trained on flipped labels scores 1 - original against the
     # true labels
-    judge, fit, vocab, (tr_s, tr_l, he_s, he_l, cfg) = judge_setup
+    judge, fit, vocab, (tr_s, tr_l, he_s, he_l) = judge_setup
     flipped, _ = pretrain_style_judge(
-        tr_s, [1.0 - l for l in tr_l], he_s, [1.0 - l for l in he_l], len(vocab), cfg, seed=0)
+        tr_s, [1.0 - l for l in tr_l], he_s, [1.0 - l for l in he_l], len(vocab), 16, seed=0)
     acc_vs_true, _ = heldout_scores(flipped, he_s, he_l)
     assert abs(acc_vs_true - (1.0 - fit.heldout_accuracy)) <= 0.05
 
@@ -442,7 +428,7 @@ def test_transfer_model_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_params(path, model.params())
     clone = TransferModel.from_params(load_params(path))
-    assert clone.d_z == model.d_z and clone.d_y == model.d_y
+    assert clone.d_z == model.d_z and clone.target_style.shape == model.target_style.shape
     batch = batch_of(["the food was great"], vocab)
     with no_grad():
         z1 = model.encode_content(batch)
