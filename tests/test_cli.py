@@ -123,6 +123,7 @@ def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path, monkeypatch):
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
                                read_lines(data / "target.txt"), TrainConfig(seed=2))
     _assert_writes_protocol_classifier(out, setup.judge, setup.judge_fit)
+    assert setup.judge_acc == setup.judge_fit.heldout_accuracy
     assert load_params(out)["clf.cnn.embedding"].shape[1] == TrainConfig().d_emb
 
 
@@ -142,6 +143,8 @@ def test_classifier_commands_write_the_protocol_classifiers(workdir, tmp_path):
     assert (setup.judge.cnn.embedding.shape[1], TrainConfig.from_file(cfg).pad_len) == (24, 14)
     _assert_writes_protocol_classifier(tmp_path / "ds.ckpt", setup.judge, setup.judge_fit)
     _assert_writes_protocol_classifier(tmp_path / "eval.ckpt", setup.eval_clf, setup.eval_fit)
+    assert (setup.judge_acc, setup.eval_acc) == (setup.judge_fit.heldout_accuracy,
+                                                  setup.eval_fit.heldout_accuracy)
 
 
 def test_pretrain_ds_missing_file(tmp_path):
