@@ -28,19 +28,17 @@ def run(out: Path, seed: int, n_source: int, n_target: int, mix: str, epochs: in
     out.mkdir(parents=True, exist_ok=True)
     data = out / "data"
     cfg = out / "desk.cfg"
-    desk_config(epochs=epochs).to_file(cfg)
+    desk_config(seed=seed, epochs=epochs).to_file(cfg)
     sh(["gen-synth", "--out", str(data), "--seed", str(seed),
         "--n-source", str(n_source), "--n-target", str(n_target), "--mix", mix])
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    sh(["pretrain-ds", *corpus, "--config", str(cfg), "--split-seed", str(seed),
-        "--out", str(out / "ds.ckpt")])
-    sh(["train-eval-clf", *corpus, "--config", str(cfg), "--split-seed", str(seed),
-        "--out", str(out / "eval.ckpt")])
+    sh(["pretrain-ds", *corpus, "--config", str(cfg), "--out", str(out / "ds.ckpt")])
+    sh(["train-eval-clf", *corpus, "--config", str(cfg), "--out", str(out / "eval.ckpt")])
     sh(["train", *corpus, "--ds", str(out / "ds.ckpt"), "--eval-clf", str(out / "eval.ckpt"),
-        "--config", str(cfg), "--seed", str(seed), "--split-seed", str(seed),
-        "--out", str(out / "model.ckpt"), "--log", str(out / "metrics.csv"), "--verbose"])
-    sh(["evaluate", "--retrain", *corpus, "--config", str(cfg), "--seed", str(seed),
+        "--config", str(cfg), "--out", str(out / "model.ckpt"), "--log", str(out / "metrics.csv"),
+        "--verbose"])
+    sh(["evaluate", "--retrain", *corpus, "--config", str(cfg),
         "--runs", "3", "--report", str(out / "report.csv"),
         "--samples", str(out / "samples.tsv"), "--verbose"])
     print(f"\nartifacts in {out}: metrics.csv, report.csv, samples.tsv")

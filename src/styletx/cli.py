@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +60,18 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_path, command: str, flags: dict, inputs: dict, extra: dict = None) -> None:
-    """Flags, seeds and input hashes beside every output; identical manifests
-    imply identical outputs."""
+def write_manifest(out_path, command: str, flags: dict, inputs: dict,
+                   cfg: TrainConfig = None, extra: dict = None) -> None:
+    """Flags, the run config with its fingerprint, and input hashes beside
+    every output; identical manifests imply identical outputs."""
     manifest = {
         "command": command,
         "flags": {k: v for k, v in sorted(flags.items()) if v is not None},
         "inputs": {name: _sha256(p) for name, p in sorted(inputs.items()) if p is not None},
         "version": __version__,
     }
+    if cfg is not None:
+        manifest.update(config=asdict(cfg), config_fingerprint=cfg.fingerprint())
     if extra:
         manifest.update(extra)
     with atomic_write(out_path) as fh:
@@ -97,19 +100,10 @@ def _load_corpus(source, target, labels):
     return source_sents, read_lines(target), _read_labels(labels, source_sents)
 
 
-def _resolve_config(args) -> TrainConfig:
-    """built-in defaults < config file < explicit flags."""
-    cfg = TrainConfig.from_file(args.config) if getattr(args, "config", None) else TrainConfig()
-    overrides = {}
-    for key in ("seed", "epochs", "lr", "batch_size", "pad_len", "dropout"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "no_cyc", False):
-        overrides["lambda_cyc"] = 0.0
-    if getattr(args, "no_dis", False):
-        overrides["lambda_dis"] = 0.0
-    return replace(cfg, **overrides)
+def _config(args) -> TrainConfig:
+    """The run's settings and seed: the --config file over the reference
+    defaults."""
+    return TrainConfig.from_file(args.config) if args.config else TrainConfig()
 
 
 def _load_with_vocab(path, from_params) -> tuple:
@@ -151,20 +145,18 @@ def cmd_gen_synth(args) -> int:
 
 
 def _classifier_command(args, part_index: int, command: str) -> int:
-    cfg = _resolve_config(args)
+    cfg = _config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
     vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
-                                               args.split_seed, cfg.min_count)
-    clf, fit = train_part_classifier(src_parts, tgt_parts, part_index, vocab, cfg,
-                                     args.split_seed)
+                                               cfg.seed, cfg.min_count)
+    clf, fit = train_part_classifier(src_parts, tgt_parts, part_index, vocab, cfg, cfg.seed)
     save_params(args.out, clf.params())
     vocab.to_file(args.out + ".vocab")
     write_manifest(args.out + ".manifest.json", command,
-                   {"split_seed": args.split_seed, "style_labels": source_labels is not None,
-                    **{k: getattr(cfg, k) for k in ("d_emb", "pad_len", "min_count")}},
+                   {"style_labels": source_labels is not None},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "config": args.config},
-                   extra=asdict(fit))
+                   cfg, extra=asdict(fit))
     print(f"accuracy={fit.heldout_accuracy}")
     return 0
 
@@ -178,14 +170,14 @@ def cmd_train_eval_clf(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
     judge, judge_vocab = _load_with_vocab(args.ds, TextCnnClassifier.from_params)
     eval_clf = eval_vocab = None
     if args.eval_clf:
         eval_clf, eval_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
     vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
-                                               args.split_seed, cfg.min_count)
+                                               cfg.seed, cfg.min_count)
     if judge_vocab.id_to_token != vocab.id_to_token:
         raise SpecError(f"the --ds judge's vocabulary ({len(judge_vocab)} tokens) differs from "
                         f"this run's ({len(vocab)} tokens); pretrain it on the same --source, "
@@ -195,42 +187,36 @@ def cmd_train(args) -> int:
                    ckpt_path=args.out, log_path=args.log, progress=args.verbose)
     if not np.isfinite(result.best_val):
         raise DivergenceError("no epoch produced a finite validation total")
-    write_manifest(args.out + ".manifest.json", "train",
-                   {"split_seed": args.split_seed, "no_cyc": args.no_cyc or None,
-                    "no_dis": args.no_dis or None,
-                    **{k: getattr(cfg, k) for k in ("seed", "epochs", "lr", "batch_size",
-                                                    "pad_len", "dropout", "lambda_cyc",
-                                                    "lambda_dis")}},
+    write_manifest(args.out + ".manifest.json", "train", {},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "ds": args.ds, "config": args.config},
-                   extra={"config_fingerprint": cfg.fingerprint(),
-                          "best_epoch": result.best_epoch,
-                          "best_val_total": result.best_val,
-                          "skipped_steps": result.skipped_steps})
+                   cfg, extra={"best_epoch": result.best_epoch,
+                               "best_val_total": result.best_val,
+                               "skipped_steps": result.skipped_steps})
     print(f"best_val_total={result.best_val} best_epoch={result.best_epoch} "
           f"wall_seconds={result.wall_seconds:.1f}")
     return 0
 
 
 def cmd_transfer(args) -> int:
+    cfg = _config(args)
     model, vocab = _load_with_vocab(args.model, TransferModel.from_params)
     lines = read_lines(args.input) if Path(args.input).stat().st_size else []
     keep = [(i, line) for i, line in enumerate(lines) if line.strip()]
     outputs = [""] * len(lines)
     if keep:
-        transferred = transfer_sentences(model, vocab, [line for _, line in keep], args.pad_len)
+        transferred = transfer_sentences(model, vocab, [line for _, line in keep], cfg.pad_len)
         for (i, _), text in zip(keep, transferred):
             outputs[i] = text
     write_lines(args.output, outputs)
-    write_manifest(args.output + ".manifest.json", "transfer",
-                   {"pad_len": args.pad_len},
-                   {"model": args.model, "input": args.input})
+    write_manifest(args.output + ".manifest.json", "transfer", {},
+                   {"model": args.model, "input": args.input, "config": args.config}, cfg)
     print(f"transferred {len(lines)} lines")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _config(args)
     if args.retrain:
         if not (args.source and args.target and args.config):
             raise UsageError("--retrain needs --source, --target and --config")
@@ -260,17 +246,17 @@ def cmd_evaluate(args) -> int:
         score = transfer_accuracy(model, vocab, clf, clf_vocab, sentences, cfg.pad_len,
                                   true_styles=labels, clf_heldout_acc=clf_acc)
         # greedy decoding of a fixed checkpoint is deterministic: one measurement
-        report = EvalReport(accuracies=[score.accuracy], seeds=[args.seed or 0],
+        report = EvalReport(accuracies=[score.accuracy], seeds=[cfg.seed],
                             warning=score.warning, by_style=score.by_style)
         if args.samples:
             write_sample_dump(args.samples, list(zip(sentences, score.transferred)))
     report.to_csv(args.report)
     write_manifest(args.report + ".manifest.json", "evaluate",
                    {"runs": args.runs if args.retrain else None,
-                    "retrain": args.retrain or None, "pad_len": cfg.pad_len},
+                    "retrain": args.retrain or None},
                    {"model": args.model, "eval_clf": args.eval_clf, "input": args.input,
                     "source": args.source, "target": args.target, "config": args.config},
-                   extra={"mean": report.mean, "std": report.std})
+                   cfg, extra={"mean": report.mean, "std": report.std})
     print(f"mean_accuracy={report.mean} std={report.std} n_runs={report.n_runs}")
     if report.warning is not None:  # transfer_accuracy's verdict on the trust gate
         print("warning: evaluation classifier is below the trust gate", file=sys.stderr)
@@ -280,6 +266,9 @@ def cmd_evaluate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # wiring
+
+CONFIG_HELP = ("key=value file of the run's settings and seed (default: the reference "
+               "settings, seed 0); give every command of one run the same file")
 
 
 def build_parser() -> Parser:
@@ -306,8 +295,7 @@ def build_parser() -> Parser:
         p.add_argument("--target", required=True)
         p.add_argument("--labels", help="per-line source style labels; enables "
                                         "style-label training")
-        p.add_argument("--split-seed", type=int, default=0)
-        p.add_argument("--config", help="key=value config file: d_emb, pad_len and min_count")
+        p.add_argument("--config", help=CONFIG_HELP)
         p.add_argument("--out", required=True, help="checkpoint path")
         p.set_defaults(fn=fn)
 
@@ -317,19 +305,10 @@ def build_parser() -> Parser:
     p.add_argument("--labels")
     p.add_argument("--ds", required=True, help="pretrained style judge checkpoint")
     p.add_argument("--eval-clf", help="optional evaluation classifier for per-epoch accuracy")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--config", help=CONFIG_HELP + "; the ablations set lambda_cyc=0 or "
+                                                  "lambda_dis=0")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", required=True, help="metrics CSV path")
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--pad-len", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--no-cyc", action="store_true", help="drop the cycle term (lambda_cyc=0)")
-    p.add_argument("--no-dis", action="store_true",
-                   help="drop the style discrepancy term (lambda_dis=0)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_train)
 
@@ -337,7 +316,7 @@ def build_parser() -> Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--pad-len", type=int, default=20)
+    p.add_argument("--config", help=CONFIG_HELP + "; transfer reads its pad_len")
     p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("evaluate", help="score transfers with the evaluation classifier")
@@ -353,9 +332,7 @@ def build_parser() -> Parser:
                    help="train everything from scratch per run instead of scoring checkpoints")
     p.add_argument("--source")
     p.add_argument("--target")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pad-len", type=int, help="default: the --config file's, else 20")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
     return parser

@@ -62,6 +62,21 @@ class TrainConfig:
     lambda_dis: float = 5.0
     min_count: int = 1
 
+    def __post_init__(self):
+        """Refuses a value no run can use, naming its key."""
+        positive = ("d_emb", "d_z", "d_y", "d_maps", "batch_size", "epochs", "min_count")
+        for key, ok, want in [
+            *((key, getattr(self, key) >= 1, "at least 1") for key in positive),
+            ("pad_len", self.pad_len >= max(STYLE_WIDTHS),
+             f"at least {max(STYLE_WIDTHS)}, the widest filter"),
+            ("seed", self.seed >= 0, "at least 0"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            *((key, 0.0 <= getattr(self, key) < np.inf, "non-negative and finite")
+              for key in ("lr", "lambda_cyc", "lambda_dis")),
+        ]:
+            if not ok:
+                raise ConfigError(f"{key}={getattr(self, key)!r} is out of range: it must be {want}")
+
     def weights(self) -> LossWeights:
         return LossWeights(lambda_cyc=self.lambda_cyc, lambda_dis=self.lambda_dis)
 
@@ -89,7 +104,10 @@ class TrainConfig:
                 overrides[key] = casts[types[key]](value)
             except ValueError as err:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
-        return cls(**overrides)
+        try:
+            return cls(**overrides)
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
 
     def fingerprint(self) -> str:
         text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))

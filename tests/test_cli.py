@@ -1,5 +1,6 @@
+import argparse
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from styletx import model as model_module
 from styletx.checkpoint import load_params, save_params
-from styletx.cli import main
-from styletx.corpus import read_lines, write_lines
+from styletx.cli import build_parser, main
+from styletx.corpus import Vocab, read_lines, write_lines
 from styletx.evaluation import prepare_experiment
+from styletx.model import TransferModel, transfer_sentences
 from styletx.training import TrainConfig
 
 DESK_CFG = """\
@@ -23,6 +25,12 @@ epochs=1
 batch_size=32
 pad_len=14
 """
+
+
+def config_file(path, text: str) -> Path:
+    """path holding the config text, as a --config argument names it."""
+    path.write_text(text)
+    return path
 
 
 def report_rows(path) -> dict:
@@ -43,9 +51,9 @@ def workdir(tmp_path_factory):
     cfg.write_text(DESK_CFG)
     common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    assert main(["pretrain-ds", *common, "--split-seed", "0", "--config", str(cfg),
+    assert main(["pretrain-ds", *common, "--config", str(cfg),
                  "--out", str(root / "ds.ckpt")]) == 0
-    assert main(["train-eval-clf", *common, "--split-seed", "0", "--config", str(cfg),
+    assert main(["train-eval-clf", *common, "--config", str(cfg),
                  "--out", str(root / "eval.ckpt")]) == 0
     assert main(["train", *common, "--ds", str(root / "ds.ckpt"),
                  "--config", str(cfg), "--out", str(root / "model.ckpt"),
@@ -80,15 +88,15 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys, monkeypatch):
-    root, data, cfg = workdir
+def test_pretrain_ds_prints_parsable_accuracy(workdir, tmp_path, capsys, monkeypatch):
+    root, data, _ = workdir
     monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)
+    cfg = config_file(tmp_path / "seed1.cfg", DESK_CFG + "seed=1\n")
     capsys.readouterr()
     assert main(["pretrain-ds", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
-                 "--split-seed", "1", "--config", str(cfg),
-                 "--out", str(root / "ds2.ckpt")]) == 0
+                 "--config", str(cfg), "--out", str(root / "ds2.ckpt")]) == 0
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("accuracy=")]
     assert len(line) == 1
     assert 0.0 <= float(line[0].split("=", 1)[1]) <= 1.0
@@ -96,7 +104,10 @@ def test_pretrain_ds_prints_parsable_accuracy(workdir, capsys, monkeypatch):
     assert float(line[0].split("=", 1)[1]) == manifest["heldout_accuracy"]
     assert 0.0 < manifest["train_bce"] and 0.0 <= manifest["heldout_margin"] <= 0.5
     assert set(manifest["inputs"]) == {"source", "target", "labels", "config"}
-    assert (manifest["flags"]["d_emb"], manifest["flags"]["pad_len"]) == (24, 14)
+    config = manifest["config"]
+    assert config == asdict(TrainConfig.from_file(cfg))
+    assert manifest["config_fingerprint"] == TrainConfig.from_file(cfg).fingerprint()
+    assert (config["d_emb"], config["pad_len"], config["seed"]) == (24, 14, 1)
 
 
 def _assert_writes_protocol_classifier(out, clf, fit) -> None:
@@ -111,36 +122,39 @@ def _assert_writes_protocol_classifier(out, clf, fit) -> None:
 
 
 def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path, monkeypatch):
-    # without --config, `pretrain-ds --split-seed s` trains the judge that
-    # the reference settings' protocol trains with seed s
+    # a --config file that sets only the seed: `pretrain-ds` trains the judge
+    # that the reference settings' protocol trains with that seed
     _, data, _ = workdir
     monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)  # keeps the d_emb 200 run short
+    cfg = config_file(tmp_path / "seed2.cfg", "seed=2\n")
     out = tmp_path / "ds.ckpt"
     assert main(["pretrain-ds", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
-                 "--split-seed", "2", "--out", str(out)]) == 0
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert TrainConfig.from_file(cfg) == TrainConfig(seed=2)
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
-                               read_lines(data / "target.txt"), TrainConfig(seed=2))
+                               read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
     _assert_writes_protocol_classifier(out, setup.judge, setup.judge_fit)
     assert setup.judge_acc == setup.judge_fit.heldout_accuracy
     assert load_params(out)["clf.cnn.embedding"].shape[1] == TrainConfig().d_emb
 
 
 def test_classifier_commands_write_the_protocol_classifiers(workdir, tmp_path):
-    # `pretrain-ds` and `train-eval-clf` with `--config F --split-seed s`
-    # write exactly the judge and evaluation classifier that
-    # `evaluate --retrain --config F --seed s` trains
-    _, data, cfg = workdir
+    # `pretrain-ds --config F` and `train-eval-clf --config F` write exactly
+    # the judge and evaluation classifier that `evaluate --retrain --config F`
+    # trains, split and seeded by F's seed
+    _, data, _ = workdir
+    cfg = config_file(tmp_path / "seed2.cfg", DESK_CFG + "seed=2\n")
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
     for command, name in (("pretrain-ds", "ds.ckpt"), ("train-eval-clf", "eval.ckpt")):
-        assert main([command, *corpus, "--config", str(cfg), "--split-seed", "2",
+        assert main([command, *corpus, "--config", str(cfg),
                      "--out", str(tmp_path / name)]) == 0
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
-                               read_lines(data / "target.txt"),
-                               replace(TrainConfig.from_file(cfg), seed=2))
-    assert (setup.judge.cnn.embedding.shape[1], TrainConfig.from_file(cfg).pad_len) == (24, 14)
+                               read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
+    assert (setup.judge.cnn.embedding.shape[1], TrainConfig.from_file(cfg).pad_len,
+            TrainConfig.from_file(cfg).seed) == (24, 14, 2)
     _assert_writes_protocol_classifier(tmp_path / "ds.ckpt", setup.judge, setup.judge_fit)
     _assert_writes_protocol_classifier(tmp_path / "eval.ckpt", setup.eval_clf, setup.eval_fit)
     assert (setup.judge_acc, setup.eval_acc) == (setup.judge_fit.heldout_accuracy,
@@ -162,20 +176,22 @@ def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsy
     write_lines(doubled_labels, read_lines(data / "labels.txt") * 2)
     code = main(["train-eval-clf", "--source", str(doubled),
                  "--target", str(data / "target.txt"), "--labels", str(doubled_labels),
-                 "--split-seed", "0", "--config", str(cfg),
-                 "--out", str(root / "contaminated.ckpt")])
+                 "--config", str(cfg), "--out", str(root / "contaminated.ckpt")])
     assert code == 2
     assert "shared" in capsys.readouterr().err
 
 
 def test_train_manifest_echoes_reference_defaults(workdir):
-    root, _, _ = workdir
+    root, _, cfg = workdir
     manifest = json.loads(Path(str(root / "model.ckpt") + ".manifest.json").read_text())
-    flags = manifest["flags"]
+    config = manifest["config"]
     # config file sets dims only: the balance weights and learning rate fall
     # through from the built-in defaults
-    assert (flags["lambda_cyc"], flags["lambda_dis"]) == (1.0, 5.0)
-    assert flags["lr"] == 0.002  # from the config file
+    assert (config["lambda_cyc"], config["lambda_dis"]) == (1.0, 5.0)
+    assert config["lr"] == 0.002  # from the config file
+    assert config == asdict(TrainConfig.from_file(cfg))
+    assert manifest["config_fingerprint"] == TrainConfig.from_file(cfg).fingerprint()
+    assert manifest["flags"] == {}
     assert manifest["inputs"]["ds"]
 
 
@@ -190,25 +206,56 @@ def test_train_default_lr_and_weights_without_config(workdir, tmp_path):
                  "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
                  "--out", str(out), "--log", str(tmp_path / "m2.csv")]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert manifest["flags"]["lr"] == 1e-4
-    assert manifest["flags"]["lambda_dis"] == 5.0
+    assert manifest["config"]["lr"] == 1e-4
+    assert manifest["config"]["lambda_dis"] == 5.0
 
 
-def test_train_ablation_flags(workdir, tmp_path):
-    root, data, cfg = workdir
+def test_train_ablations_from_the_config(workdir, tmp_path):
+    root, data, _ = workdir
+    cfg = config_file(tmp_path / "ablate.cfg", DESK_CFG + "lambda_cyc=0\nlambda_dis=0\n")
     out = tmp_path / "nocyc.ckpt"
     assert main(["train", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
                  "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
-                 "--no-cyc", "--no-dis",
                  "--out", str(out), "--log", str(tmp_path / "nocyc.csv")]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert manifest["flags"]["lambda_cyc"] == 0.0
-    assert manifest["flags"]["lambda_dis"] == 0.0
+    assert manifest["config"]["lambda_cyc"] == 0.0
+    assert manifest["config"]["lambda_dis"] == 0.0
     header, first, *_ = Path(tmp_path / "nocyc.csv").read_text().splitlines()
     columns = dict(zip(header.split(","), first.split(",")))
     assert float(columns["cyc"]) == 0.0 and float(columns["dis"]) == 0.0
+
+
+@pytest.mark.parametrize("line", ["batch_size=0", "dropout=1.0", "epochs=0", "lr=-1"])
+def test_train_refuses_an_out_of_range_config(workdir, tmp_path, capsys, line):
+    root, data, _ = workdir
+    cfg = config_file(tmp_path / "bad.cfg", DESK_CFG + line + "\n")
+    out = tmp_path / "x.ckpt"
+    capsys.readouterr()
+    code = main(["train", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
+                 "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
+                 "--out", str(out), "--log", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert line.split("=")[0] in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_no_command_overrides_a_config_field():
+    # a command that reads --config takes every run setting from it, so none
+    # of its other options may set a TrainConfig field
+    config_keys = {f.name for f in fields(TrainConfig)}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    checked = 0
+    for name, sub in subparsers.choices.items():
+        dests = {action.dest for action in sub._actions}
+        if "config" in dests:
+            checked += 1
+            assert not dests & config_keys, f"{name} overrides {sorted(dests & config_keys)}"
+    assert checked == 5  # pretrain-ds, train-eval-clf, train, transfer, evaluate
 
 
 def test_train_corrupt_checkpoint_magic(workdir, tmp_path):
@@ -258,7 +305,7 @@ def test_train_refuses_judge_with_another_vocabulary(workdir, tmp_path, capsys, 
 
 
 def test_transfer_contract(workdir, tmp_path):
-    root, data, _ = workdir
+    root, data, cfg = workdir
     source_lines = read_lines(data / "source.txt")[:7]
     inp = tmp_path / "in.txt"
     inp.write_text("\n".join(source_lines) + "\n")
@@ -266,18 +313,24 @@ def test_transfer_contract(workdir, tmp_path):
     for out in (out_a, out_b):
         assert main(["transfer", "--model", str(root / "model.ckpt"),
                      "--input", str(inp), "--output", str(out),
-                     "--pad-len", "14"]) == 0
+                     "--config", str(cfg)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert len(read_lines(out_a)) == 7
+    # padded to the config's pad_len, as `evaluate --config` pads
+    model = TransferModel.from_params(load_params(root / "model.ckpt"))
+    vocab = Vocab.from_file(str(root / "model.ckpt") + ".vocab")
+    assert read_lines(out_a) == transfer_sentences(model, vocab, source_lines,
+                                                   TrainConfig.from_file(cfg).pad_len)
 
 
 def _transfer_exit(model, tmp_path, capsys) -> tuple:
     """(exit code, stderr) of `transfer --model model` on one sentence."""
     inp = tmp_path / "in.txt"
     inp.write_text("the food was great\n")
+    cfg = config_file(tmp_path / "desk.cfg", DESK_CFG)
     capsys.readouterr()
     code = main(["transfer", "--model", str(model), "--input", str(inp),
-                 "--output", str(tmp_path / "out.txt"), "--pad-len", "14"])
+                 "--output", str(tmp_path / "out.txt"), "--config", str(cfg)])
     return code, capsys.readouterr().err
 
 
@@ -319,12 +372,12 @@ def test_transfer_refuses_a_vocab_sidecar_of_another_size(workdir, tmp_path, cap
 
 
 def test_transfer_handles_out_of_vocabulary_tokens(workdir, tmp_path):
-    root, _, _ = workdir
+    root, _, cfg = workdir
     inp = tmp_path / "oov.txt"
     inp.write_text("zorble the unknowable quux\n")
     out = tmp_path / "oov_out.txt"
     assert main(["transfer", "--model", str(root / "model.ckpt"),
-                 "--input", str(inp), "--output", str(out), "--pad-len", "14"]) == 0
+                 "--input", str(inp), "--output", str(out), "--config", str(cfg)]) == 0
     assert len(read_lines(out)) == 1
 
 
@@ -339,7 +392,7 @@ def test_transfer_empty_input(workdir, tmp_path):
 
 
 def test_evaluate_report_recomputes(workdir, tmp_path):
-    root, data, _ = workdir
+    root, data, cfg = workdir
     inp = tmp_path / "eval_in.txt"
     labels = tmp_path / "eval_labels.txt"
     inp.write_text("\n".join(read_lines(data / "source.txt")[:20]) + "\n")
@@ -348,7 +401,7 @@ def test_evaluate_report_recomputes(workdir, tmp_path):
     code = main(["evaluate", "--model", str(root / "model.ckpt"),
                  "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
                  "--labels", str(labels), "--runs", "2",
-                 "--report", str(report_path), "--pad-len", "14",
+                 "--report", str(report_path), "--config", str(cfg),
                  "--samples", str(tmp_path / "samples.tsv")])
     assert code in (0, 4)  # advisory exit allowed when the tiny evaluator is weak
     rows = report_rows(report_path)
@@ -359,20 +412,20 @@ def test_evaluate_report_recomputes(workdir, tmp_path):
 
 
 def test_evaluate_single_run_zero_std(workdir, tmp_path):
-    root, data, _ = workdir
+    root, data, cfg = workdir
     inp = tmp_path / "one.txt"
     inp.write_text("\n".join(read_lines(data / "source.txt")[:5]) + "\n")
     report_path = tmp_path / "one.csv"
     code = main(["evaluate", "--model", str(root / "model.ckpt"),
                  "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
-                 "--runs", "1", "--report", str(report_path), "--pad-len", "14"])
+                 "--runs", "1", "--report", str(report_path), "--config", str(cfg)])
     assert code in (0, 4)
     assert float(report_rows(report_path)["std"]) == 0.0
 
 
 @pytest.mark.parametrize("n_labels", [1, 3])
 def test_evaluate_refuses_a_label_file_of_another_length(workdir, tmp_path, capsys, n_labels):
-    root, data, _ = workdir
+    root, data, cfg = workdir
     inp, labels = tmp_path / "in.txt", tmp_path / "labels.txt"
     write_lines(inp, read_lines(data / "source.txt")[:4])
     write_lines(labels, read_lines(data / "labels.txt")[:n_labels])
@@ -381,25 +434,27 @@ def test_evaluate_refuses_a_label_file_of_another_length(workdir, tmp_path, caps
     assert main(["evaluate", "--model", str(root / "model.ckpt"),
                  "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
                  "--labels", str(labels), "--report", str(report_path),
-                 "--pad-len", "14"]) == 2
+                 "--config", str(cfg)]) == 2
     assert f"{labels} holds {n_labels} labels for 4 sentences" in capsys.readouterr().err
     assert not report_path.exists()
 
 
 def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):
-    # DESK_CFG sets pad_len=14; only explicit flags override the file
-    _, data, cfg = workdir
+    # DESK_CFG sets pad_len=14; the seed comes from the same file
+    _, data, _ = workdir
+    cfg = config_file(tmp_path / "seed1.cfg", DESK_CFG + "seed=1\n")
     report_path = tmp_path / "retrain.csv"
     code = main(["evaluate", "--retrain", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
-                 "--config", str(cfg), "--seed", "1", "--runs", "1",
-                 "--report", str(report_path)])
+                 "--config", str(cfg), "--runs", "1", "--report", str(report_path)])
     assert code in (0, 4)
-    expected = replace(TrainConfig.from_file(cfg), seed=1)
-    assert expected.pad_len == 14
+    expected = TrainConfig.from_file(cfg)
+    assert (expected.pad_len, expected.seed) == (14, 1)
     assert f"# config: {expected.fingerprint()}" in report_path.read_text().splitlines()
+    assert any(line.startswith("0,1,") for line in read_lines(report_path))  # run 0, seed 1
     manifest = json.loads(Path(str(report_path) + ".manifest.json").read_text())
-    assert manifest["flags"]["pad_len"] == 14
+    assert manifest["config"] == asdict(expected)
+    assert manifest["config_fingerprint"] == expected.fingerprint()
 
 
 def test_evaluate_requires_inputs():

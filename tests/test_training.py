@@ -120,6 +120,23 @@ def test_config_file_overrides_defaults(tmp_path):
         TrainConfig.from_file(path)
 
 
+@pytest.mark.parametrize("key,value", [("d_z", 0), ("pad_len", 4), ("seed", -1), ("min_count", 0),
+                                       ("dropout", -0.1), ("lr", float("nan")),
+                                       ("lambda_cyc", float("inf")), ("lambda_dis", -0.5)])
+def test_config_refuses_out_of_range_values(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=f"^{key}="):
+        TrainConfig(**{key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key}={value}\n")
+    with pytest.raises(ConfigError, match=f"bad.cfg: {key}="):
+        TrainConfig.from_file(path)
+
+
+def test_config_accepts_the_range_edges():
+    TrainConfig(pad_len=5, seed=0, min_count=1, dropout=0.0, lr=0.0,
+                lambda_cyc=0.0, lambda_dis=0.0)
+
+
 def test_config_fingerprint_tracks_content():
     assert desk_config().fingerprint() != desk_config(seed=1).fingerprint()
     assert desk_config().fingerprint() == desk_config().fingerprint()
