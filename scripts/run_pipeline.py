@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""End-to-end synthetic pipeline through the CLI: generate corpora, pretrain
-the style judge, train the evaluation classifier, train the transfer model,
-transfer the test split and score it.
+"""End-to-end synthetic pipeline through the CLI: generate corpora, train the
+transfer model (with its style judge and evaluation classifier, each on its
+own data part), then retrain and score it over three seeded runs.
 
 Example:
     python3 scripts/run_pipeline.py --out runs/demo --seed 0
@@ -33,11 +33,8 @@ def run(out: Path, seed: int, n_source: int, n_target: int, mix: str, epochs: in
         "--n-source", str(n_source), "--n-target", str(n_target), "--mix", mix])
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    sh(["pretrain-ds", *corpus, "--config", str(cfg), "--out", str(out / "ds.ckpt")])
-    sh(["train-eval-clf", *corpus, "--config", str(cfg), "--out", str(out / "eval.ckpt")])
-    sh(["train", *corpus, "--ds", str(out / "ds.ckpt"), "--eval-clf", str(out / "eval.ckpt"),
-        "--config", str(cfg), "--out", str(out / "model.ckpt"), "--log", str(out / "metrics.csv"),
-        "--verbose"])
+    sh(["train", *corpus, "--config", str(cfg), "--out", str(out / "model.ckpt"),
+        "--log", str(out / "metrics.csv"), "--verbose"])
     sh(["evaluate", "--retrain", *corpus, "--config", str(cfg),
         "--runs", "3", "--report", str(out / "report.csv"),
         "--samples", str(out / "samples.tsv"), "--verbose"])

@@ -1,5 +1,5 @@
-"""Command-line pipeline: synthetic corpora, classifier pretraining,
-transfer-model training, transfer, and model-based evaluation.
+"""Command-line pipeline: synthetic corpora, evaluation-classifier
+training, transfer-model training, transfer, and model-based evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 divergence, 4 advisory (evaluation classifier below its trust gate).
@@ -38,7 +38,7 @@ from .evaluation import (
     write_sample_dump,
 )
 from .model import TextCnnClassifier, TransferModel, classify_texts, transfer_sentences
-from .training import ConfigError, TrainConfig, TransferCorpora, train
+from .training import ConfigError, TrainConfig, train
 
 USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, ADVISORY_EXIT = 1, 2, 3, 4
 
@@ -144,15 +144,14 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _classifier_command(args, part_index: int, command: str) -> int:
+def cmd_train_eval_clf(args) -> int:
     cfg = _config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
-                                               cfg.seed, cfg.min_count)
-    clf, fit = train_part_classifier(src_parts, tgt_parts, part_index, vocab, cfg, cfg.seed)
+    vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents, cfg)
+    clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg)
     save_params(args.out, clf.params())
     vocab.to_file(args.out + ".vocab")
-    write_manifest(args.out + ".manifest.json", command,
+    write_manifest(args.out + ".manifest.json", "train-eval-clf",
                    {"style_labels": source_labels is not None},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "config": args.config},
@@ -161,38 +160,22 @@ def _classifier_command(args, part_index: int, command: str) -> int:
     return 0
 
 
-def cmd_pretrain_ds(args) -> int:
-    return _classifier_command(args, part_index=1, command="pretrain-ds")
-
-
-def cmd_train_eval_clf(args) -> int:
-    return _classifier_command(args, part_index=2, command="train-eval-clf")
-
-
 def cmd_train(args) -> int:
     cfg = _config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    judge, judge_vocab = _load_with_vocab(args.ds, TextCnnClassifier.from_params)
-    eval_clf = eval_vocab = None
-    if args.eval_clf:
-        eval_clf, eval_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
-    vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents,
-                                               cfg.seed, cfg.min_count)
-    if judge_vocab.id_to_token != vocab.id_to_token:
-        raise SpecError(f"the --ds judge's vocabulary ({len(judge_vocab)} tokens) differs from "
-                        f"this run's ({len(vocab)} tokens); pretrain it on the same --source, "
-                        f"--target and --config (min_count {cfg.min_count})")
-    corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
-    result = train(cfg, corpora, judge, eval_clf=eval_clf, eval_vocab=eval_vocab,
+    setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
+    result = train(cfg, setup.corpora, setup.judge, eval_clf=setup.eval_clf,
                    ckpt_path=args.out, log_path=args.log, progress=args.verbose)
     if not np.isfinite(result.best_val):
         raise DivergenceError("no epoch produced a finite validation total")
     write_manifest(args.out + ".manifest.json", "train", {},
                    {"source": args.source, "target": args.target, "labels": args.labels,
-                    "ds": args.ds, "config": args.config},
+                    "config": args.config},
                    cfg, extra={"best_epoch": result.best_epoch,
                                "best_val_total": result.best_val,
-                               "skipped_steps": result.skipped_steps})
+                               "skipped_steps": result.skipped_steps,
+                               "judge_fit": asdict(setup.judge_fit),
+                               "eval_fit": asdict(setup.eval_fit)})
     print(f"best_val_total={result.best_val} best_epoch={result.best_epoch} "
           f"wall_seconds={result.wall_seconds:.1f}")
     return 0
@@ -286,25 +269,19 @@ def build_parser() -> Parser:
                    help="source style mixture target,anti,neutral (sums to 1)")
     p.set_defaults(fn=cmd_gen_synth)
 
-    for name, fn, blurb in [("pretrain-ds", cmd_pretrain_ds,
-                             "pretrain the frozen style judge on its data part"),
-                            ("train-eval-clf", cmd_train_eval_clf,
-                             "train the evaluation classifier on its data part")]:
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
-        p.add_argument("--labels", help="per-line source style labels; enables "
-                                        "style-label training")
-        p.add_argument("--config", help=CONFIG_HELP)
-        p.add_argument("--out", required=True, help="checkpoint path")
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("train-eval-clf", help="train the evaluation classifier on its data part")
+    p.add_argument("--source", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--labels", help="per-line source style labels; enables style-label training")
+    p.add_argument("--config", help=CONFIG_HELP)
+    p.add_argument("--out", required=True, help="checkpoint path")
+    p.set_defaults(fn=cmd_train_eval_clf)
 
-    p = sub.add_parser("train", help="train the transfer model")
+    p = sub.add_parser("train", help="train the style judge, the evaluation classifier and "
+                                     "the transfer model, each on its data part")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--labels")
-    p.add_argument("--ds", required=True, help="pretrained style judge checkpoint")
-    p.add_argument("--eval-clf", help="optional evaluation classifier for per-epoch accuracy")
     p.add_argument("--config", help=CONFIG_HELP + "; the ablations set lambda_cyc=0 or "
                                                   "lambda_dis=0")
     p.add_argument("--out", required=True, help="checkpoint path")

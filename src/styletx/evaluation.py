@@ -19,21 +19,28 @@ from .model import (
     pretrain_style_judge,
     transfer_sentences,
 )
-from .training import TrainConfig, TransferCorpora, train
+from .training import (
+    SEED_EVAL_CLF,
+    SEED_JUDGE,
+    SEED_SPLIT_SOURCE,
+    SEED_SPLIT_TARGET,
+    TrainConfig,
+    TransferCorpora,
+    train,
+)
 
 QUALITY_GATE = 0.8
 MAX_SKIPPED_STEPS = 10
 
-SEED_SPLIT_SOURCE, SEED_SPLIT_TARGET, SEED_JUDGE, SEED_EVAL_CLF = 6, 7, 8, 9
-
 
 def split_corpus(source: Sequence[str], labels: Optional[Sequence[str]],
-                 target: Sequence[str], seed: int, min_count: int) -> tuple:
-    """(vocab, source parts, target parts): the shared vocabulary and each
-    side's (transfer model, style judge, evaluation classifier) split."""
-    vocab = build_vocab(list(source) + list(target), min_count)
-    src_parts = three_way_split(source, [seed, SEED_SPLIT_SOURCE], labels=labels)
-    tgt_parts = three_way_split(target, [seed, SEED_SPLIT_TARGET])
+                 target: Sequence[str], cfg: TrainConfig) -> tuple:
+    """(vocab, source parts, target parts): the shared vocabulary, counted
+    with cfg.min_count, and each side's (transfer model, style judge,
+    evaluation classifier) split, seeded by cfg.seed."""
+    vocab = build_vocab(list(source) + list(target), cfg.min_count)
+    src_parts = three_way_split(source, [cfg.seed, SEED_SPLIT_SOURCE], labels=labels)
+    tgt_parts = three_way_split(target, [cfg.seed, SEED_SPLIT_TARGET])
     return vocab, src_parts, tgt_parts
 
 
@@ -68,10 +75,10 @@ def binary_style_data(source: Dataset, target: Dataset):
 
 
 def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Vocab,
-                          cfg: TrainConfig, seed: int) -> tuple:
+                          cfg: TrainConfig) -> tuple:
     """(frozen classifier, ClassifierFit) of split_corpus part k: the
-    style judge for k = 1, seeded [seed, SEED_JUDGE], or the evaluation
-    classifier for k = 2, seeded [seed, SEED_EVAL_CLF]. It embeds in
+    style judge for k = 1, seeded [cfg.seed, SEED_JUDGE], or the evaluation
+    classifier for k = 2, seeded [cfg.seed, SEED_EVAL_CLF]. It embeds in
     cfg.d_emb dimensions and pads to cfg.pad_len. Refuses to train if part k
     shares a sentence with either other part."""
     part_s, part_t = src_parts[k], tgt_parts[k]
@@ -83,7 +90,8 @@ def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Voc
     held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
     enc = lambda sents: [encode(s, vocab, cfg.pad_len) for s in sents]
     return pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
-                                len(vocab), cfg.d_emb, [seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
+                                len(vocab), cfg.d_emb,
+                                [cfg.seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
 
 
 @dataclass
@@ -203,9 +211,9 @@ class ExperimentResult:
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
                        target_sentences: Sequence[str], cfg: TrainConfig) -> ExperimentSetup:
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
-                                               target_sentences, cfg.seed, cfg.min_count)
-    judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg, cfg.seed)
-    eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg, cfg.seed)
+                                               target_sentences, cfg)
+    judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg)
+    eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_fit=judge_fit,
                            eval_clf=eval_clf, eval_fit=eval_fit,

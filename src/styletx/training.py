@@ -29,6 +29,7 @@ from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 
 # fixed offsets deriving every RNG stream from the run seed
 SEED_MODEL, SEED_SHUFFLE, SEED_DROPOUT, SEED_DRAW, SEED_VAL = 1, 2, 3, 4, 5
+SEED_SPLIT_SOURCE, SEED_SPLIT_TARGET, SEED_JUDGE, SEED_EVAL_CLF = 6, 7, 8, 9
 CLIP_NORM = 5.0  # global gradient-norm cap of each generator step
 
 
@@ -171,7 +172,6 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
         z = model.encode_content(joint, cfg.dropout, dropout_rng)
         soft = model.generate_soft(z, model.target_style, joint.max_len,
                                    TEMPERATURE, cfg.dropout, dropout_rng)
-    soft = [s.detach() for s in soft]
     tape = ad.Tape()
     with ad.recording(tape):
         loss = adversarial_term(d_clf, soft, len(batch_s), len(batch_t))
@@ -241,10 +241,11 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
 
 
 def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnClassifier],
-          eval_clf: Optional[TextCnnClassifier] = None, eval_vocab: Optional[Vocab] = None,
-          ckpt_path=None, log_path=None, progress: bool = False) -> TrainResult:
+          eval_clf: Optional[TextCnnClassifier] = None, ckpt_path=None, log_path=None,
+          progress: bool = False) -> TrainResult:
     """Full run: per batch, one discriminator update then one generator
-    update; per epoch, a validation pass; the checkpoint with the best
+    update; per epoch, a validation pass, plus `val_acc` from eval_clf (which
+    shares the run's vocabulary) when given; the checkpoint with the best
     validation total wins."""
     t_start = time.time()
     vocab = corpora.vocab
@@ -303,8 +304,7 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
                "val_total": float(val.total)}
         if eval_clf is not None:
             texts = transfer_sentences(model, vocab, corpora.source.val.sentences, cfg.pad_len)
-            row["val_acc"] = float(classify_texts(eval_clf, eval_vocab or vocab,
-                                                  texts, cfg.pad_len).mean())
+            row["val_acc"] = float(classify_texts(eval_clf, vocab, texts, cfg.pad_len).mean())
         metrics.append(row)
         if progress:
             print(f"epoch {epoch}: total {sums[4]:.3f} val {val.total:.3f}")

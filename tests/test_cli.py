@@ -12,7 +12,7 @@ from styletx.cli import build_parser, main
 from styletx.corpus import Vocab, read_lines, write_lines
 from styletx.evaluation import prepare_experiment
 from styletx.model import TransferModel, transfer_sentences
-from styletx.training import TrainConfig
+from styletx.training import TrainConfig, train
 
 DESK_CFG = """\
 d_emb=24
@@ -41,8 +41,8 @@ def report_rows(path) -> dict:
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """One small corpus plus trained judge/eval/model artifacts for the
-    whole CLI suite."""
+    """One small corpus plus trained evaluation classifier and model
+    artifacts for the whole CLI suite."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     assert main(["gen-synth", "--out", str(data), "--seed", "3",
@@ -51,12 +51,9 @@ def workdir(tmp_path_factory):
     cfg.write_text(DESK_CFG)
     common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    assert main(["pretrain-ds", *common, "--config", str(cfg),
-                 "--out", str(root / "ds.ckpt")]) == 0
     assert main(["train-eval-clf", *common, "--config", str(cfg),
                  "--out", str(root / "eval.ckpt")]) == 0
-    assert main(["train", *common, "--ds", str(root / "ds.ckpt"),
-                 "--config", str(cfg), "--out", str(root / "model.ckpt"),
+    assert main(["train", *common, "--config", str(cfg), "--out", str(root / "model.ckpt"),
                  "--log", str(root / "metrics.csv")]) == 0
     return root, data, cfg
 
@@ -88,19 +85,19 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_pretrain_ds_prints_parsable_accuracy(workdir, tmp_path, capsys, monkeypatch):
+def test_train_eval_clf_prints_parsable_accuracy(workdir, tmp_path, capsys, monkeypatch):
     root, data, _ = workdir
     monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)
     cfg = config_file(tmp_path / "seed1.cfg", DESK_CFG + "seed=1\n")
     capsys.readouterr()
-    assert main(["pretrain-ds", "--source", str(data / "source.txt"),
+    assert main(["train-eval-clf", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
-                 "--config", str(cfg), "--out", str(root / "ds2.ckpt")]) == 0
+                 "--config", str(cfg), "--out", str(root / "eval2.ckpt")]) == 0
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("accuracy=")]
     assert len(line) == 1
     assert 0.0 <= float(line[0].split("=", 1)[1]) <= 1.0
-    manifest = json.loads(Path(str(root / "ds2.ckpt") + ".manifest.json").read_text())
+    manifest = json.loads(Path(str(root / "eval2.ckpt") + ".manifest.json").read_text())
     assert float(line[0].split("=", 1)[1]) == manifest["heldout_accuracy"]
     assert 0.0 < manifest["train_bce"] and 0.0 <= manifest["heldout_margin"] <= 0.5
     assert set(manifest["inputs"]) == {"source", "target", "labels", "config"}
@@ -121,50 +118,84 @@ def _assert_writes_protocol_classifier(out, clf, fit) -> None:
     assert {k: manifest[k] for k in asdict(fit)} == asdict(fit)
 
 
-def test_pretrain_ds_judge_is_the_retrain_judge(workdir, tmp_path, monkeypatch):
-    # a --config file that sets only the seed: `pretrain-ds` trains the judge
-    # that the reference settings' protocol trains with that seed
+def test_train_eval_clf_is_the_retrain_classifier(workdir, tmp_path, monkeypatch):
+    # a --config file that sets only the seed: `train-eval-clf` trains the
+    # evaluation classifier that the reference settings' protocol trains with
+    # that seed
     _, data, _ = workdir
     monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)  # keeps the d_emb 200 run short
     cfg = config_file(tmp_path / "seed2.cfg", "seed=2\n")
-    out = tmp_path / "ds.ckpt"
-    assert main(["pretrain-ds", "--source", str(data / "source.txt"),
+    out = tmp_path / "eval.ckpt"
+    assert main(["train-eval-clf", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
                  "--config", str(cfg), "--out", str(out)]) == 0
     assert TrainConfig.from_file(cfg) == TrainConfig(seed=2)
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
                                read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
-    _assert_writes_protocol_classifier(out, setup.judge, setup.judge_fit)
-    assert setup.judge_acc == setup.judge_fit.heldout_accuracy
+    _assert_writes_protocol_classifier(out, setup.eval_clf, setup.eval_fit)
+    assert setup.eval_acc == setup.eval_fit.heldout_accuracy
     assert load_params(out)["clf.cnn.embedding"].shape[1] == TrainConfig().d_emb
 
 
-def test_classifier_commands_write_the_protocol_classifiers(workdir, tmp_path):
-    # `pretrain-ds --config F` and `train-eval-clf --config F` write exactly
-    # the judge and evaluation classifier that `evaluate --retrain --config F`
-    # trains, split and seeded by F's seed
+@pytest.fixture(scope="module")
+def seed2_run(workdir, tmp_path_factory):
+    """`train-eval-clf` and `train` under one --config with seed 2, beside
+    the protocol set-up that `evaluate --retrain --config F` builds."""
     _, data, _ = workdir
-    cfg = config_file(tmp_path / "seed2.cfg", DESK_CFG + "seed=2\n")
+    root = tmp_path_factory.mktemp("seed2")
+    cfg = config_file(root / "seed2.cfg", DESK_CFG + "seed=2\n")
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    for command, name in (("pretrain-ds", "ds.ckpt"), ("train-eval-clf", "eval.ckpt")):
-        assert main([command, *corpus, "--config", str(cfg),
-                     "--out", str(tmp_path / name)]) == 0
+    assert main(["train-eval-clf", *corpus, "--config", str(cfg),
+                 "--out", str(root / "eval.ckpt")]) == 0
+    assert main(["train", *corpus, "--config", str(cfg), "--out", str(root / "model.ckpt"),
+                 "--log", str(root / "metrics.csv")]) == 0
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
                                read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
+    return root, cfg, setup
+
+
+def test_classifier_commands_write_the_protocol_classifiers(seed2_run):
+    # `train-eval-clf --config F` writes exactly the evaluation classifier,
+    # and `train --config F` records exactly the judge and evaluation fits,
+    # that `evaluate --retrain --config F` trains, split and seeded by F's seed
+    root, cfg, setup = seed2_run
     assert (setup.judge.cnn.embedding.shape[1], TrainConfig.from_file(cfg).pad_len,
             TrainConfig.from_file(cfg).seed) == (24, 14, 2)
-    _assert_writes_protocol_classifier(tmp_path / "ds.ckpt", setup.judge, setup.judge_fit)
-    _assert_writes_protocol_classifier(tmp_path / "eval.ckpt", setup.eval_clf, setup.eval_fit)
+    _assert_writes_protocol_classifier(root / "eval.ckpt", setup.eval_clf, setup.eval_fit)
+    manifest = json.loads(Path(str(root / "model.ckpt") + ".manifest.json").read_text())
+    assert manifest["judge_fit"] == asdict(setup.judge_fit)
+    assert manifest["eval_fit"] == asdict(setup.eval_fit)
     assert (setup.judge_acc, setup.eval_acc) == (setup.judge_fit.heldout_accuracy,
                                                   setup.eval_fit.heldout_accuracy)
 
 
-def test_pretrain_ds_missing_file(tmp_path):
-    assert main(["pretrain-ds", "--source", str(tmp_path / "no.txt"),
-                 "--target", str(tmp_path / "no2.txt"),
-                 "--out", str(tmp_path / "out.ckpt")]) == 2
+def test_train_is_the_protocol_run(seed2_run):
+    # `train --config F` trains its own judge and evaluation classifier on the
+    # parts that F's seed splits off, so its model and metrics are those of
+    # training.train on the protocol set-up: a judge from another seed's split
+    # cannot reach it
+    root, cfg, setup = seed2_run
+    result = train(TrainConfig.from_file(cfg), setup.corpora, setup.judge,
+                   eval_clf=setup.eval_clf)
+    saved = load_params(root / "model.ckpt")
+    assert list(saved) == list(result.params)
+    assert all(np.array_equal(saved[k], result.params[k]) for k in saved)
+    header, *rows = read_lines(root / "metrics.csv")
+    assert header.split(",")[-1] == "val_acc"
+    assert [float(row.split(",")[-1]) for row in rows] == [m["val_acc"] for m in result.metrics]
+    vocab = Vocab.from_file(str(root / "model.ckpt") + ".vocab")
+    assert vocab.id_to_token == setup.vocab.id_to_token
+
+
+@pytest.mark.parametrize("command", ["train-eval-clf", "train"])
+def test_missing_corpus_file_is_a_data_error(tmp_path, command):
+    outputs = ["--out", str(tmp_path / "out.ckpt")]
+    if command == "train":
+        outputs += ["--log", str(tmp_path / "out.csv")]
+    assert main([command, "--source", str(tmp_path / "no.txt"),
+                 "--target", str(tmp_path / "no2.txt"), *outputs]) == 2
 
 
 def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsys):
@@ -174,11 +205,15 @@ def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsy
     doubled, doubled_labels = tmp_path / "doubled.txt", tmp_path / "doubled_labels.txt"
     write_lines(doubled, read_lines(data / "source.txt") * 2)
     write_lines(doubled_labels, read_lines(data / "labels.txt") * 2)
-    code = main(["train-eval-clf", "--source", str(doubled),
-                 "--target", str(data / "target.txt"), "--labels", str(doubled_labels),
-                 "--config", str(cfg), "--out", str(root / "contaminated.ckpt")])
-    assert code == 2
+    corpus = ["--source", str(doubled), "--target", str(data / "target.txt"),
+              "--labels", str(doubled_labels), "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(["train-eval-clf", *corpus, "--out", str(root / "contaminated.ckpt")]) == 2
     assert "shared" in capsys.readouterr().err
+    out = tmp_path / "contaminated_model.ckpt"
+    assert main(["train", *corpus, "--out", str(out), "--log", str(tmp_path / "x.csv")]) == 2
+    assert "shared" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.csv").exists()
 
 
 def test_train_manifest_echoes_reference_defaults(workdir):
@@ -192,18 +227,21 @@ def test_train_manifest_echoes_reference_defaults(workdir):
     assert config == asdict(TrainConfig.from_file(cfg))
     assert manifest["config_fingerprint"] == TrainConfig.from_file(cfg).fingerprint()
     assert manifest["flags"] == {}
-    assert manifest["inputs"]["ds"]
+    assert set(manifest["inputs"]) == {"source", "target", "labels", "config"}
+    for fit in ("judge_fit", "eval_fit"):
+        assert set(manifest[fit]) == {"heldout_accuracy", "train_bce", "heldout_margin"}
+    assert read_lines(root / "metrics.csv")[0].endswith(",val_acc")
 
 
 def test_train_default_lr_and_weights_without_config(workdir, tmp_path):
-    root, data, _ = workdir
+    _, data, _ = workdir
     cfg = tmp_path / "dims-only.cfg"
     cfg.write_text("d_emb=24\nd_z=32\nd_y=10\nd_maps=2\nepochs=1\nbatch_size=32\npad_len=14\n")
     out = tmp_path / "m2.ckpt"
     assert main(["train", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
-                 "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
+                 "--config", str(cfg),
                  "--out", str(out), "--log", str(tmp_path / "m2.csv")]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["config"]["lr"] == 1e-4
@@ -211,13 +249,13 @@ def test_train_default_lr_and_weights_without_config(workdir, tmp_path):
 
 
 def test_train_ablations_from_the_config(workdir, tmp_path):
-    root, data, _ = workdir
+    _, data, _ = workdir
     cfg = config_file(tmp_path / "ablate.cfg", DESK_CFG + "lambda_cyc=0\nlambda_dis=0\n")
     out = tmp_path / "nocyc.ckpt"
     assert main(["train", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
                  "--labels", str(data / "labels.txt"),
-                 "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
+                 "--config", str(cfg),
                  "--out", str(out), "--log", str(tmp_path / "nocyc.csv")]) == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["config"]["lambda_cyc"] == 0.0
@@ -229,13 +267,13 @@ def test_train_ablations_from_the_config(workdir, tmp_path):
 
 @pytest.mark.parametrize("line", ["batch_size=0", "dropout=1.0", "epochs=0", "lr=-1"])
 def test_train_refuses_an_out_of_range_config(workdir, tmp_path, capsys, line):
-    root, data, _ = workdir
+    _, data, _ = workdir
     cfg = config_file(tmp_path / "bad.cfg", DESK_CFG + line + "\n")
     out = tmp_path / "x.ckpt"
     capsys.readouterr()
     code = main(["train", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
-                 "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
+                 "--config", str(cfg),
                  "--out", str(out), "--log", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 2
@@ -255,53 +293,18 @@ def test_no_command_overrides_a_config_field():
         if "config" in dests:
             checked += 1
             assert not dests & config_keys, f"{name} overrides {sorted(dests & config_keys)}"
-    assert checked == 5  # pretrain-ds, train-eval-clf, train, transfer, evaluate
-
-
-def test_train_corrupt_checkpoint_magic(workdir, tmp_path):
-    root, data, cfg = workdir
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"WRONG" + b"\x00" * 16)
-    (tmp_path / "bad.ckpt.vocab").write_text("the\nfood\n")
-    code = main(["train", "--source", str(data / "source.txt"),
-                 "--target", str(data / "target.txt"),
-                 "--ds", str(bad), "--config", str(cfg),
-                 "--out", str(tmp_path / "x.ckpt"), "--log", str(tmp_path / "x.csv")])
-    assert code == 2
+    assert checked == 4  # train-eval-clf, train, transfer, evaluate
 
 
 def test_train_unknown_config_key(workdir, tmp_path):
-    root, data, _ = workdir
+    _, data, _ = workdir
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("vorpal=1\n")
     code = main(["train", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"),
-                 "--ds", str(root / "ds.ckpt"), "--config", str(cfg),
+                 "--config", str(cfg),
                  "--out", str(tmp_path / "x.ckpt"), "--log", str(tmp_path / "x.csv")])
     assert code == 2
-
-
-def test_train_refuses_judge_with_another_vocabulary(workdir, tmp_path, capsys, monkeypatch):
-    # a judge pretrained on the first 100 lines counts its tokens differently,
-    # so its ids would not mean the run's tokens
-    _, data, cfg = workdir
-    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 1)
-    for name in ("source.txt", "target.txt", "labels.txt"):
-        write_lines(tmp_path / name, read_lines(data / name)[:100])
-    ds = tmp_path / "ds_small.ckpt"
-    assert main(["pretrain-ds", "--source", str(tmp_path / "source.txt"),
-                 "--target", str(tmp_path / "target.txt"),
-                 "--labels", str(tmp_path / "labels.txt"),
-                 "--config", str(cfg), "--out", str(ds)]) == 0
-    capsys.readouterr()
-    common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
-              "--labels", str(data / "labels.txt")]
-    out = tmp_path / "x.ckpt"
-    code = main(["train", *common, "--ds", str(ds), "--config", str(cfg),
-                 "--out", str(out), "--log", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "--config" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_transfer_contract(workdir, tmp_path):
@@ -346,9 +349,9 @@ def _copy_model(root, tmp_path, edit_params=None, edit_vocab=None) -> Path:
 
 def test_transfer_refuses_a_classifier_checkpoint(workdir, tmp_path, capsys):
     root, _, _ = workdir
-    code, err = _transfer_exit(root / "ds.ckpt", tmp_path, capsys)
+    code, err = _transfer_exit(root / "eval.ckpt", tmp_path, capsys)
     assert code == 2
-    assert "ds.ckpt" in err and "'embedding'" in err and "Traceback" not in err
+    assert "eval.ckpt" in err and "'embedding'" in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
 
 
@@ -368,6 +371,16 @@ def test_transfer_refuses_a_vocab_sidecar_of_another_size(workdir, tmp_path, cap
     code, err = _transfer_exit(model, tmp_path, capsys)
     assert code == 2
     assert "edited.ckpt.vocab" in err and "tokens" in err and "rows" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_transfer_refuses_a_corrupt_checkpoint_magic(tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"WRONG" + b"\x00" * 16)
+    (tmp_path / "bad.ckpt.vocab").write_text("the\nfood\n")
+    code, err = _transfer_exit(bad, tmp_path, capsys)
+    assert code == 2
+    assert "bad.ckpt: bad magic" in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
 
 

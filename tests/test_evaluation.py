@@ -81,10 +81,11 @@ def test_check_disjoint_raises_on_overlap():
 @pytest.mark.parametrize("k,other", [(1, 0), (1, 2), (2, 0), (2, 1)])
 def test_part_classifier_rejects_a_sentence_shared_with_another_part(k, other):
     data = gen_synthetic(seed=40, n_source=60, n_target=60, mix=(0.0, 1.0, 0.0))
-    vocab, src_parts, tgt_parts = split_corpus(data.source, None, data.target, 0, 1)
+    cfg = desk_config(seed=0, pad_len=14)
+    vocab, src_parts, tgt_parts = split_corpus(data.source, None, data.target, cfg)
     tgt_parts[k].val.sentences.append(tgt_parts[other].train.sentences[0])
     with pytest.raises(ContaminationError, match="1 sentences shared"):
-        train_part_classifier(src_parts, tgt_parts, k, vocab, desk_config(pad_len=14), 0)
+        train_part_classifier(src_parts, tgt_parts, k, vocab, cfg)
 
 
 def test_prepare_experiment_rejects_judge_part_sharing_a_sentence():
@@ -118,7 +119,7 @@ def eval_world():
     src_parts = three_way_split(data.source, 1, labels=data.source_styles)
     tgt_parts = three_way_split(data.target, 2)
     clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab,
-                                     desk_config(d_emb=24, pad_len=16), 3)
+                                     desk_config(d_emb=24, pad_len=16, seed=3))
     return data, vocab, src_parts, tgt_parts, clf, fit.heldout_accuracy
 
 
