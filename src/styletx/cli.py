@@ -1,5 +1,5 @@
-"""Command-line pipeline: synthetic corpora, evaluation-classifier
-training, transfer-model training, transfer, and model-based evaluation.
+"""Command-line pipeline: synthetic corpora, transfer-model training,
+transfer, and model-based evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 divergence, 4 advisory (evaluation classifier below its trust gate).
@@ -11,33 +11,24 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointFormatError, atomic_write, load_params, save_params
-from .corpus import (
-    STYLE_TARGET,
-    EmptyInputError,
-    SpecError,
-    Vocab,
-    gen_synthetic,
-    read_lines,
-    write_lines,
-)
+from .checkpoint import CheckpointFormatError, atomic_write, load_params
+from .corpus import EmptyInputError, SpecError, Vocab, gen_synthetic, read_lines, write_lines
 from .evaluation import (
     ContaminationError,
-    EvalReport,
     prepare_experiment,
+    report_runs,
     run_experiment,
-    split_corpus,
-    train_part_classifier,
-    transfer_accuracy,
+    score_model,
     write_sample_dump,
 )
-from .model import TextCnnClassifier, TransferModel, classify_texts, transfer_sentences
+from .model import TransferModel, transfer_sentences
 from .training import ConfigError, TrainConfig, train
 
 USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, ADVISORY_EXIT = 1, 2, 3, 4
@@ -85,19 +76,15 @@ def _parse_mix(text: str):
     return tuple(parts)
 
 
-def _read_labels(path, sentences) -> list | None:
-    """The style labels in path, one line per sentence; None without a path."""
-    if not path:
-        return None
-    labels = read_lines(path)
-    if len(labels) != len(sentences):
-        raise SpecError(f"{path} holds {len(labels)} labels for {len(sentences)} sentences")
-    return labels
-
-
-def _load_corpus(source, target, labels):
+def _load_corpus(source, target, labels_path):
+    """(source, target, source style labels or None): the labels file needs
+    one line per source sentence."""
     source_sents = read_lines(source)
-    return source_sents, read_lines(target), _read_labels(labels, source_sents)
+    labels = read_lines(labels_path) if labels_path else None
+    if labels is not None and len(labels) != len(source_sents):
+        raise SpecError(f"{labels_path} holds {len(labels)} labels for "
+                        f"{len(source_sents)} sentences")
+    return source_sents, read_lines(target), labels
 
 
 def _config(args) -> TrainConfig:
@@ -106,12 +93,12 @@ def _config(args) -> TrainConfig:
     return TrainConfig.from_file(args.config) if args.config else TrainConfig()
 
 
-def _load_with_vocab(path, from_params) -> tuple:
-    """A checkpoint rebuilt by from_params, plus its vocabulary sidecar,
+def _load_with_vocab(path) -> tuple:
+    """The transfer model a checkpoint holds, plus its vocabulary sidecar,
     which must have one token per embedding row."""
     arrays = load_params(path)
     try:
-        loaded = from_params(arrays)
+        loaded = TransferModel.from_params(arrays)
     except CheckpointFormatError as err:
         raise CheckpointFormatError(f"{path}: {err}") from None
     vocab_path = Path(str(path) + ".vocab")
@@ -144,23 +131,8 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def cmd_train_eval_clf(args) -> int:
-    cfg = _config(args)
-    source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    vocab, src_parts, tgt_parts = split_corpus(source_sents, source_labels, target_sents, cfg)
-    clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg)
-    save_params(args.out, clf.params())
-    vocab.to_file(args.out + ".vocab")
-    write_manifest(args.out + ".manifest.json", "train-eval-clf",
-                   {"style_labels": source_labels is not None},
-                   {"source": args.source, "target": args.target, "labels": args.labels,
-                    "config": args.config},
-                   cfg, extra=asdict(fit))
-    print(f"accuracy={fit.heldout_accuracy}")
-    return 0
-
-
 def cmd_train(args) -> int:
+    t_start = time.perf_counter()
     cfg = _config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
     setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
@@ -177,13 +149,13 @@ def cmd_train(args) -> int:
                                "judge_fit": asdict(setup.judge_fit),
                                "eval_fit": asdict(setup.eval_fit)})
     print(f"best_val_total={result.best_val} best_epoch={result.best_epoch} "
-          f"wall_seconds={result.wall_seconds:.1f}")
+          f"wall_seconds={time.perf_counter() - t_start:.1f}")
     return 0
 
 
 def cmd_transfer(args) -> int:
     cfg = _config(args)
-    model, vocab = _load_with_vocab(args.model, TransferModel.from_params)
+    model, vocab = _load_with_vocab(args.model)
     lines = read_lines(args.input) if Path(args.input).stat().st_size else []
     keep = [(i, line) for i, line in enumerate(lines) if line.strip()]
     outputs = [""] * len(lines)
@@ -200,45 +172,28 @@ def cmd_transfer(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
-    if args.retrain:
-        if not (args.source and args.target and args.config):
-            raise UsageError("--retrain needs --source, --target and --config")
-        source_sents, target_sents, source_labels = _load_corpus(args.source, args.target,
-                                                                 args.labels)
-        setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
-        result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
-        report = result.report
-        if args.samples and result.runs:
-            pairs = list(zip(setup.corpora.source.test.sentences, result.runs[0].transferred))
-            write_sample_dump(args.samples, pairs)
-        if not report.accuracies:
-            raise DivergenceError("all runs tripped the divergence guard")
-    else:
-        if not (args.model and args.eval_clf and args.input):
-            raise UsageError("evaluate needs --model, --eval-clf and --input "
-                             "(or --retrain with --source/--target/--config)")
-        model, vocab = _load_with_vocab(args.model, TransferModel.from_params)
-        clf, clf_vocab = _load_with_vocab(args.eval_clf, TextCnnClassifier.from_params)
-        sentences = read_lines(args.input)
-        labels = _read_labels(args.labels, sentences)
-        clf_acc = None
-        if labels is not None:
-            truth = np.array([1.0 if l == STYLE_TARGET else 0.0 for l in labels])
-            preds = classify_texts(clf, clf_vocab, sentences, cfg.pad_len)
-            clf_acc = float((preds == truth).mean())
-        score = transfer_accuracy(model, vocab, clf, clf_vocab, sentences, cfg.pad_len,
-                                  true_styles=labels, clf_heldout_acc=clf_acc)
+    source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
+    setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
+    if args.model:
+        model, vocab = _load_with_vocab(args.model)
+        if vocab.id_to_token != setup.vocab.id_to_token:
+            raise CheckpointFormatError(f"{args.model}: its vocabulary sidecar differs from the "
+                                        f"vocabulary of --source and --target under --config")
         # greedy decoding of a fixed checkpoint is deterministic: one measurement
-        report = EvalReport(accuracies=[score.accuracy], seeds=[cfg.seed],
-                            warning=score.warning, by_style=score.by_style)
-        if args.samples:
-            write_sample_dump(args.samples, list(zip(sentences, score.transferred)))
+        result = report_runs(cfg, [(cfg.seed, score_model(setup, model, cfg))])
+    else:
+        result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
+    report = result.report
+    if not report.accuracies:
+        raise DivergenceError("all runs tripped the divergence guard")
     report.to_csv(args.report)
+    if args.samples:
+        write_sample_dump(args.samples, list(zip(setup.corpora.source.test.sentences,
+                                                 result.runs[0].transferred)))
     write_manifest(args.report + ".manifest.json", "evaluate",
-                   {"runs": args.runs if args.retrain else None,
-                    "retrain": args.retrain or None},
-                   {"model": args.model, "eval_clf": args.eval_clf, "input": args.input,
-                    "source": args.source, "target": args.target, "config": args.config},
+                   {"runs": None if args.model else args.runs},
+                   {"model": args.model, "source": args.source, "target": args.target,
+                    "labels": args.labels, "config": args.config},
                    cfg, extra={"mean": report.mean, "std": report.std})
     print(f"mean_accuracy={report.mean} std={report.std} n_runs={report.n_runs}")
     if report.warning is not None:  # transfer_accuracy's verdict on the trust gate
@@ -269,14 +224,6 @@ def build_parser() -> Parser:
                    help="source style mixture target,anti,neutral (sums to 1)")
     p.set_defaults(fn=cmd_gen_synth)
 
-    p = sub.add_parser("train-eval-clf", help="train the evaluation classifier on its data part")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--labels", help="per-line source style labels; enables style-label training")
-    p.add_argument("--config", help=CONFIG_HELP)
-    p.add_argument("--out", required=True, help="checkpoint path")
-    p.set_defaults(fn=cmd_train_eval_clf)
-
     p = sub.add_parser("train", help="train the style judge, the evaluation classifier and "
                                      "the transfer model, each on its data part")
     p.add_argument("--source", required=True)
@@ -296,20 +243,18 @@ def build_parser() -> Parser:
     p.add_argument("--config", help=CONFIG_HELP + "; transfer reads its pad_len")
     p.set_defaults(fn=cmd_transfer)
 
-    p = sub.add_parser("evaluate", help="score transfers with the evaluation classifier")
-    p.add_argument("--model")
-    p.add_argument("--eval-clf")
-    p.add_argument("--input")
+    p = sub.add_parser("evaluate", help="score greedy transfers of the held-out source test "
+                                        "part with the evaluation classifier")
+    p.add_argument("--source", required=True)
+    p.add_argument("--target", required=True)
     p.add_argument("--labels")
+    p.add_argument("--config", help=CONFIG_HELP + "; a checkpoint needs the file and corpus "
+                                                  "that trained it")
+    p.add_argument("--model", help="score this checkpoint once instead of training --runs models")
     p.add_argument("--runs", type=int, default=3,
-                   help="independent runs with --retrain; a checkpoint is scored once")
+                   help="independent train+evaluate runs without --model")
     p.add_argument("--report", required=True)
-    p.add_argument("--samples", help="optional source<TAB>transferred dump")
-    p.add_argument("--retrain", action="store_true",
-                   help="train everything from scratch per run instead of scoring checkpoints")
-    p.add_argument("--source")
-    p.add_argument("--target")
-    p.add_argument("--config", help=CONFIG_HELP)
+    p.add_argument("--samples", help="optional source<TAB>transferred dump of the test part")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
     return parser

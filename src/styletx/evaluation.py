@@ -102,16 +102,17 @@ class TransferScore:
     warning: Optional[str] = None
 
 
-def transfer_accuracy(model: TransferModel, model_vocab: Vocab, clf: TextCnnClassifier,
-                      clf_vocab: Vocab, sentences: Sequence[str], pad_len: int,
+def transfer_accuracy(model: TransferModel, vocab: Vocab, clf: TextCnnClassifier,
+                      sentences: Sequence[str], pad_len: int,
                       true_styles: Optional[Sequence[str]] = None,
                       clf_heldout_acc: Optional[float] = None) -> TransferScore:
     """Greedy-transfer every sentence and report the fraction the classifier
-    labels target-styled, with a per-true-style breakdown when available."""
+    labels target-styled, with a per-true-style breakdown when available.
+    Model and classifier share vocab."""
     if not sentences:
         raise SpecError("transfer accuracy needs a non-empty test set")
-    transferred = transfer_sentences(model, model_vocab, sentences, pad_len)
-    hits = classify_texts(clf, clf_vocab, transferred, pad_len)
+    transferred = transfer_sentences(model, vocab, sentences, pad_len)
+    hits = classify_texts(clf, vocab, transferred, pad_len)
     by_style: dict = {}
     if true_styles is not None:
         for style in sorted(set(true_styles)):
@@ -220,38 +221,44 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
                            source_parts=src_parts, target_parts=tgt_parts)
 
 
+def score_model(setup: ExperimentSetup, model: TransferModel, cfg: TrainConfig) -> TransferScore:
+    """The protocol's measurement of one transfer model: its greedy transfers
+    of the held-out source test part, scored by the evaluation classifier
+    and gated on that classifier's held-out accuracy."""
+    test = setup.corpora.source.test
+    return transfer_accuracy(model, setup.vocab, setup.eval_clf, test.sentences, cfg.pad_len,
+                             true_styles=test.labels, clf_heldout_acc=setup.eval_acc)
+
+
+def report_runs(cfg: TrainConfig, runs: Sequence[tuple]) -> ExperimentResult:
+    """The report of runs, one (seed, TransferScore) per run, with None in
+    place of the score of a run that tripped the divergence guard: such runs
+    are excluded from the aggregate and recorded in the report."""
+    scores = [score for _, score in runs if score is not None]
+    seeds = [seed for seed, score in runs if score is not None]
+    failed = [(i, seed) for i, (seed, score) in enumerate(runs) if score is None]
+    by_style: dict = {}
+    if scores:
+        for style in scores[0].by_style:
+            by_style[style] = float(np.mean([s.by_style[style] for s in scores]))
+    report = EvalReport(accuracies=[s.accuracy for s in scores], seeds=seeds,
+                        config_fingerprint=cfg.fingerprint(), failed_runs=failed,
+                        warning=scores[0].warning if scores else None, by_style=by_style)
+    return ExperimentResult(report=report, runs=scores)
+
+
 def run_experiment(setup: ExperimentSetup, cfg: TrainConfig, n_runs: int = 3,
                    progress: bool = False) -> ExperimentResult:
-    """n_runs independent train+evaluate cycles with seeds seed, seed+1, ...
-
-    Runs tripping the divergence guard are excluded from the aggregate and
-    recorded in the report.
-    """
+    """n_runs independent train+evaluate cycles with seeds seed, seed+1, ..."""
     if n_runs < 1:
         raise SpecError(f"n_runs must be at least 1, got {n_runs}")
-    accuracies, seeds, failed, scores = [], [], [], []
-    test_sents = setup.corpora.source.test.sentences
-    test_styles = setup.corpora.source.test.labels
+    runs = []
     for i in range(n_runs):
         run_cfg = replace(cfg, seed=cfg.seed + i)
         result = train(run_cfg, setup.corpora, setup.judge, progress=progress)
         diverged = result.skipped_steps > MAX_SKIPPED_STEPS or not np.isfinite(result.best_val)
-        if diverged:
-            failed.append((i, run_cfg.seed))
-            continue
-        score = transfer_accuracy(result.model, setup.vocab, setup.eval_clf, setup.vocab,
-                                  test_sents, cfg.pad_len, true_styles=test_styles,
-                                  clf_heldout_acc=setup.eval_acc)
-        scores.append(score)
-        seeds.append(run_cfg.seed)
-        accuracies.append(score.accuracy)
-        if progress:
+        score = None if diverged else score_model(setup, result.model, cfg)
+        runs.append((run_cfg.seed, score))
+        if progress and score is not None:
             print(f"run {i} (seed {run_cfg.seed}): accuracy {score.accuracy:.3f}")
-    by_style: dict = {}
-    if scores and scores[0].by_style:
-        for style in scores[0].by_style:
-            by_style[style] = float(np.mean([s.by_style[style] for s in scores]))
-    report = EvalReport(accuracies=accuracies, seeds=seeds,
-                        config_fingerprint=cfg.fingerprint(), failed_runs=failed,
-                        warning=scores[0].warning if scores else None, by_style=by_style)
-    return ExperimentResult(report=report, runs=scores)
+    return report_runs(cfg, runs)

@@ -220,17 +220,6 @@ class TextCnnClassifier:
         for p in self.params().values():
             p.requires_grad = False
 
-    @classmethod
-    def from_params(cls, arrays: dict) -> "TextCnnClassifier":
-        """The frozen classifier a checkpoint holds."""
-        vocab_size, d_emb = shape_of(arrays, "clf.cnn.embedding", 2)
-        shapes = _conv_shapes(arrays)
-        clf = cls.create(np.random.default_rng(0), vocab_size, d_emb,
-                         [s[0] for s in shapes], shapes[0][2])
-        load_into(clf.params(), arrays)
-        clf.freeze()
-        return clf
-
 
 @dataclass
 class TransferModel:

@@ -5,7 +5,6 @@ objective, Adam everywhere, deterministic under a single seed."""
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -140,7 +139,6 @@ class TrainResult:
     best_val: float
     best_epoch: int
     skipped_steps: int
-    wall_seconds: float
 
 
 METRIC_COLUMNS = ["epoch", "rec", "adv", "dis", "cyc", "total", "val_total"]
@@ -247,7 +245,6 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     update; per epoch, a validation pass, plus `val_acc` from eval_clf (which
     shares the run's vocabulary) when given; the checkpoint with the best
     validation total wins."""
-    t_start = time.time()
     vocab = corpora.vocab
     src_train, tgt_train = corpora.source.train.sentences, corpora.target.train.sentences
     if len(src_train) < cfg.batch_size or len(tgt_train) < cfg.batch_size:
@@ -319,5 +316,4 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     if log_path is not None:
         metrics_to_csv(metrics, log_path)
     return TrainResult(model=model, params=snapshot(g_params), metrics=metrics,
-                       best_val=best_val, best_epoch=best_epoch, skipped_steps=skipped,
-                       wall_seconds=time.time() - t_start)
+                       best_val=best_val, best_epoch=best_epoch, skipped_steps=skipped)

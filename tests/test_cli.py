@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from styletx import model as model_module
 from styletx.checkpoint import load_params, save_params
 from styletx.cli import build_parser, main
 from styletx.corpus import Vocab, read_lines, write_lines
-from styletx.evaluation import prepare_experiment
-from styletx.model import TransferModel, transfer_sentences
+from styletx.evaluation import prepare_experiment, split_corpus
+from styletx.model import TextCnnClassifier, TransferModel, transfer_sentences
 from styletx.training import TrainConfig, train
 
 DESK_CFG = """\
@@ -39,10 +38,16 @@ def report_rows(path) -> dict:
     return {run: value for run, _, value in (line.split(",") for line in lines[1:])}
 
 
+def _evaluate_args(data, cfg, report_path) -> list:
+    """`evaluate` of the workdir corpus under cfg, writing report_path."""
+    return ["evaluate", "--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
+            "--labels", str(data / "labels.txt"), "--config", str(cfg),
+            "--report", str(report_path)]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """One small corpus plus trained evaluation classifier and model
-    artifacts for the whole CLI suite."""
+    """One small corpus plus a trained model for the whole CLI suite."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
     assert main(["gen-synth", "--out", str(data), "--seed", "3",
@@ -51,8 +56,6 @@ def workdir(tmp_path_factory):
     cfg.write_text(DESK_CFG)
     common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    assert main(["train-eval-clf", *common, "--config", str(cfg),
-                 "--out", str(root / "eval.ckpt")]) == 0
     assert main(["train", *common, "--config", str(cfg), "--out", str(root / "model.ckpt"),
                  "--log", str(root / "metrics.csv")]) == 0
     return root, data, cfg
@@ -85,85 +88,28 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_train_eval_clf_prints_parsable_accuracy(workdir, tmp_path, capsys, monkeypatch):
-    root, data, _ = workdir
-    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)
-    cfg = config_file(tmp_path / "seed1.cfg", DESK_CFG + "seed=1\n")
-    capsys.readouterr()
-    assert main(["train-eval-clf", "--source", str(data / "source.txt"),
-                 "--target", str(data / "target.txt"),
-                 "--labels", str(data / "labels.txt"),
-                 "--config", str(cfg), "--out", str(root / "eval2.ckpt")]) == 0
-    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("accuracy=")]
-    assert len(line) == 1
-    assert 0.0 <= float(line[0].split("=", 1)[1]) <= 1.0
-    manifest = json.loads(Path(str(root / "eval2.ckpt") + ".manifest.json").read_text())
-    assert float(line[0].split("=", 1)[1]) == manifest["heldout_accuracy"]
-    assert 0.0 < manifest["train_bce"] and 0.0 <= manifest["heldout_margin"] <= 0.5
-    assert set(manifest["inputs"]) == {"source", "target", "labels", "config"}
-    config = manifest["config"]
-    assert config == asdict(TrainConfig.from_file(cfg))
-    assert manifest["config_fingerprint"] == TrainConfig.from_file(cfg).fingerprint()
-    assert (config["d_emb"], config["pad_len"], config["seed"]) == (24, 14, 1)
-
-
-def _assert_writes_protocol_classifier(out, clf, fit) -> None:
-    """The checkpoint at out holds clf parameter for parameter, and its
-    manifest records fit."""
-    saved = load_params(out)
-    expected = {k: p.data for k, p in clf.params().items()}
-    assert list(saved) == list(expected)
-    assert all(np.array_equal(saved[k], expected[k]) for k in expected)
-    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    assert {k: manifest[k] for k in asdict(fit)} == asdict(fit)
-
-
-def test_train_eval_clf_is_the_retrain_classifier(workdir, tmp_path, monkeypatch):
-    # a --config file that sets only the seed: `train-eval-clf` trains the
-    # evaluation classifier that the reference settings' protocol trains with
-    # that seed
-    _, data, _ = workdir
-    monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)  # keeps the d_emb 200 run short
-    cfg = config_file(tmp_path / "seed2.cfg", "seed=2\n")
-    out = tmp_path / "eval.ckpt"
-    assert main(["train-eval-clf", "--source", str(data / "source.txt"),
-                 "--target", str(data / "target.txt"),
-                 "--labels", str(data / "labels.txt"),
-                 "--config", str(cfg), "--out", str(out)]) == 0
-    assert TrainConfig.from_file(cfg) == TrainConfig(seed=2)
-    setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
-                               read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
-    _assert_writes_protocol_classifier(out, setup.eval_clf, setup.eval_fit)
-    assert setup.eval_acc == setup.eval_fit.heldout_accuracy
-    assert load_params(out)["clf.cnn.embedding"].shape[1] == TrainConfig().d_emb
-
-
 @pytest.fixture(scope="module")
 def seed2_run(workdir, tmp_path_factory):
-    """`train-eval-clf` and `train` under one --config with seed 2, beside
-    the protocol set-up that `evaluate --retrain --config F` builds."""
+    """`train` under a --config with seed 2, beside the protocol set-up
+    that `evaluate --config F` builds."""
     _, data, _ = workdir
     root = tmp_path_factory.mktemp("seed2")
     cfg = config_file(root / "seed2.cfg", DESK_CFG + "seed=2\n")
     corpus = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
               "--labels", str(data / "labels.txt")]
-    assert main(["train-eval-clf", *corpus, "--config", str(cfg),
-                 "--out", str(root / "eval.ckpt")]) == 0
     assert main(["train", *corpus, "--config", str(cfg), "--out", str(root / "model.ckpt"),
                  "--log", str(root / "metrics.csv")]) == 0
     setup = prepare_experiment(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
                                read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
-    return root, cfg, setup
+    return root, cfg, setup, corpus
 
 
 def test_classifier_commands_write_the_protocol_classifiers(seed2_run):
-    # `train-eval-clf --config F` writes exactly the evaluation classifier,
-    # and `train --config F` records exactly the judge and evaluation fits,
-    # that `evaluate --retrain --config F` trains, split and seeded by F's seed
-    root, cfg, setup = seed2_run
+    # `train --config F` records exactly the judge and evaluation fits that
+    # `evaluate --config F` trains, split and seeded by F's seed
+    root, cfg, setup, _ = seed2_run
     assert (setup.judge.cnn.embedding.shape[1], TrainConfig.from_file(cfg).pad_len,
             TrainConfig.from_file(cfg).seed) == (24, 14, 2)
-    _assert_writes_protocol_classifier(root / "eval.ckpt", setup.eval_clf, setup.eval_fit)
     manifest = json.loads(Path(str(root / "model.ckpt") + ".manifest.json").read_text())
     assert manifest["judge_fit"] == asdict(setup.judge_fit)
     assert manifest["eval_fit"] == asdict(setup.eval_fit)
@@ -176,7 +122,7 @@ def test_train_is_the_protocol_run(seed2_run):
     # parts that F's seed splits off, so its model and metrics are those of
     # training.train on the protocol set-up: a judge from another seed's split
     # cannot reach it
-    root, cfg, setup = seed2_run
+    root, cfg, setup, _ = seed2_run
     result = train(TrainConfig.from_file(cfg), setup.corpora, setup.judge,
                    eval_clf=setup.eval_clf)
     saved = load_params(root / "model.ckpt")
@@ -189,13 +135,48 @@ def test_train_is_the_protocol_run(seed2_run):
     assert vocab.id_to_token == setup.vocab.id_to_token
 
 
-@pytest.mark.parametrize("command", ["train-eval-clf", "train"])
+def test_evaluate_model_scores_the_checkpoint_as_run_0(seed2_run, tmp_path):
+    # the checkpoint `train --config F` writes is the model of run 0 of
+    # `evaluate --config F`, so scoring it gives that run's transfers and
+    # accuracy
+    root, cfg, setup, corpus = seed2_run
+    common = [*corpus, "--config", str(cfg)]
+    assert main(["evaluate", *common, "--model", str(root / "model.ckpt"),
+                 "--report", str(tmp_path / "ckpt.csv"),
+                 "--samples", str(tmp_path / "ckpt.tsv")]) in (0, 4)
+    assert main(["evaluate", *common, "--runs", "1", "--report", str(tmp_path / "run.csv"),
+                 "--samples", str(tmp_path / "run.tsv")]) in (0, 4)
+    assert (tmp_path / "ckpt.tsv").read_bytes() == (tmp_path / "run.tsv").read_bytes()
+    assert len(read_lines(tmp_path / "ckpt.tsv")) == len(setup.corpora.source.test)
+    ckpt, run = report_rows(tmp_path / "ckpt.csv"), report_rows(tmp_path / "run.csv")
+    assert set(ckpt) == {"0", "mean", "std"}
+    assert ckpt["0"] == run["0"]
+    fingerprint = f"# config: {TrainConfig.from_file(cfg).fingerprint()}"
+    assert fingerprint in read_lines(tmp_path / "ckpt.csv")
+    assert any(line.startswith("0,2,") for line in read_lines(tmp_path / "ckpt.csv"))
+
+
+def test_evaluate_refuses_a_checkpoint_of_another_vocabulary(workdir, tmp_path, capsys):
+    # same size, one token renamed: the shapes load, but the ids mean other words
+    root, data, cfg = workdir
+    model = _copy_model(root, tmp_path, edit_vocab=lambda tokens: ["zorble"] + tokens[1:])
+    report_path = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main([*_evaluate_args(data, cfg, report_path), "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "edited.ckpt" in err and "vocabulary" in err and "Traceback" not in err
+    assert set(tmp_path.iterdir()) == {model, Path(str(model) + ".vocab")}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_missing_corpus_file_is_a_data_error(tmp_path, command):
-    outputs = ["--out", str(tmp_path / "out.ckpt")]
     if command == "train":
-        outputs += ["--log", str(tmp_path / "out.csv")]
+        outputs = ["--out", str(tmp_path / "out.ckpt"), "--log", str(tmp_path / "out.csv")]
+    else:
+        outputs = ["--report", str(tmp_path / "out.csv")]
     assert main([command, "--source", str(tmp_path / "no.txt"),
                  "--target", str(tmp_path / "no2.txt"), *outputs]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsys):
@@ -208,12 +189,15 @@ def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsy
     corpus = ["--source", str(doubled), "--target", str(data / "target.txt"),
               "--labels", str(doubled_labels), "--config", str(cfg)]
     capsys.readouterr()
-    assert main(["train-eval-clf", *corpus, "--out", str(root / "contaminated.ckpt")]) == 2
-    assert "shared" in capsys.readouterr().err
     out = tmp_path / "contaminated_model.ckpt"
     assert main(["train", *corpus, "--out", str(out), "--log", str(tmp_path / "x.csv")]) == 2
     assert "shared" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "x.csv").exists()
+    report_path = tmp_path / "report.csv"
+    assert main(["evaluate", *corpus, "--model", str(root / "model.ckpt"),
+                 "--report", str(report_path)]) == 2
+    assert "shared" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_train_manifest_echoes_reference_defaults(workdir):
@@ -293,7 +277,7 @@ def test_no_command_overrides_a_config_field():
         if "config" in dests:
             checked += 1
             assert not dests & config_keys, f"{name} overrides {sorted(dests & config_keys)}"
-    assert checked == 4  # train-eval-clf, train, transfer, evaluate
+    assert checked == 3  # train, transfer, evaluate
 
 
 def test_train_unknown_config_key(workdir, tmp_path):
@@ -349,7 +333,11 @@ def _copy_model(root, tmp_path, edit_params=None, edit_vocab=None) -> Path:
 
 def test_transfer_refuses_a_classifier_checkpoint(workdir, tmp_path, capsys):
     root, _, _ = workdir
-    code, err = _transfer_exit(root / "eval.ckpt", tmp_path, capsys)
+    vocab = Vocab.from_file(str(root / "model.ckpt") + ".vocab")
+    clf = TextCnnClassifier.create(np.random.default_rng(0), len(vocab), 24, (1, 2, 3), 8)
+    save_params(tmp_path / "eval.ckpt", clf.params())
+    vocab.to_file(tmp_path / "eval.ckpt.vocab")
+    code, err = _transfer_exit(tmp_path / "eval.ckpt", tmp_path, capsys)
     assert code == 2
     assert "eval.ckpt" in err and "'embedding'" in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
@@ -406,49 +394,45 @@ def test_transfer_empty_input(workdir, tmp_path):
 
 def test_evaluate_report_recomputes(workdir, tmp_path):
     root, data, cfg = workdir
-    inp = tmp_path / "eval_in.txt"
-    labels = tmp_path / "eval_labels.txt"
-    inp.write_text("\n".join(read_lines(data / "source.txt")[:20]) + "\n")
-    labels.write_text("\n".join(read_lines(data / "labels.txt")[:20]) + "\n")
     report_path = tmp_path / "report.csv"
-    code = main(["evaluate", "--model", str(root / "model.ckpt"),
-                 "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
-                 "--labels", str(labels), "--runs", "2",
-                 "--report", str(report_path), "--config", str(cfg),
-                 "--samples", str(tmp_path / "samples.tsv")])
+    code = main([*_evaluate_args(data, cfg, report_path), "--model", str(root / "model.ckpt"),
+                 "--runs", "2", "--samples", str(tmp_path / "samples.tsv")])
     assert code in (0, 4)  # advisory exit allowed when the tiny evaluator is weak
     rows = report_rows(report_path)
     assert set(rows) == {"0", "mean", "std"}  # a fixed checkpoint is one deterministic measurement
     assert float(rows["mean"]) == float(rows["0"])
     assert float(rows["std"]) == 0.0
-    assert (tmp_path / "samples.tsv").read_text().count("\n") == 20
+    _, src_parts, _ = split_corpus(read_lines(data / "source.txt"),
+                                   read_lines(data / "labels.txt"),
+                                   read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
+    assert (tmp_path / "samples.tsv").read_text().count("\n") == len(src_parts[0].test)
+    manifest = json.loads(Path(str(report_path) + ".manifest.json").read_text())
+    assert manifest["flags"] == {}
+    assert set(manifest["inputs"]) == {"model", "source", "target", "labels", "config"}
 
 
 def test_evaluate_single_run_zero_std(workdir, tmp_path):
-    root, data, cfg = workdir
-    inp = tmp_path / "one.txt"
-    inp.write_text("\n".join(read_lines(data / "source.txt")[:5]) + "\n")
+    _, data, cfg = workdir
     report_path = tmp_path / "one.csv"
-    code = main(["evaluate", "--model", str(root / "model.ckpt"),
-                 "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
-                 "--runs", "1", "--report", str(report_path), "--config", str(cfg)])
+    code = main([*_evaluate_args(data, cfg, report_path), "--runs", "1"])
     assert code in (0, 4)
+    assert set(report_rows(report_path)) == {"0", "mean", "std"}
     assert float(report_rows(report_path)["std"]) == 0.0
 
 
 @pytest.mark.parametrize("n_labels", [1, 3])
 def test_evaluate_refuses_a_label_file_of_another_length(workdir, tmp_path, capsys, n_labels):
     root, data, cfg = workdir
-    inp, labels = tmp_path / "in.txt", tmp_path / "labels.txt"
-    write_lines(inp, read_lines(data / "source.txt")[:4])
+    labels = tmp_path / "labels.txt"
     write_lines(labels, read_lines(data / "labels.txt")[:n_labels])
+    n_source = len(read_lines(data / "source.txt"))
     report_path = tmp_path / "report.csv"
     capsys.readouterr()
-    assert main(["evaluate", "--model", str(root / "model.ckpt"),
-                 "--eval-clf", str(root / "eval.ckpt"), "--input", str(inp),
-                 "--labels", str(labels), "--report", str(report_path),
-                 "--config", str(cfg)]) == 2
-    assert f"{labels} holds {n_labels} labels for 4 sentences" in capsys.readouterr().err
+    assert main(["evaluate", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--labels", str(labels),
+                 "--config", str(cfg), "--model", str(root / "model.ckpt"),
+                 "--report", str(report_path)]) == 2
+    assert f"{labels} holds {n_labels} labels for {n_source} sentences" in capsys.readouterr().err
     assert not report_path.exists()
 
 
@@ -457,9 +441,7 @@ def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):
     _, data, _ = workdir
     cfg = config_file(tmp_path / "seed1.cfg", DESK_CFG + "seed=1\n")
     report_path = tmp_path / "retrain.csv"
-    code = main(["evaluate", "--retrain", "--source", str(data / "source.txt"),
-                 "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
-                 "--config", str(cfg), "--runs", "1", "--report", str(report_path)])
+    code = main([*_evaluate_args(data, cfg, report_path), "--runs", "1"])
     assert code in (0, 4)
     expected = TrainConfig.from_file(cfg)
     assert (expected.pad_len, expected.seed) == (14, 1)
@@ -468,6 +450,7 @@ def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):
     manifest = json.loads(Path(str(report_path) + ".manifest.json").read_text())
     assert manifest["config"] == asdict(expected)
     assert manifest["config_fingerprint"] == expected.fingerprint()
+    assert manifest["flags"] == {"runs": 1}
 
 
 def test_evaluate_requires_inputs():

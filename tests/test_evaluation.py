@@ -5,9 +5,11 @@ from styletx.corpus import Dataset, SpecError, build_vocab, encode, gen_syntheti
 from styletx.evaluation import (
     ContaminationError,
     EvalReport,
+    TransferScore,
     binary_style_data,
     check_disjoint,
     prepare_experiment,
+    report_runs,
     split_corpus,
     train_part_classifier,
     transfer_accuracy,
@@ -57,6 +59,23 @@ def test_report_csv_round_trip(tmp_path):
         "mean,,0.8",
         "std,,0.04999999999999999",
     ]
+
+
+def test_report_runs_aggregates_the_scored_runs():
+    # a checkpoint and every trained run are reported through this one
+    # builder: a diverged run (None) is recorded, not averaged
+    cfg = desk_config(seed=4)
+    runs = [(4, TransferScore(0.5, {"a": 0.25, "b": 1.0}, [], warning="weak")),
+            (5, None),
+            (6, TransferScore(1.0, {"a": 0.75, "b": 1.0}, [], warning="weak"))]
+    result = report_runs(cfg, runs)
+    report = result.report
+    assert (report.accuracies, report.seeds, report.failed_runs) == ([0.5, 1.0], [4, 6], [(1, 5)])
+    assert report.by_style == {"a": 0.5, "b": 1.0}
+    assert (report.config_fingerprint, report.warning) == (cfg.fingerprint(), "weak")
+    assert result.runs == [runs[0][1], runs[2][1]]
+    empty = report_runs(cfg, [(4, None)]).report
+    assert (empty.accuracies, empty.failed_runs, empty.by_style) == ([], [(0, 4)], {})
 
 
 def test_sample_dump_format(tmp_path):
@@ -158,7 +177,7 @@ def test_transfer_accuracy_contract(eval_world):
     model = TransferModel.create(np.random.default_rng(0), len(vocab), 16, 24, 10)
     sentences = src_parts[0].test.sentences[:40]
     styles = src_parts[0].test.labels[:40]
-    score = transfer_accuracy(model, vocab, clf, vocab, sentences, 16,
+    score = transfer_accuracy(model, vocab, clf, sentences, 16,
                               true_styles=styles, clf_heldout_acc=acc)
     assert 0.0 <= score.accuracy <= 1.0
     assert set(score.by_style) == set(styles)
@@ -166,7 +185,7 @@ def test_transfer_accuracy_contract(eval_world):
     assert score.warning is None
     # order invariance
     perm = np.random.default_rng(1).permutation(40)
-    score2 = transfer_accuracy(model, vocab, clf, vocab, [sentences[i] for i in perm],
+    score2 = transfer_accuracy(model, vocab, clf, [sentences[i] for i in perm],
                                16, clf_heldout_acc=acc)
     assert score2.accuracy == pytest.approx(score.accuracy)
 
@@ -175,7 +194,7 @@ def test_transfer_accuracy_empty_test_set(eval_world):
     data, vocab, _, _, clf, _ = eval_world
     model = TransferModel.create(np.random.default_rng(0), len(vocab), 16, 24, 10)
     with pytest.raises(SpecError):
-        transfer_accuracy(model, vocab, clf, vocab, [], 16)
+        transfer_accuracy(model, vocab, clf, [], 16)
 
 
 def test_degenerate_always_target_evaluator_flags_warning(eval_world):
@@ -184,7 +203,7 @@ def test_degenerate_always_target_evaluator_flags_warning(eval_world):
     stuck = TextCnnClassifier.create(np.random.default_rng(2), len(vocab), 16, (1, 2), 2)
     stuck.head_b.data[...] = 1e9  # answers "target" for everything
     stuck.freeze()
-    score = transfer_accuracy(model, vocab, stuck, vocab,
+    score = transfer_accuracy(model, vocab, stuck,
                               src_parts[0].test.sentences[:20], 16,
                               clf_heldout_acc=0.5)
     assert score.accuracy == 1.0

@@ -436,18 +436,6 @@ def test_transfer_model_checkpoint_round_trip(tmp_path):
     assert np.array_equal(z1.data, z2.data)
 
 
-def test_classifier_checkpoint_round_trip(tmp_path):
-    vocab = tiny_vocab()
-    clf = TextCnnClassifier.create(np.random.default_rng(5), len(vocab), 8, (2, 3), 4)
-    path = tmp_path / "clf.ckpt"
-    save_params(path, clf.params())
-    clone = TextCnnClassifier.from_params(load_params(path))
-    batch = batch_of(["the soup was bland"], vocab)
-    with no_grad():
-        assert np.array_equal(clf.prob(batch).data, clone.prob(batch).data)
-    assert not any(p.requires_grad for p in clone.params().values())
-
-
 GRU_NAMES = ["w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
              "w_cand", "u_cand", "b_cand"]
 

@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from styletx.corpus import read_lines
+from styletx.evaluation import split_corpus
+from styletx.training import desk_config
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -17,3 +21,12 @@ def test_run_pipeline_writes_its_artifacts(tmp_path):
     for name in ("metrics.csv", "report.csv", "samples.tsv"):
         assert (out / name).stat().st_size > 0, name
     assert (out / "metrics.csv").read_text().splitlines()[0].endswith(",val_acc")
+    # one scored checkpoint: one run row, seeded by the run config
+    rows = [line for line in read_lines(out / "report.csv")
+            if not line.startswith("#")][1:]
+    assert [row.split(",")[:2] for row in rows] == [["0", "0"], ["mean", ""], ["std", ""]]
+    # one transfer per sentence of the held-out source test part
+    data = out / "data"
+    _, src_parts, _ = split_corpus(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
+                                   read_lines(data / "target.txt"), desk_config(seed=0, epochs=1))
+    assert len(read_lines(out / "samples.tsv")) == len(src_parts[0].test)
