@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end synthetic pipeline through the CLI: generate corpora, train the
-transfer model (with its style judge and evaluation classifier, each on its
-own data part), then score the trained checkpoint on the held-out source
-test part.
+"""End-to-end synthetic pipeline through the CLI: generate corpora, then train
+the transfer model (with its style judge and evaluation classifier, each on
+its own data part), which also scores the model on the held-out source test
+part.
 
 Example:
     python3 scripts/run_pipeline.py --out runs/demo --seed 0
@@ -36,10 +36,8 @@ def run(out: Path, seed: int, n_source: int, n_target: int, mix: str, epochs: in
               "--labels", str(data / "labels.txt")]
     sh(["train", *corpus, "--config", str(cfg), "--out", str(out / "model.ckpt"),
         "--log", str(out / "metrics.csv"), "--verbose"])
-    sh(["evaluate", *corpus, "--config", str(cfg), "--model", str(out / "model.ckpt"),
-        "--report", str(out / "report.csv"), "--samples", str(out / "samples.tsv")])
-    print(f"\nartifacts in {out}: model.ckpt, metrics.csv, and the checkpoint's "
-          f"report.csv and samples.tsv")
+    print(f"\nartifacts in {out}: model.ckpt, metrics.csv, and the model's "
+          f"model.ckpt.report.csv and model.ckpt.samples.tsv")
 
 
 if __name__ == "__main__":

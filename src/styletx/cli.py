@@ -15,13 +15,12 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import CheckpointFormatError, atomic_write, load_params
 from .corpus import EmptyInputError, SpecError, Vocab, gen_synthetic, read_lines, write_lines
 from .evaluation import (
     ContaminationError,
+    diverged,
     prepare_experiment,
     report_runs,
     run_experiment,
@@ -111,6 +110,21 @@ def _load_with_vocab(path) -> tuple:
     return loaded, vocab
 
 
+def _write_score(setup, result, report_path, samples_path) -> int:
+    """Write the report and, given samples_path, run 0's transfers of the
+    held-out source test part; ADVISORY_EXIT below the trust gate, else 0."""
+    report = result.report
+    report.to_csv(report_path)
+    if samples_path:
+        write_sample_dump(samples_path, list(zip(setup.corpora.source.test.sentences,
+                                                 result.runs[0].transferred)))
+    print(f"mean_accuracy={report.mean} std={report.std} n_runs={report.n_runs}")
+    if report.warning is not None:
+        print("warning: evaluation classifier is below the trust gate", file=sys.stderr)
+        return ADVISORY_EXIT
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -138,8 +152,10 @@ def cmd_train(args) -> int:
     setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
     result = train(cfg, setup.corpora, setup.judge, eval_clf=setup.eval_clf,
                    ckpt_path=args.out, log_path=args.log, progress=args.verbose)
-    if not np.isfinite(result.best_val):
-        raise DivergenceError("no epoch produced a finite validation total")
+    if diverged(result):
+        raise DivergenceError(f"{result.skipped_steps} skipped steps, best_val={result.best_val}")
+    scored = report_runs(cfg, setup.eval_acc, [(cfg.seed, score_model(setup, result.model, cfg))])
+    code = _write_score(setup, scored, args.out + ".report.csv", args.out + ".samples.tsv")
     write_manifest(args.out + ".manifest.json", "train", {},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "config": args.config},
@@ -150,13 +166,13 @@ def cmd_train(args) -> int:
                                "eval_fit": asdict(setup.eval_fit)})
     print(f"best_val_total={result.best_val} best_epoch={result.best_epoch} "
           f"wall_seconds={time.perf_counter() - t_start:.1f}")
-    return 0
+    return code
 
 
 def cmd_transfer(args) -> int:
     cfg = _config(args)
     model, vocab = _load_with_vocab(args.model)
-    lines = read_lines(args.input) if Path(args.input).stat().st_size else []
+    lines = read_lines(args.input)
     keep = [(i, line) for i, line in enumerate(lines) if line.strip()]
     outputs = [""] * len(lines)
     if keep:
@@ -174,32 +190,16 @@ def cmd_evaluate(args) -> int:
     cfg = _config(args)
     source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
     setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
-    if args.model:
-        model, vocab = _load_with_vocab(args.model)
-        if vocab.id_to_token != setup.vocab.id_to_token:
-            raise CheckpointFormatError(f"{args.model}: its vocabulary sidecar differs from the "
-                                        f"vocabulary of --source and --target under --config")
-        # greedy decoding of a fixed checkpoint is deterministic: one measurement
-        result = report_runs(cfg, [(cfg.seed, score_model(setup, model, cfg))])
-    else:
-        result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
+    result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
     report = result.report
     if not report.accuracies:
         raise DivergenceError("all runs tripped the divergence guard")
-    report.to_csv(args.report)
-    if args.samples:
-        write_sample_dump(args.samples, list(zip(setup.corpora.source.test.sentences,
-                                                 result.runs[0].transferred)))
-    write_manifest(args.report + ".manifest.json", "evaluate",
-                   {"runs": None if args.model else args.runs},
-                   {"model": args.model, "source": args.source, "target": args.target,
-                    "labels": args.labels, "config": args.config},
+    code = _write_score(setup, result, args.report, args.samples)
+    write_manifest(args.report + ".manifest.json", "evaluate", {"runs": args.runs},
+                   {"source": args.source, "target": args.target, "labels": args.labels,
+                    "config": args.config},
                    cfg, extra={"mean": report.mean, "std": report.std})
-    print(f"mean_accuracy={report.mean} std={report.std} n_runs={report.n_runs}")
-    if report.warning is not None:  # transfer_accuracy's verdict on the trust gate
-        print("warning: evaluation classifier is below the trust gate", file=sys.stderr)
-        return ADVISORY_EXIT
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +224,15 @@ def build_parser() -> Parser:
                    help="source style mixture target,anti,neutral (sums to 1)")
     p.set_defaults(fn=cmd_gen_synth)
 
-    p = sub.add_parser("train", help="train the style judge, the evaluation classifier and "
-                                     "the transfer model, each on its data part")
+    p = sub.add_parser("train", help="train the style judge, the evaluation classifier and the "
+                                     "transfer model on their data parts; score the model")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--labels")
     p.add_argument("--config", help=CONFIG_HELP + "; the ablations set lambda_cyc=0 or "
                                                   "lambda_dis=0")
-    p.add_argument("--out", required=True, help="checkpoint path")
+    p.add_argument("--out", required=True, help="checkpoint path; the score goes to "
+                                                "OUT.report.csv and OUT.samples.tsv")
     p.add_argument("--log", required=True, help="metrics CSV path")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_train)
@@ -243,16 +244,14 @@ def build_parser() -> Parser:
     p.add_argument("--config", help=CONFIG_HELP + "; transfer reads its pad_len")
     p.set_defaults(fn=cmd_transfer)
 
-    p = sub.add_parser("evaluate", help="score greedy transfers of the held-out source test "
-                                        "part with the evaluation classifier")
+    p = sub.add_parser("evaluate", help="train --runs seeded transfer models and score each on "
+                                        "the held-out source test part")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--labels")
-    p.add_argument("--config", help=CONFIG_HELP + "; a checkpoint needs the file and corpus "
-                                                  "that trained it")
-    p.add_argument("--model", help="score this checkpoint once instead of training --runs models")
+    p.add_argument("--config", help=CONFIG_HELP)
     p.add_argument("--runs", type=int, default=3,
-                   help="independent train+evaluate runs without --model")
+                   help="independent train+evaluate runs, seeded seed, seed+1, ...")
     p.add_argument("--report", required=True)
     p.add_argument("--samples", help="optional source<TAB>transferred dump of the test part")
     p.add_argument("--verbose", action="store_true")

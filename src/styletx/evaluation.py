@@ -25,6 +25,7 @@ from .training import (
     SEED_SPLIT_SOURCE,
     SEED_SPLIT_TARGET,
     TrainConfig,
+    TrainResult,
     TransferCorpora,
     train,
 )
@@ -99,13 +100,11 @@ class TransferScore:
     accuracy: float
     by_style: dict
     transferred: list
-    warning: Optional[str] = None
 
 
 def transfer_accuracy(model: TransferModel, vocab: Vocab, clf: TextCnnClassifier,
                       sentences: Sequence[str], pad_len: int,
-                      true_styles: Optional[Sequence[str]] = None,
-                      clf_heldout_acc: Optional[float] = None) -> TransferScore:
+                      true_styles: Optional[Sequence[str]] = None) -> TransferScore:
     """Greedy-transfer every sentence and report the fraction the classifier
     labels target-styled, with a per-true-style breakdown when available.
     Model and classifier share vocab."""
@@ -118,12 +117,7 @@ def transfer_accuracy(model: TransferModel, vocab: Vocab, clf: TextCnnClassifier
         for style in sorted(set(true_styles)):
             idx = [i for i, s in enumerate(true_styles) if s == style]
             by_style[style] = float(hits[idx].mean())
-    warning = None
-    if clf_heldout_acc is not None and clf_heldout_acc < QUALITY_GATE:
-        warning = (f"evaluation classifier held-out accuracy {clf_heldout_acc:.3f} "
-                   f"is below the {QUALITY_GATE} trust gate")
-    return TransferScore(accuracy=float(hits.mean()), by_style=by_style,
-                         transferred=transferred, warning=warning)
+    return TransferScore(accuracy=float(hits.mean()), by_style=by_style, transferred=transferred)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +217,23 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
 
 def score_model(setup: ExperimentSetup, model: TransferModel, cfg: TrainConfig) -> TransferScore:
     """The protocol's measurement of one transfer model: its greedy transfers
-    of the held-out source test part, scored by the evaluation classifier
-    and gated on that classifier's held-out accuracy."""
+    of the held-out source test part, scored by the evaluation classifier."""
     test = setup.corpora.source.test
     return transfer_accuracy(model, setup.vocab, setup.eval_clf, test.sentences, cfg.pad_len,
-                             true_styles=test.labels, clf_heldout_acc=setup.eval_acc)
+                             true_styles=test.labels)
 
 
-def report_runs(cfg: TrainConfig, runs: Sequence[tuple]) -> ExperimentResult:
+def diverged(result: TrainResult) -> bool:
+    """The divergence guard: a run that skipped more than MAX_SKIPPED_STEPS
+    steps, or whose validation total was never finite, is not scored."""
+    return result.skipped_steps > MAX_SKIPPED_STEPS or not np.isfinite(result.best_val)
+
+
+def report_runs(cfg: TrainConfig, eval_acc: float, runs: Sequence[tuple]) -> ExperimentResult:
     """The report of runs, one (seed, TransferScore) per run, with None in
     place of the score of a run that tripped the divergence guard: such runs
-    are excluded from the aggregate and recorded in the report."""
+    are excluded from the aggregate and recorded. It warns when eval_acc,
+    the evaluation classifier's held-out accuracy, is below the trust gate."""
     scores = [score for _, score in runs if score is not None]
     seeds = [seed for seed, score in runs if score is not None]
     failed = [(i, seed) for i, (seed, score) in enumerate(runs) if score is None]
@@ -241,9 +241,11 @@ def report_runs(cfg: TrainConfig, runs: Sequence[tuple]) -> ExperimentResult:
     if scores:
         for style in scores[0].by_style:
             by_style[style] = float(np.mean([s.by_style[style] for s in scores]))
+    warning = (f"evaluation classifier held-out accuracy {eval_acc:.3f} is below the "
+               f"{QUALITY_GATE} trust gate" if eval_acc < QUALITY_GATE else None)
     report = EvalReport(accuracies=[s.accuracy for s in scores], seeds=seeds,
                         config_fingerprint=cfg.fingerprint(), failed_runs=failed,
-                        warning=scores[0].warning if scores else None, by_style=by_style)
+                        warning=warning, by_style=by_style)
     return ExperimentResult(report=report, runs=scores)
 
 
@@ -256,9 +258,8 @@ def run_experiment(setup: ExperimentSetup, cfg: TrainConfig, n_runs: int = 3,
     for i in range(n_runs):
         run_cfg = replace(cfg, seed=cfg.seed + i)
         result = train(run_cfg, setup.corpora, setup.judge, progress=progress)
-        diverged = result.skipped_steps > MAX_SKIPPED_STEPS or not np.isfinite(result.best_val)
-        score = None if diverged else score_model(setup, result.model, cfg)
+        score = None if diverged(result) else score_model(setup, result.model, cfg)
         runs.append((run_cfg.seed, score))
         if progress and score is not None:
             print(f"run {i} (seed {run_cfg.seed}): accuracy {score.accuracy:.3f}")
-    return report_runs(cfg, runs)
+    return report_runs(cfg, setup.eval_acc, runs)

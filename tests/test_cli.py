@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from styletx.checkpoint import load_params, save_params
+from styletx import evaluation
 from styletx.cli import build_parser, main
 from styletx.corpus import Vocab, read_lines, write_lines
 from styletx.evaluation import prepare_experiment, split_corpus
@@ -135,37 +136,39 @@ def test_train_is_the_protocol_run(seed2_run):
     assert vocab.id_to_token == setup.vocab.id_to_token
 
 
-def test_evaluate_model_scores_the_checkpoint_as_run_0(seed2_run, tmp_path):
-    # the checkpoint `train --config F` writes is the model of run 0 of
-    # `evaluate --config F`, so scoring it gives that run's transfers and
-    # accuracy
+def test_train_report_is_run_0_of_evaluate(seed2_run, tmp_path):
+    # the model `train --config F` writes is the model of run 0 of
+    # `evaluate --config F`, and `train` scores it the way `evaluate` scores
+    # that run: its report and samples are those of `evaluate --runs 1`
     root, cfg, setup, corpus = seed2_run
-    common = [*corpus, "--config", str(cfg)]
-    assert main(["evaluate", *common, "--model", str(root / "model.ckpt"),
-                 "--report", str(tmp_path / "ckpt.csv"),
-                 "--samples", str(tmp_path / "ckpt.tsv")]) in (0, 4)
-    assert main(["evaluate", *common, "--runs", "1", "--report", str(tmp_path / "run.csv"),
+    report = Path(str(root / "model.ckpt") + ".report.csv")
+    samples = Path(str(root / "model.ckpt") + ".samples.tsv")
+    assert main(["evaluate", *corpus, "--config", str(cfg), "--runs", "1",
+                 "--report", str(tmp_path / "run.csv"),
                  "--samples", str(tmp_path / "run.tsv")]) in (0, 4)
-    assert (tmp_path / "ckpt.tsv").read_bytes() == (tmp_path / "run.tsv").read_bytes()
-    assert len(read_lines(tmp_path / "ckpt.tsv")) == len(setup.corpora.source.test)
-    ckpt, run = report_rows(tmp_path / "ckpt.csv"), report_rows(tmp_path / "run.csv")
-    assert set(ckpt) == {"0", "mean", "std"}
-    assert ckpt["0"] == run["0"]
+    assert samples.read_bytes() == (tmp_path / "run.tsv").read_bytes()
+    assert report.read_bytes() == (tmp_path / "run.csv").read_bytes()
+    assert len(read_lines(samples)) == len(setup.corpora.source.test)
+    assert set(report_rows(report)) == {"0", "mean", "std"}
     fingerprint = f"# config: {TrainConfig.from_file(cfg).fingerprint()}"
-    assert fingerprint in read_lines(tmp_path / "ckpt.csv")
-    assert any(line.startswith("0,2,") for line in read_lines(tmp_path / "ckpt.csv"))
+    assert fingerprint in read_lines(report)
+    assert any(line.startswith("0,2,") for line in read_lines(report))
 
 
-def test_evaluate_refuses_a_checkpoint_of_another_vocabulary(workdir, tmp_path, capsys):
-    # same size, one token renamed: the shapes load, but the ids mean other words
-    root, data, cfg = workdir
-    model = _copy_model(root, tmp_path, edit_vocab=lambda tokens: ["zorble"] + tokens[1:])
-    report_path = tmp_path / "report.csv"
+def test_train_below_the_trust_gate_is_advisory(workdir, tmp_path, monkeypatch, capsys):
+    # an evaluation classifier below the gate cannot be trusted: `train`
+    # warns and exits 4, but keeps the model it trained
+    _, data, cfg = workdir
+    monkeypatch.setattr(evaluation, "QUALITY_GATE", 1.5)
+    out = tmp_path / "gated.ckpt"
     capsys.readouterr()
-    assert main([*_evaluate_args(data, cfg, report_path), "--model", str(model)]) == 2
-    err = capsys.readouterr().err
-    assert "edited.ckpt" in err and "vocabulary" in err and "Traceback" not in err
-    assert set(tmp_path.iterdir()) == {model, Path(str(model) + ".vocab")}
+    assert main(["train", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
+                 "--config", str(cfg), "--out", str(out), "--log", str(tmp_path / "m.csv")]) == 4
+    assert "below the trust gate" in capsys.readouterr().err
+    assert read_lines(str(out) + ".report.csv")[0].startswith("# warning:")
+    assert out.exists() and Path(str(out) + ".manifest.json").exists()
+    assert Path(str(out) + ".samples.tsv").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -180,7 +183,7 @@ def test_missing_corpus_file_is_a_data_error(tmp_path, command):
 
 
 def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsys):
-    root, data, cfg = workdir
+    _, data, cfg = workdir
     # every line written twice: the split puts the two copies of many
     # sentences in different parts, so the classifier part overlaps the others
     doubled, doubled_labels = tmp_path / "doubled.txt", tmp_path / "doubled_labels.txt"
@@ -194,8 +197,7 @@ def test_contaminated_custom_part_exits_with_data_error(workdir, tmp_path, capsy
     assert "shared" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "x.csv").exists()
     report_path = tmp_path / "report.csv"
-    assert main(["evaluate", *corpus, "--model", str(root / "model.ckpt"),
-                 "--report", str(report_path)]) == 2
+    assert main(["evaluate", *corpus, "--runs", "1", "--report", str(report_path)]) == 2
     assert "shared" in capsys.readouterr().err
     assert not report_path.exists()
 
@@ -392,23 +394,21 @@ def test_transfer_empty_input(workdir, tmp_path):
     assert out.read_text() == ""
 
 
-def test_evaluate_report_recomputes(workdir, tmp_path):
+def test_train_report_recomputes(workdir):
+    # `train` scores the one model it wrote: one deterministic measurement
     root, data, cfg = workdir
-    report_path = tmp_path / "report.csv"
-    code = main([*_evaluate_args(data, cfg, report_path), "--model", str(root / "model.ckpt"),
-                 "--runs", "2", "--samples", str(tmp_path / "samples.tsv")])
-    assert code in (0, 4)  # advisory exit allowed when the tiny evaluator is weak
-    rows = report_rows(report_path)
-    assert set(rows) == {"0", "mean", "std"}  # a fixed checkpoint is one deterministic measurement
+    rows = report_rows(str(root / "model.ckpt") + ".report.csv")
+    assert set(rows) == {"0", "mean", "std"}
     assert float(rows["mean"]) == float(rows["0"])
     assert float(rows["std"]) == 0.0
     _, src_parts, _ = split_corpus(read_lines(data / "source.txt"),
                                    read_lines(data / "labels.txt"),
                                    read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
-    assert (tmp_path / "samples.tsv").read_text().count("\n") == len(src_parts[0].test)
-    manifest = json.loads(Path(str(report_path) + ".manifest.json").read_text())
+    samples = Path(str(root / "model.ckpt") + ".samples.tsv")
+    assert samples.read_text().count("\n") == len(src_parts[0].test)
+    manifest = json.loads(Path(str(root / "model.ckpt") + ".manifest.json").read_text())
     assert manifest["flags"] == {}
-    assert set(manifest["inputs"]) == {"model", "source", "target", "labels", "config"}
+    assert set(manifest["inputs"]) == {"source", "target", "labels", "config"}
 
 
 def test_evaluate_single_run_zero_std(workdir, tmp_path):
@@ -422,7 +422,7 @@ def test_evaluate_single_run_zero_std(workdir, tmp_path):
 
 @pytest.mark.parametrize("n_labels", [1, 3])
 def test_evaluate_refuses_a_label_file_of_another_length(workdir, tmp_path, capsys, n_labels):
-    root, data, cfg = workdir
+    _, data, cfg = workdir
     labels = tmp_path / "labels.txt"
     write_lines(labels, read_lines(data / "labels.txt")[:n_labels])
     n_source = len(read_lines(data / "source.txt"))
@@ -430,8 +430,7 @@ def test_evaluate_refuses_a_label_file_of_another_length(workdir, tmp_path, caps
     capsys.readouterr()
     assert main(["evaluate", "--source", str(data / "source.txt"),
                  "--target", str(data / "target.txt"), "--labels", str(labels),
-                 "--config", str(cfg), "--model", str(root / "model.ckpt"),
-                 "--report", str(report_path)]) == 2
+                 "--config", str(cfg), "--runs", "1", "--report", str(report_path)]) == 2
     assert f"{labels} holds {n_labels} labels for {n_source} sentences" in capsys.readouterr().err
     assert not report_path.exists()
 
@@ -455,3 +454,12 @@ def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):
 
 def test_evaluate_requires_inputs():
     assert main(["evaluate", "--report", "/tmp/r.csv"]) == 1
+
+
+def test_evaluate_takes_no_checkpoint(workdir, tmp_path):
+    # `train` scores the model it writes; `evaluate` only trains its own runs
+    root, data, cfg = workdir
+    report_path = tmp_path / "report.csv"
+    assert main([*_evaluate_args(data, cfg, report_path), "--model",
+                 str(root / "model.ckpt")]) == 1
+    assert not report_path.exists()

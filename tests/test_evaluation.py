@@ -8,6 +8,7 @@ from styletx.evaluation import (
     TransferScore,
     binary_style_data,
     check_disjoint,
+    diverged,
     prepare_experiment,
     report_runs,
     split_corpus,
@@ -17,7 +18,7 @@ from styletx.evaluation import (
 )
 from styletx import model as model_module
 from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge
-from styletx.training import desk_config
+from styletx.training import TrainResult, desk_config
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +63,33 @@ def test_report_csv_round_trip(tmp_path):
 
 
 def test_report_runs_aggregates_the_scored_runs():
-    # a checkpoint and every trained run are reported through this one
-    # builder: a diverged run (None) is recorded, not averaged
+    # `train`'s model and every run of `evaluate` are reported through this
+    # one builder: a diverged run (None) is recorded, not averaged, and the
+    # trust gate is decided once, from the evaluation classifier's accuracy
     cfg = desk_config(seed=4)
-    runs = [(4, TransferScore(0.5, {"a": 0.25, "b": 1.0}, [], warning="weak")),
+    runs = [(4, TransferScore(0.5, {"a": 0.25, "b": 1.0}, [])),
             (5, None),
-            (6, TransferScore(1.0, {"a": 0.75, "b": 1.0}, [], warning="weak"))]
-    result = report_runs(cfg, runs)
+            (6, TransferScore(1.0, {"a": 0.75, "b": 1.0}, []))]
+    result = report_runs(cfg, 0.5, runs)
     report = result.report
     assert (report.accuracies, report.seeds, report.failed_runs) == ([0.5, 1.0], [4, 6], [(1, 5)])
     assert report.by_style == {"a": 0.5, "b": 1.0}
-    assert (report.config_fingerprint, report.warning) == (cfg.fingerprint(), "weak")
+    assert report.config_fingerprint == cfg.fingerprint()
+    assert report.warning == ("evaluation classifier held-out accuracy 0.500 is below the "
+                              "0.8 trust gate")
     assert result.runs == [runs[0][1], runs[2][1]]
-    empty = report_runs(cfg, [(4, None)]).report
+    assert report_runs(cfg, 0.8, runs).report.warning is None
+    empty = report_runs(cfg, 1.0, [(4, None)]).report
     assert (empty.accuracies, empty.failed_runs, empty.by_style) == ([], [(0, 4)], {})
+
+
+@pytest.mark.parametrize("skipped,best_val,expected", [
+    (11, 1.0, True), (10, float("inf"), True), (10, float("nan"), True), (10, 1.0, False)])
+def test_diverged_is_the_one_divergence_verdict(skipped, best_val, expected):
+    # `train` refuses, and `evaluate` records as failed, exactly these runs
+    result = TrainResult(model=None, params={}, metrics=[], best_val=best_val, best_epoch=0,
+                         skipped_steps=skipped)
+    assert diverged(result) is expected
 
 
 def test_sample_dump_format(tmp_path):
@@ -177,16 +191,14 @@ def test_transfer_accuracy_contract(eval_world):
     model = TransferModel.create(np.random.default_rng(0), len(vocab), 16, 24, 10)
     sentences = src_parts[0].test.sentences[:40]
     styles = src_parts[0].test.labels[:40]
-    score = transfer_accuracy(model, vocab, clf, sentences, 16,
-                              true_styles=styles, clf_heldout_acc=acc)
+    score = transfer_accuracy(model, vocab, clf, sentences, 16, true_styles=styles)
     assert 0.0 <= score.accuracy <= 1.0
     assert set(score.by_style) == set(styles)
     assert len(score.transferred) == 40
-    assert score.warning is None
+    assert report_runs(desk_config(), acc, [(0, score)]).report.warning is None
     # order invariance
     perm = np.random.default_rng(1).permutation(40)
-    score2 = transfer_accuracy(model, vocab, clf, [sentences[i] for i in perm],
-                               16, clf_heldout_acc=acc)
+    score2 = transfer_accuracy(model, vocab, clf, [sentences[i] for i in perm], 16)
     assert score2.accuracy == pytest.approx(score.accuracy)
 
 
@@ -204,7 +216,7 @@ def test_degenerate_always_target_evaluator_flags_warning(eval_world):
     stuck.head_b.data[...] = 1e9  # answers "target" for everything
     stuck.freeze()
     score = transfer_accuracy(model, vocab, stuck,
-                              src_parts[0].test.sentences[:20], 16,
-                              clf_heldout_acc=0.5)
+                              src_parts[0].test.sentences[:20], 16)
     assert score.accuracy == 1.0
-    assert score.warning is not None and "below" in score.warning
+    warning = report_runs(desk_config(), 0.5, [(0, score)]).report.warning
+    assert warning is not None and "below" in warning
