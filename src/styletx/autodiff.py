@@ -464,26 +464,78 @@ def clip(x: TensorLike, lo: float, hi: float) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def conv1d_maxpool(seq_emb: TensorLike, filters: TensorLike, bias: TensorLike) -> Tensor:
-    """Valid 1-d convolution over time, plus bias, then max-over-time pooling.
+def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
+             biases: Sequence[TensorLike]) -> Tensor:
+    """Multi-width text CNN, recorded as one tape op: for each filter, valid
+    1-d convolution over time plus bias, then max-over-time pooling.
 
-    seq_emb is [B, L, D], filters [width, D, C] and bias [C]. Returns one
-    value per sequence and feature map: [B, C].
+    seq_emb is [B, L, D]; filters[i] is [w_i, D, C_i] and biases[i] [C_i].
+    Returns the pooled maps [B, ΣC_i] in the order of `filters`, before any
+    nonlinearity.
+
+    One matmul multiplies the [B·L, D] embeddings by the taps of every
+    filter, stacked as [D, Σ w_i·C_i]; a filter's response at window p is
+    the sum over taps j of tap j's product at position p + j, plus the bias.
+    Pooling keeps the first argmax, so each (row, map) pools exactly one
+    window: backward assigns its gradient to that window's taps, where no
+    two writes collide, then forms the input and the filter gradients with
+    one matmul each.
     """
     seq_emb = as_tensor(seq_emb)
-    filters = as_tensor(filters)
-    if filters.ndim != 3:
-        raise ShapeError(f"filters must be [width, emb, maps], got {filters.shape}")
-    width, d_emb, n_maps = filters.shape
-    if seq_emb.shape[-1] != d_emb:
-        raise ShapeError(f"embedding dims disagree: sequence {seq_emb.shape} vs filters {filters.shape}")
-    batch, length = seq_emb.shape[0], seq_emb.shape[1]
+    filters = tuple(as_tensor(f) for f in filters)
+    biases = tuple(as_tensor(b) for b in biases)
+    if seq_emb.ndim != 3 or len(filters) != len(biases):
+        raise ShapeError(f"text_cnn expects a [batch, length, emb] sequence and one bias per filter, "
+                         f"got {seq_emb.shape}, {len(filters)} filters and {len(biases)} biases")
+    batch, length, d_emb = seq_emb.shape
+    for f, b in zip(filters, biases):
+        if f.ndim != 3 or f.shape[1] != d_emb or b.shape != f.shape[2:]:
+            raise ShapeError(f"filter {f.shape} and bias {b.shape} do not fit "
+                             f"[width, {d_emb}, maps] and [maps]")
+        if length < f.shape[0]:
+            raise SequenceTooShortError(
+                f"sequence length {length} shorter than filter width {f.shape[0]}")
+    # where each filter's taps start in the stacked columns, and its maps in the output
+    tap_cols = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in filters])
+    map_cols = np.cumsum([0] + [f.shape[2] for f in filters])
+    spans = list(zip(filters, tap_cols, map_cols, map_cols[1:]))
+    taps = np.concatenate([f.data.transpose(1, 0, 2).reshape(d_emb, -1) for f in filters], axis=1)
+    flat = seq_emb.data.reshape(batch * length, d_emb)
+    prod = (flat @ taps).reshape(batch, length, tap_cols[-1])
 
-    win = unfold_windows(seq_emb, width)                # [B, P, w*D]
-    flat = reshape(win, (batch * win.shape[1], width * d_emb))
-    resp = matmul(flat, reshape(filters, (width * d_emb, n_maps)))
-    resp = reshape(resp, (batch, length - width + 1, n_maps))
-    return max_along(add(resp, bias), axis=1)           # [B, C]
+    out = np.empty((batch, map_cols[-1]))
+    argmax = []
+    for (f, col, m0, m1), b in zip(spans, biases):
+        width, n_maps = f.shape[0], f.shape[2]
+        n_win = length - width + 1
+        resp = prod[:, :n_win, col:col + n_maps].copy()
+        for j in range(1, width):
+            resp += prod[:, j:j + n_win, col + j * n_maps:col + (j + 1) * n_maps]
+        resp += b.data
+        out[:, m0:m1] = resp.max(axis=1)
+        argmax.append(resp.argmax(axis=1))                     # [B, C]
+
+    def bwd(g):
+        g_prod = np.zeros((batch, length, tap_cols[-1]))
+        rows = np.arange(batch)[:, None, None]
+        for (f, col, m0, m1), idx in zip(spans, argmax):
+            tap = np.arange(f.shape[0])[None, :, None]
+            n_maps = f.shape[2]
+            g_prod[rows, idx[:, None, :] + tap, col + tap * n_maps + np.arange(n_maps)] = \
+                g[:, None, m0:m1]
+        g_prod = g_prod.reshape(batch * length, tap_cols[-1])
+        gx = (g_prod @ taps.T).reshape(seq_emb.shape) if seq_emb.requires_grad else None
+        g_filters = (None,) * len(filters)
+        if any(f.requires_grad for f in filters):
+            g_taps = flat.T @ g_prod
+            g_filters = tuple(
+                np.ascontiguousarray(g_taps[:, col:col + f.shape[0] * f.shape[2]]
+                                     .reshape(d_emb, f.shape[0], f.shape[2]).transpose(1, 0, 2))
+                for f, col, _, _ in spans)
+        g_biases = tuple(g[:, m0:m1].sum(axis=0) for _, _, m0, m1 in spans)
+        return (gx,) + g_filters + g_biases
+
+    return _record(out, (seq_emb,) + filters + biases, bwd)
 
 
 def _sigmoid_inplace(a: Array) -> Array:

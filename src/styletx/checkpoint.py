@@ -3,8 +3,7 @@
 Layout: magic b"LSTX1", then a uint32 record count, then per record a
 uint32 name length, the UTF-8 name, a uint32 rank, rank uint32 dims, and
 the row-major float64 payload. All integers and floats little-endian.
-The same container serves classifier and transfer-model checkpoints; a
-model's `params()` is the one place its tensor names are spelt, and
+A model's `params()` is the one place its tensor names are spelt, and
 `load_into` refuses a checkpoint whose names or shapes differ from them.
 """
 

@@ -157,9 +157,9 @@ class StyleEncoder:
 
     def features(self, emb_seq: Tensor) -> Tensor:
         """ReLU max-over-time maps of a [B, T, d_emb] sequence, widths in order."""
-        pooled = [ad.conv1d_maxpool(emb_seq, self.filters[w], self.biases[w])
-                  for w in sorted(self.filters)]
-        return ad.relu(ad.concat(pooled, axis=1))
+        widths = sorted(self.filters)
+        return ad.relu(ad.text_cnn(emb_seq, [self.filters[w] for w in widths],
+                                   [self.biases[w] for w in widths]))
 
     def encode(self, batch: Batch) -> Tensor:
         return self.features(ad.take_rows(self.embedding, batch.ids))

@@ -90,9 +90,9 @@ PRIMS = [
     lambda x: ad.sum_(ad.log(ad.add(ad.mul(x, x), 1.0))),
     lambda x: ad.sum_(ad.mul(ad.softmax(x, temperature=0.7), Tensor([1.0, -2.0, 0.5, 0.25]))),
     lambda x: ad.sum_(ad.max_along(ad.reshape(x, (2, 2)), axis=1)),
-    lambda x: ad.sum_(ad.conv1d_maxpool(ad.reshape(x, (1, 4, 1)),
-                                        Tensor([[[1.0, -0.5]], [[0.25, 0.75]]]),
-                                        Tensor([0.1, -0.2]))),
+    lambda x: ad.sum_(ad.text_cnn(ad.reshape(x, (1, 4, 1)),
+                                  [Tensor([[[1.0, -0.5]], [[0.25, 0.75]]])],
+                                  [Tensor([0.1, -0.2])])),
 ]
 
 

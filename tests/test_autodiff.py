@@ -17,7 +17,6 @@ from styletx.autodiff import (
     backward,
     clip,
     concat,
-    conv1d_maxpool,
     grad_check,
     matmul,
     max_along,
@@ -28,6 +27,7 @@ from styletx.autodiff import (
     sum_,
     take_along_last,
     take_rows,
+    text_cnn,
     unfold_windows,
 )
 
@@ -149,39 +149,98 @@ def conv_maxpool_oracle(seq, filt, bias):
     return resp.max(axis=0)
 
 
-def test_conv1d_maxpool_zero_sequence():
-    filt = np.random.default_rng(1).normal(size=(2, 3, 4))
-    out = conv1d_maxpool(Tensor(np.zeros((1, 6, 3))), Tensor(filt), Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+def cnn(seq, filts, biases):
+    return text_cnn(Tensor(seq), [Tensor(f) for f in filts], [Tensor(b) for b in biases])
 
 
-def test_conv1d_maxpool_single_window_is_identity_pool():
+def test_text_cnn_zero_sequence():
+    rng = np.random.default_rng(1)
+    filts = [rng.normal(size=(w, 3, 4)) for w in (1, 2, 3)]
+    out = cnn(np.zeros((1, 6, 3)), filts, [np.zeros(4)] * 3)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 12)))
+
+
+def test_text_cnn_single_window_is_identity_pool():
     rng = np.random.default_rng(2)
     seq, filt, bias = rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 5)), rng.normal(size=5)
-    out = conv1d_maxpool(Tensor(seq[None]), Tensor(filt), Tensor(bias))
+    out = cnn(seq[None], [filt], [bias])
     np.testing.assert_allclose(out.data[0], conv_maxpool_oracle(seq, filt, bias), rtol=1e-12)
 
 
-def test_conv1d_maxpool_window_loop_oracle():
+def test_text_cnn_window_loop_oracle():
     rng = np.random.default_rng(3)
-    seq, filt, bias = rng.normal(size=(5, 2)), rng.normal(size=(2, 2, 1)), rng.normal(size=1)
-    out = conv1d_maxpool(Tensor(seq[None]), Tensor(filt), Tensor(bias))
-    np.testing.assert_allclose(out.data[0], conv_maxpool_oracle(seq, filt, bias), rtol=1e-12)
+    seq = rng.normal(size=(5, 2))
+    filts = [rng.normal(size=(w, 2, c)) for w, c in ((2, 1), (1, 3), (4, 2))]
+    biases = [rng.normal(size=f.shape[2]) for f in filts]
+    out = cnn(seq[None], filts, biases)
+    expect = np.concatenate([conv_maxpool_oracle(seq, f, b) for f, b in zip(filts, biases)])
+    np.testing.assert_allclose(out.data[0], expect, rtol=1e-12)
 
 
-def test_conv1d_maxpool_batched_matches_per_sequence():
+def test_text_cnn_batched_matches_per_sequence():
     rng = np.random.default_rng(4)
-    seqs, filt, bias = rng.normal(size=(3, 6, 2)), rng.normal(size=(2, 2, 4)), rng.normal(size=4)
-    batched = conv1d_maxpool(Tensor(seqs), Tensor(filt), Tensor(bias))
+    seqs = rng.normal(size=(3, 6, 2))
+    filts = [rng.normal(size=(w, 2, 4)) for w in (1, 2, 5)]
+    biases = [rng.normal(size=4) for _ in filts]
+    batched = cnn(seqs, filts, biases)
     for i in range(3):
-        single = conv1d_maxpool(Tensor(seqs[i:i + 1]), Tensor(filt), Tensor(bias))
+        single = cnn(seqs[i:i + 1], filts, biases)
         np.testing.assert_array_equal(batched.data[i], single.data[0])
 
 
-def test_conv1d_maxpool_too_short():
-    with pytest.raises(SequenceTooShortError):
-        conv1d_maxpool(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((4, 3, 1))),
-                       Tensor(np.zeros(1)))
+def test_text_cnn_too_short():
+    with pytest.raises(SequenceTooShortError, match="width 4"):
+        cnn(np.zeros((1, 2, 3)), [np.zeros((1, 3, 1)), np.zeros((4, 3, 1))], [np.zeros(1)] * 2)
+
+
+def test_text_cnn_matches_per_width_composition():
+    # unfold every window, one matmul against the flattened filter, bias,
+    # max over time: the chain text_cnn replaces, width by width
+    rng = np.random.default_rng(5)
+    batch, length, d = 4, 7, 3
+    seq = rng.normal(size=(batch, length, d))
+    filts = [rng.normal(size=(w, d, 3)) for w in (1, 2, 3, 7)]
+    biases = [rng.normal(size=3) for _ in filts]
+    pooled = []
+    for f, b in zip(filts, biases):
+        w, n_win = f.shape[0], length - f.shape[0] + 1
+        win = reshape(unfold_windows(Tensor(seq), w), (batch * n_win, w * d))
+        resp = reshape(matmul(win, Tensor(f.reshape(w * d, 3))), (batch, n_win, 3))
+        pooled.append(max_along(ad.add(resp, Tensor(b)), axis=1).data)
+    np.testing.assert_allclose(cnn(seq, filts, biases).data, np.concatenate(pooled, axis=1),
+                               rtol=0, atol=1e-12)
+
+
+CNN_ARGS = ["seq", "filter1", "filter2", "filter3", "filter5", "bias1", "bias2", "bias3", "bias5"]
+
+
+@pytest.mark.parametrize("arg", range(len(CNN_ARGS)), ids=CNN_ARGS)
+def test_text_cnn_gradients_match_finite_differences(arg):
+    # the widths mix 1, 2, 3 and the full length 5
+    rng = np.random.default_rng(6)
+    values = [rng.normal(size=(3, 5, 2))]
+    values += [rng.normal(size=(w, 2, c)) for w, c in ((1, 2), (2, 3), (3, 1), (5, 2))]
+    values += [rng.normal(size=f.shape[2]) for f in values[1:5]]
+    weights = Tensor(np.linspace(-1.0, 1.0, 3 * 8).reshape(3, 8))
+
+    def f(x):
+        args = [Tensor(v) for v in values]
+        args[arg] = x
+        return sum_(ad.mul(text_cnn(args[0], args[1:5], args[5:]), weights))
+
+    assert grad_check(f, Tensor(values[arg])).passed
+
+
+def test_text_cnn_gradient_goes_to_the_first_argmax():
+    # every window of the constant sequence ties; max_along's rule sends
+    # the whole gradient to window 0, so only its positions get any
+    seq = Tensor(np.ones((1, 4, 1)), requires_grad=True)
+    filt = Tensor(np.array([[[1.0]], [[2.0]]]), requires_grad=True)
+    bias = Tensor(np.zeros(1), requires_grad=True)
+    run_taped(lambda tape: backward(sum_(text_cnn(seq, [filt], [bias])), tape))
+    np.testing.assert_array_equal(seq.grad, [[[1.0], [2.0], [0.0], [0.0]]])
+    np.testing.assert_array_equal(filt.grad, [[[1.0]], [[1.0]]])
+    np.testing.assert_array_equal(bias.grad, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +492,9 @@ PRIMITIVE_CASES = [
     ("max_along", lambda x: sum_(max_along(x, axis=1)), (2, 4)),
     ("unfold", lambda x: sum_(ad.mul(unfold_windows(x, 2), Tensor(np.arange(16.0).reshape(4, 4)))), (5, 2)),
     ("clip", lambda x: sum_(clip(x, -0.5, 0.5)), (6,)),
-    ("conv1d_maxpool", lambda x: sum_(conv1d_maxpool(x, Tensor(np.linspace(-1, 1, 12).reshape(2, 2, 3)),
-                                                     Tensor([0.1, -0.2, 0.3]))), (1, 5, 2)),
+    ("text_cnn", lambda x: sum_(text_cnn(x, [Tensor(np.linspace(-1, 1, 12).reshape(2, 2, 3)),
+                                             Tensor(np.linspace(1, -1, 6).reshape(3, 2, 1))],
+                                         [Tensor([0.1, -0.2, 0.3]), Tensor([0.05])])), (1, 5, 2)),
 ]
 
 

@@ -30,6 +30,8 @@ ALLOWED = {
                              "oracle of ROADMAP direction 3",
     "autodiff.GradCheckReport.passed": "grad_check's verdict against the tol its callers pass",
     "autodiff.tanh": "`perfbench/tracing.py` `PRIMS` wraps it by name on every run",
+    "autodiff.unfold_windows": "`perfbench/tracing.py` `PRIMS` wraps it by name on every run",
+    "autodiff.max_along": "`perfbench/tracing.py` `PRIMS` wraps it by name on every run",
 }
 
 
