@@ -548,7 +548,7 @@ def _sigmoid_inplace(a: Array) -> Array:
 
 def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
                  lengths: Optional[Array] = None) -> Tensor:
-    """Masked GRU unroll over a whole sequence, recorded as one tape op.
+    """Length-packed GRU unroll over a whole sequence, recorded as one tape op.
 
     x is [B, T, d_in], h0 [B, h], and weights the nine gate tensors
     (w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c). Each step computes
@@ -556,14 +556,19 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         z = σ((x·W_z + h·U_z) + b_z)    r = σ((x·W_r + h·U_r) + b_r)
         c = tanh((x·W_c + (r∘h)·U_c) + b_c)    h' = (1 − z)∘h + z∘c
 
-    From step `lengths.min()` on, h' = h + active∘(h' − h), so a row keeps
-    its state once t reaches its length. Returns the state after every
+    for the rows whose length (`lengths`, [B]; None means T) exceeds t; the
+    other rows copy their state forward, so a row of length 0 keeps h0 and
+    one of length ≥ T is live at every step. Returns the state after every
     step, [B, T, h].
 
-    The input projections of all steps are one matmul per gate, overwritten
-    in place by the gate values. Backward keeps just those, the states and
-    the input; it runs BPTT in one reverse loop, then forms each weight
-    gradient with one matmul over all steps.
+    The rows are sorted once by length, longest first and stable, so step
+    t's live rows are a prefix of the batch. Only the live (row, step)
+    pairs are computed: they are packed time-major, the input projections
+    of all of them are one matmul per gate, overwritten in place by the gate
+    values, and each step runs on its prefix. Backward keeps just those,
+    the states and the input; it runs BPTT in one reverse loop over the same
+    prefixes, then forms each weight gradient with one matmul over all live
+    pairs.
     """
     x, h0 = as_tensor(x), as_tensor(h0)
     weights = tuple(as_tensor(w) for w in weights)
@@ -576,26 +581,75 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     inputs = (x, h0) + weights
     batch, steps, d_in = x.shape
     d_h = uz.shape[0]
-    first_masked = steps if lengths is None else int(np.min(lengths))
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (batch,) or (lengths < 0).any():
+            raise ShapeError(f"gru_sequence expects {batch} non-negative lengths, got {lengths!r}")
+    packed = lengths is not None and bool((lengths < steps).any())
 
-    def time_major(a: Array) -> Array:
-        """[B, T, n] -> [T*B, n], so each step's rows form one contiguous block."""
-        return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(steps * batch, a.shape[2])
+    if packed:
+        # sorted row i is row order[i]; live[t, i] says whether it is live at step t
+        order = np.argsort(-lengths, kind="stable")
+        row_len = np.minimum(lengths[order], steps)
+        live = np.arange(steps)[:, None] < row_len
+        counts = live.sum(axis=1).tolist()
+    else:
+        counts = [batch] * steps
+    # step t's live rows fill rows offsets[t]:offsets[t + 1] of the packed
+    # arrays; its input states are rows prev[t]:prev[t] + counts[t] of `hs`
+    offsets = [0]
+    for n in counts:
+        offsets.append(offsets[-1] + n)
+    prev = [0] + [batch + lo for lo in offsets[:-2]]
+    n_live = offsets[-1]
+    blocks = [(offsets[t], offsets[t + 1], prev[t]) for t in range(steps) if counts[t]]
 
-    # one buffer for the gates z, r, c of every step, then h0 and the state
-    # after every step: one large allocation faults in much faster than
-    # several mid-sized ones (numpy asks for huge pages from 4 MB up)
-    work = np.empty((4 * steps + 1, batch, d_h))
-    zs, rs, cs = work[:3 * steps].reshape(3, steps, batch, d_h)
-    hs = work[3 * steps:]
-    flat_x = time_major(x.data)
+    # pack: [B, T, n] -> [N, n], the live pairs time-major, so each step's
+    # rows form one contiguous block; unpack: back, zeros at padded pairs.
+    # With every row live at every step that is a transpose, with no gather.
+    if packed:
+        rows = np.arange(batch)
+        # flat index into [B·T] of each packed pair, and of each pair's input state in `hs`
+        pair_index = (order * steps + np.arange(steps)[:, None])[live]
+        prev_index = (np.array(prev)[:, None] + rows)[live]
+        # where the state of each (row, step) sits in `hs`, in the caller's row order
+        last = np.minimum(np.arange(steps), row_len[:, None] - 1)
+        state_index = np.empty((batch, steps), dtype=np.int64)
+        state_index[order] = np.where(last >= 0, batch + np.array(offsets)[last] + rows[:, None],
+                                      rows[:, None])
+
+        def pack(a: Array) -> Array:
+            return a.reshape(batch * steps, a.shape[2])[pair_index]
+
+        def unpack(a: Array) -> Array:
+            out = np.zeros((batch * steps, a.shape[1]))
+            out[pair_index] = a
+            return out.reshape(batch, steps, a.shape[1])
+    else:
+        prev_index = slice(0, n_live)
+
+        def pack(a: Array) -> Array:
+            return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(n_live, a.shape[2])
+
+        def unpack(a: Array) -> Array:
+            return np.ascontiguousarray(a.reshape(steps, batch, a.shape[1]).swapaxes(0, 1))
+
+    # one buffer for the gates z, r, c of every live pair, then h0 and the
+    # state after every live pair: one large allocation faults in much
+    # faster than several mid-sized ones (numpy asks for huge pages from 4 MB up)
+    work = np.empty((4 * n_live + batch, d_h))
+    zs, rs, cs = work[:3 * n_live].reshape(3, n_live, d_h)
+    hs = work[3 * n_live:]
+    flat_x = pack(x.data)
     for gate, w in zip((zs, rs, cs), (wz, wr, wc)):
-        np.matmul(flat_x, w, out=gate.reshape(steps * batch, d_h))
-    hs[0] = h0.data
-    rh, tmp = np.empty((2, batch, d_h))
+        np.matmul(flat_x, w, out=gate)
+    hs[:batch] = h0.data[order] if packed else h0.data
+    rh_buf, tmp_buf = np.empty((2, batch, d_h))
     with np.errstate(over="ignore"):   # exp overflow gives the correct sigmoid 0
-        for t in range(steps):
-            z, r, c, h, h_next = zs[t], rs[t], cs[t], hs[t], hs[t + 1]
+        for lo, hi, p in blocks:
+            n = hi - lo
+            z, r, c = zs[lo:hi], rs[lo:hi], cs[lo:hi]
+            h, h_next, rh, tmp = hs[p:p + n], hs[batch + lo:batch + hi], rh_buf[:n], tmp_buf[:n]
             z += h @ uz
             z += bz
             _sigmoid_inplace(z)
@@ -610,33 +664,34 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
             h_next *= h
             np.multiply(z, c, out=tmp)
             h_next += tmp
-            if t >= first_masked:
-                np.subtract(h_next, h, out=tmp)
-                tmp *= (lengths > t)[:, None]
-                np.add(h, tmp, out=h_next)
-    out = np.ascontiguousarray(hs[1:].swapaxes(0, 1))
+    if packed:
+        out = hs[state_index.reshape(-1)].reshape(batch, steps, d_h)
+    else:
+        out = unpack(hs[batch:])
 
     def bwd(g):
-        # g_hs[t] collects the gradient of hs[t]; each step adds its terms
-        # in the order of the per-gate ops' reverse sweep
-        g_hs = np.zeros((steps + 1, batch, d_h))
-        g_hs[1:] = g.swapaxes(0, 1)
-        g_pre = np.empty((3, steps, batch, d_h))      # pre-activation z, r, c
-        for t in reversed(range(steps)):
-            h, z, r, c = hs[t], zs[t], rs[t], cs[t]
-            g_h, g_prev = g_hs[t + 1], g_hs[t]
-            if t >= first_masked:
-                g_new = g_h * (lengths > t)[:, None]
-                g_prev += g_h
-                g_prev -= g_new
-            else:
-                g_new = g_h
+        # g_hs mirrors hs: the gradient of h0, then of each live pair's new
+        # state; each step adds its terms to its input states' rows in the
+        # order of the per-gate ops' reverse sweep
+        g_hs = np.empty((batch + n_live, d_h))
+        g_hs[:batch] = 0.0
+        g_hs[batch:] = pack(g)
+        if packed:
+            # a row's copied-forward states pass their gradient to its last state
+            first = int(row_len[-1])
+            past = (np.arange(first, steps) >= lengths[:, None])[:, :, None]
+            g_hs[state_index[order, -1]] += (g[:, first:] * past).sum(axis=1)[order]
+        g_pre = np.empty((3, n_live, d_h))      # pre-activation z, r, c
+        for lo, hi, p in reversed(blocks):
+            n = hi - lo
+            h, z, r, c = hs[p:p + n], zs[lo:hi], rs[lo:hi], cs[lo:hi]
+            g_new, g_prev = g_hs[batch + lo:batch + hi], g_hs[p:p + n]
             omz = 1.0 - z
             g_z = g_new * c
             g_c = g_new * z
             g_prev += g_new * omz
             g_z -= g_new * h
-            gz_pre, gr_pre, gc_pre = g_pre[:, t]
+            gz_pre, gr_pre, gc_pre = g_pre[:, lo:hi]
             np.multiply(c, c, out=gc_pre)
             np.subtract(1.0, gc_pre, out=gc_pre)
             gc_pre *= g_c
@@ -648,14 +703,17 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
             np.multiply(g_z, z, out=gz_pre)
             gz_pre *= omz
             g_prev += gz_pre @ uz.T
-        gz_all, gr_all, gc_all = g_pre.reshape(3, steps * batch, d_h)
-        flat_h = hs[:-1].reshape(steps * batch, d_h)
-        flat_rh = (rs * hs[:-1]).reshape(steps * batch, d_h)
+        gz_all, gr_all, gc_all = g_pre
+        flat_h = hs[prev_index]
+        flat_rh = rs * flat_h
         gx = None
         if x.requires_grad:
-            gx = (gc_all @ wc.T + gr_all @ wr.T) + gz_all @ wz.T
-            gx = np.ascontiguousarray(gx.reshape(steps, batch, d_in).swapaxes(0, 1))
-        return (gx, g_hs[0],
+            gx = unpack((gc_all @ wc.T + gr_all @ wr.T) + gz_all @ wz.T)
+        g_h0 = g_hs[:batch]
+        if packed:
+            g_h0 = np.empty_like(g_h0)
+            g_h0[order] = g_hs[:batch]
+        return (gx, g_h0,
                 flat_x.T @ gz_all, flat_h.T @ gz_all, gz_all.sum(axis=0),
                 flat_x.T @ gr_all, flat_h.T @ gr_all, gr_all.sum(axis=0),
                 flat_x.T @ gc_all, flat_rh.T @ gc_all, gc_all.sum(axis=0))

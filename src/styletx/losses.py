@@ -67,10 +67,6 @@ def _domain_means(x: Tensor, n_s: int, n_t: int) -> Tensor:
     return _segment_mean(x, 0, n_s) + _segment_mean(x, n_s, n_t)
 
 
-def _rows(t: Tensor, start: int, stop: int) -> Tensor:
-    return ad.take_rows(t, np.arange(start, stop))
-
-
 # ---------------------------------------------------------------------------
 # individual terms
 
@@ -154,17 +150,16 @@ def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
         z_gen, y_gen = z, style_rows(model.target_style, n_s + n_t if need_adv else n_s)
         if need_cyc:
             if need_adv:
-                z_gen = ad.concat([z, _rows(z, n_s, n_s + n_t)], axis=0)
+                z_gen = ad.concat([z, ad.take_rows(z, np.arange(n_s, n_s + n_t))], axis=0)
             y_gen = ad.concat([y_gen, ad.take_rows(y_s, draw_idx)], axis=0)
         soft = model.generate_soft(z_gen, y_gen, joint.max_len, temperature,
                                    dropout_p, dropout_rng)
         if need_adv:
             out["adv"] = adversarial_term(d_clf, soft, n_s, n_t)
         if need_cyc:
-            z_back = model.encode_content(soft, dropout_p, dropout_rng)
-            if need_adv:
-                z_back = ad.concat([_rows(z_back, 0, n_s),
-                                    _rows(z_back, n_s + n_t, n_s + 2 * n_t)], axis=0)
+            # the adversarial reals are not decoded back: skip their rows
+            back = np.r_[0:n_s, n_s + n_t:n_s + 2 * n_t] if need_adv else None
+            z_back = model.encode_content(soft, dropout_p, dropout_rng, back)
             y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
             nll_cyc = model.decode_teacher_forced(z_back, y_home, joint, dropout_p, dropout_rng)
             out["cyc"] = _domain_means(nll_cyc, n_s, n_t)

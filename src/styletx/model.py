@@ -116,8 +116,9 @@ class GruCell:
         return self.u_update.shape[0]
 
     def unroll(self, x: Tensor, h0: Tensor, lengths: Optional[np.ndarray] = None) -> Tensor:
-        """States [B, T, h] after each step of a [B, T, d_in] sequence; a row
-        keeps its state once t reaches its length."""
+        """States [B, T, h] after each step of a [B, T, d_in] sequence: the
+        packed masked unroll, which computes a row's steps up to its length
+        only and copies its state forward from there."""
         return ad.gru_sequence(x, h0, [getattr(self, f.name) for f in fields(self)], lengths)
 
     def step(self, x: Tensor, h: Tensor) -> Tensor:
@@ -258,8 +259,10 @@ class TransferModel:
 
     # --- encoders ---------------------------------------------------------
     def encode_content(self, x: Union[Batch, SoftSeq], dropout_p: float = 0.0,
-                       dropout_rng=None) -> Tensor:
-        """GRU over token embeddings; the last real hidden state is the content code."""
+                       dropout_rng=None, rows: Optional[np.ndarray] = None) -> Tensor:
+        """GRU over token embeddings; the last real hidden state is the content
+        code. With `rows`, only those rows are encoded and returned, in that
+        order; dropout still draws its mask over every row."""
         if isinstance(x, Batch):
             emb = ad.take_rows(self.embedding, x.ids[:, : int(x.lengths.max())])
             lengths = x.lengths
@@ -267,10 +270,17 @@ class TransferModel:
             emb = _soft_embed(self.embedding, x)
             lengths = None
         b, t = emb.shape[0], emb.shape[1]
+        if rows is None:
+            rows = np.arange(b)
+        else:   # a row of length 0 costs the unroll nothing
+            rows = np.asarray(rows)
+            kept = np.zeros(b, dtype=np.int64)
+            kept[rows] = t if lengths is None else lengths[rows]
+            lengths = kept
         states = self.enc_cell.unroll(_dropout(emb, dropout_p, dropout_rng),
                                       Tensor(np.zeros((b, self.d_z))), lengths)
         # row i's last state is row i*t + t-1 of the flattened [B*T, d_z]
-        return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), np.arange(b) * t + t - 1)
+        return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), rows * t + t - 1)
 
     def encode_style(self, batch: Batch) -> Tensor:
         """The CNN style code of each source sentence; target sentences all

@@ -371,13 +371,19 @@ def test_gru_cell_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# gru_sequence: the fused masked unroll
+# gru_sequence: the packed masked unroll
 
 GRU_NAMES = ("x", "h0", "w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c")
-GRU_LENGTHS = {"lengths": np.array([1, 4, 2]), "none": None}   # 1, T and a middle value
+GRU_LENGTHS = {
+    "lengths": np.array([1, 4, 2]),           # 1, T and a middle value
+    "unsorted": np.array([2, 4, 0, 4, 1]),    # ties, 0, 1 and T, out of order
+    "none": None,
+}
 
 
-def gru_inputs(seed=5, batch=3, steps=4, d_in=2, d_h=3):
+def gru_inputs(seed=5, batch=3, steps=4, d_in=2, d_h=3, lengths=None):
+    if lengths is not None:
+        batch = len(lengths)
     rng = np.random.default_rng(seed)
     shapes = [(batch, steps, d_in), (batch, d_h)] + [(d_in, d_h), (d_h, d_h), (d_h,)] * 3
     return [rng.normal(size=s) * 0.7 for s in shapes]
@@ -411,7 +417,7 @@ def gru_loss(unroll, values, lengths):
 @pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
 @pytest.mark.parametrize("k", range(len(GRU_NAMES)), ids=GRU_NAMES)
 def test_gru_sequence_gradients_match_finite_differences(k, lengths):
-    values = [Tensor(v) for v in gru_inputs()]
+    values = [Tensor(v) for v in gru_inputs(lengths=lengths)]
 
     def f(t):
         return gru_loss(ad.gru_sequence, values[:k] + [t] + values[k + 1:], lengths)
@@ -424,7 +430,7 @@ def test_gru_sequence_gradients_match_finite_differences(k, lengths):
 def test_gru_sequence_matches_per_gate_unroll(lengths):
     grads = []
     for unroll in (ad.gru_sequence, reference_unroll):
-        values = [Tensor(v, requires_grad=True) for v in gru_inputs()]
+        values = [Tensor(v, requires_grad=True) for v in gru_inputs(lengths=lengths)]
         tape = Tape()
         with recording(tape):
             loss = gru_loss(unroll, values, lengths)
@@ -435,7 +441,7 @@ def test_gru_sequence_matches_per_gate_unroll(lengths):
     for name, a, b in zip(GRU_NAMES, fused, ref):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
     with no_grad():
-        inputs = [Tensor(v) for v in gru_inputs()]
+        inputs = [Tensor(v) for v in gru_inputs(lengths=lengths)]
         np.testing.assert_allclose(ad.gru_sequence(inputs[0], inputs[1], inputs[2:], lengths).data,
                                    reference_unroll(inputs[0], inputs[1], inputs[2:], lengths).data,
                                    rtol=1e-12, atol=1e-14)
@@ -452,6 +458,60 @@ def test_gru_sequence_inactive_rows_keep_their_state():
     values[0][0, 1:] += 1.0
     moved = ad.gru_sequence(values[0], values[1], values[2:], lengths).data
     assert np.array_equal(moved[0], states[0])
+
+
+def gru_grads(values, lengths):
+    """States and the gradients of all eleven inputs under `gru_loss`."""
+    tensors = [Tensor(v, requires_grad=True) for v in values]
+    tape = Tape()
+    with recording(tape):
+        states = ad.gru_sequence(tensors[0], tensors[1], tensors[2:], lengths)
+        probe = np.random.default_rng(9).normal(size=states.shape)
+        backward(sum_(ad.mul(states, Tensor(probe))), tape)
+    return states.data, probe, [t.grad for t in tensors]
+
+
+def test_gru_sequence_permuting_rows_permutes_states_and_input_gradients():
+    lengths = GRU_LENGTHS["unsorted"]
+    values = gru_inputs(lengths=lengths)
+    states, probe, grads = gru_grads(values, lengths)
+    perm = np.array([3, 0, 4, 2, 1])
+    moved = [values[0][perm], values[1][perm]] + values[2:]
+    tensors = [Tensor(v, requires_grad=True) for v in moved]
+    tape = Tape()
+    with recording(tape):
+        out = ad.gru_sequence(tensors[0], tensors[1], tensors[2:], lengths[perm])
+        backward(sum_(ad.mul(out, Tensor(probe[perm]))), tape)
+    assert np.array_equal(out.data, states[perm])
+    assert np.array_equal(tensors[0].grad, grads[0][perm])
+    assert np.array_equal(tensors[1].grad, grads[1][perm])
+    for name, t, g in zip(GRU_NAMES[2:], tensors[2:], grads[2:]):
+        np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("lengths", [np.array([2]), np.array([[1, 2, 3]]), np.array([1, -1, 2])],
+                         ids=["one-for-the-batch", "two-dim", "negative"])
+def test_gru_sequence_refuses_bad_lengths(lengths):
+    values = gru_inputs()
+    with pytest.raises(ShapeError):
+        ad.gru_sequence(values[0], values[1], values[2:], lengths)
+
+
+def test_gru_sequence_length_past_the_end_is_live_at_every_step():
+    values = gru_inputs()
+    capped, _, capped_grads = gru_grads(values, np.array([4, 4, 2]))
+    longer, _, longer_grads = gru_grads(values, np.array([9, 4, 2]))
+    assert np.array_equal(longer, capped)
+    for name, a, b in zip(GRU_NAMES, longer_grads, capped_grads):
+        assert np.array_equal(a, b), name
+
+
+def test_gru_sequence_length_zero_keeps_h0():
+    values = gru_inputs()
+    states, probe, grads = gru_grads(values, np.array([0, 4, 2]))
+    assert np.array_equal(states[0], np.broadcast_to(values[1][0], states[0].shape))
+    assert not grads[0][0].any()                          # its inputs are never read
+    assert np.array_equal(grads[1][0], probe[0].sum(axis=0))
 
 
 def test_gru_sequence_no_grad_records_nothing_and_agrees():

@@ -316,6 +316,43 @@ def test_cycle_loss_gradients_stay_out_of_discriminators():
     assert all(p.grad is None for p in judge.params().values())
 
 
+def test_cycle_encoder_skips_the_adversarial_reals_exactly():
+    # the cycle encoder runs only over the fakes and the cycle rows; the
+    # reference encodes every soft row and keeps those two blocks after
+    model, d_clf, _, batch_s, batch_t, _ = setup(seed=16)
+    original = model.encode_content
+    kept = []
+
+    def all_rows(x, dropout_p=0.0, dropout_rng=None, rows=None):
+        if rows is not None:
+            kept.append(rows)
+        z = original(x, dropout_p, dropout_rng)
+        return z if rows is None else ad.take_rows(z, rows)
+
+    def cyc_and_grads(reference):
+        model.encode_content = all_rows if reference else original
+        params = model.params()
+        zero_grads(params)
+        rng = np.random.default_rng(3)
+        tape = Tape()
+        try:
+            with recording(tape):
+                cyc = _terms(model, d_clf, None, batch_s, batch_t, {"adv", "cyc"},
+                             dropout_p=0.3, dropout_rng=rng, draw_idx=np.array([1, 0]))["cyc"]
+                backward(cyc, tape)
+        finally:
+            model.encode_content = original
+        return cyc.item(), {k: p.grad.copy() for k, p in params.items()}, rng.random()
+
+    cyc, grads, next_draw = cyc_and_grads(reference=False)
+    ref_cyc, ref_grads, ref_next_draw = cyc_and_grads(reference=True)
+    assert [list(r) for r in kept] == [[0, 1, 4, 5]]    # fakes, then the cycle rows
+    assert cyc == pytest.approx(ref_cyc, rel=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+    assert next_draw == ref_next_draw
+
+
 # ---------------------------------------------------------------------------
 # weighted total
 
