@@ -1,14 +1,16 @@
-"""Binary checkpoints: a flat map of named float64 tensors.
+"""Binary checkpoints: a JSON record and a flat map of named float64 tensors.
 
-Layout: magic b"LSTX1", then a uint32 record count, then per record a
-uint32 name length, the UTF-8 name, a uint32 rank, rank uint32 dims, and
-the row-major float64 payload. All integers and floats little-endian.
-A model's `params()` is the one place its tensor names are spelt, and
-`load_into` refuses a checkpoint whose names or shapes differ from them.
+Layout: magic b"LSTX2", a uint32 length and the record (one UTF-8 JSON
+object, keys sorted), a uint32 tensor count, then per tensor a uint32 name
+length, the UTF-8 name, a uint32 rank, rank uint32 dims, and the row-major
+float64 payload. All integers and floats little-endian; LSTX1 files fail
+the magic check. A model's `params()` is the one place its tensor names are
+spelt, and `load_into` refuses a checkpoint whose names or shapes differ.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from contextlib import contextmanager
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"LSTX1"
+MAGIC = b"LSTX2"
 
 
 class CheckpointFormatError(ValueError):
@@ -43,10 +45,11 @@ def atomic_write(path):
         raise
 
 
-def save_params(path, params: dict) -> None:
-    """Write name -> array (or Tensor) in insertion order, atomically."""
+def save_params(path, params: dict, record: dict = None) -> None:
+    """Write the record (default `{}`), then name -> array (or Tensor) in order, atomically."""
+    header = json.dumps({} if record is None else record, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
-        fh.write(MAGIC)
+        fh.write(MAGIC + struct.pack("<I", len(header)) + header)
         fh.write(struct.pack("<I", len(params)))
         for name, value in params.items():
             # asarray keeps 0-d arrays 0-d where ascontiguousarray would not
@@ -59,39 +62,54 @@ def save_params(path, params: dict) -> None:
             fh.write(arr.tobytes())
 
 
-def load_params(path) -> dict:
+def load_checkpoint(path) -> tuple:
+    """(record, name -> array); a malformed file raises CheckpointFormatError."""
     blob = Path(path).read_bytes()
     if blob[:5] != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic {blob[:5]!r}, expected {MAGIC!r}")
     offset = 5
 
-    def take(fmt):
+    def take(fmt, what="checkpoint"):
         nonlocal offset
         size = struct.calcsize(fmt)
         if offset + size > len(blob):
-            raise CheckpointFormatError(f"{path}: truncated checkpoint")
+            raise CheckpointFormatError(f"{path}: truncated {what}")
         values = struct.unpack_from(fmt, blob, offset)
         offset += size
         return values
 
+    def take_text(what):
+        (length,) = take("<I")
+        (raw,) = take(f"<{length}s")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointFormatError(f"{path}: {what} is not UTF-8: {err}") from None
+
+    try:
+        record = json.loads(take_text("the record"))
+    except json.JSONDecodeError as err:
+        raise CheckpointFormatError(f"{path}: the record is not JSON: {err}") from None
+    if not isinstance(record, dict):
+        raise CheckpointFormatError(f"{path}: the record is not a JSON object")
     (count,) = take("<I")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = take("<I")
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
+        name = take_text("a tensor name")
+        if name in params:
+            raise CheckpointFormatError(f"{path}: tensor {name!r} appears twice")
         (rank,) = take("<I")
         shape = take(f"<{rank}I") if rank else ()
-        n = int(np.prod(shape)) if shape else 1
-        size = n * 8
-        if offset + size > len(blob):
-            raise CheckpointFormatError(f"{path}: truncated tensor data for {name}")
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += size
-        params[name] = arr.astype(np.float64)
+        (payload,) = take(f"<{8 * int(np.prod(shape))}s", f"tensor data for {name}")
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if offset != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return params
+    return record, params
+
+
+def load_params(path) -> dict:
+    """The name -> array map of a checkpoint, without its record."""
+    return load_checkpoint(path)[1]
 
 
 def shape_of(arrays: dict, name: str, rank: int) -> tuple:

@@ -12,12 +12,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import CheckpointFormatError, atomic_write, load_params
-from .corpus import EmptyInputError, SpecError, Vocab, gen_synthetic, read_lines, write_lines
+from .checkpoint import CheckpointFormatError, atomic_write, load_checkpoint, save_params
+from .corpus import RESERVED, EmptyInputError, SpecError, Vocab, gen_synthetic, read_lines, write_lines
 from .evaluation import (
     ContaminationError,
     diverged,
@@ -28,7 +28,7 @@ from .evaluation import (
     write_sample_dump,
 )
 from .model import TransferModel, transfer_sentences
-from .training import ConfigError, TrainConfig, train
+from .training import ConfigError, TrainConfig, metrics_to_csv, train
 
 USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, ADVISORY_EXIT = 1, 2, 3, 4
 
@@ -75,39 +75,43 @@ def _parse_mix(text: str):
     return tuple(parts)
 
 
-def _load_corpus(source, target, labels_path):
-    """(source, target, source style labels or None): the labels file needs
-    one line per source sentence."""
-    source_sents = read_lines(source)
-    labels = read_lines(labels_path) if labels_path else None
+def _setup(args) -> tuple:
+    """(run config, set-up) of `train` and `evaluate`: the --config file over
+    the reference defaults, and the split and classifiers it builds from the
+    corpus. The labels file needs one line per source sentence."""
+    cfg = TrainConfig.from_file(args.config) if args.config else TrainConfig()
+    source_sents = read_lines(args.source)
+    labels = read_lines(args.labels) if args.labels else None
     if labels is not None and len(labels) != len(source_sents):
-        raise SpecError(f"{labels_path} holds {len(labels)} labels for "
+        raise SpecError(f"{args.labels} holds {len(labels)} labels for "
                         f"{len(source_sents)} sentences")
-    return source_sents, read_lines(target), labels
+    return cfg, prepare_experiment(source_sents, labels, read_lines(args.target), cfg)
 
 
-def _config(args) -> TrainConfig:
-    """The run's settings and seed: the --config file over the reference
-    defaults."""
-    return TrainConfig.from_file(args.config) if args.config else TrainConfig()
-
-
-def _load_with_vocab(path) -> tuple:
-    """The transfer model a checkpoint holds, plus its vocabulary sidecar,
-    which must have one token per embedding row."""
-    arrays = load_params(path)
+def _load_model(path) -> tuple:
+    """(model, vocabulary, run config) of a checkpoint whose record holds exactly
+    the run config and the non-reserved tokens, one per embedding row after RESERVED."""
+    record, arrays = load_checkpoint(path)
     try:
-        loaded = TransferModel.from_params(arrays)
-    except CheckpointFormatError as err:
-        raise CheckpointFormatError(f"{path}: {err}") from None
-    vocab_path = Path(str(path) + ".vocab")
-    if not vocab_path.exists():
-        raise FileNotFoundError(f"missing vocabulary sidecar {vocab_path}")
-    vocab = Vocab.from_file(vocab_path)
-    if len(vocab) != loaded.vocab_size:
-        raise CheckpointFormatError(f"{vocab_path} holds {len(vocab)} tokens, but the embedding "
-                                    f"of {path} has {loaded.vocab_size} rows")
-    return loaded, vocab
+        if sorted(record) != ["config", "vocab"]:
+            raise CheckpointFormatError(f"record keys {sorted(record)}, expected config and vocab")
+        config, names = record["config"], {f.name for f in fields(TrainConfig)}
+        keys = set(config) if isinstance(config, dict) else set()
+        if keys != names:
+            raise ConfigError(f"config fields missing {sorted(names - keys)}, "
+                              f"unknown {sorted(keys - names)}")
+        cfg, tokens = TrainConfig(**config), record["vocab"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) and t for t in tokens)
+                and len(set(tokens)) == len(tokens) and not set(tokens) & set(RESERVED)):
+            raise CheckpointFormatError("vocab is not a list of unique non-empty strings "
+                                        "free of reserved tokens")
+        model, vocab = TransferModel.from_params(arrays), Vocab.from_tokens(tokens)
+        if len(vocab) != model.vocab_size:
+            raise CheckpointFormatError(f"vocab holds {len(vocab)} tokens with the reserved "
+                                        f"ones, but the embedding has {model.vocab_size} rows")
+    except (CheckpointFormatError, ConfigError) as err:
+        raise type(err)(f"{path}: {err}") from None
+    return model, vocab, cfg
 
 
 def _write_score(setup, result, report_path, samples_path) -> int:
@@ -147,13 +151,14 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_train(args) -> int:
     t_start = time.perf_counter()
-    cfg = _config(args)
-    source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
+    cfg, setup = _setup(args)
     result = train(cfg, setup.corpora, setup.judge, eval_clf=setup.eval_clf,
-                   ckpt_path=args.out, log_path=args.log, progress=args.verbose)
+                   progress=args.verbose)
+    metrics_to_csv(result.metrics, args.log)  # a diverged run's log still explains it
     if diverged(result):
         raise DivergenceError(f"{result.skipped_steps} skipped steps, best_val={result.best_val}")
+    save_params(args.out, result.params,
+                {"config": asdict(cfg), "vocab": setup.vocab.id_to_token[len(RESERVED):]})
     scored = report_runs(cfg, setup.eval_acc, [(cfg.seed, score_model(setup, result.model, cfg))])
     code = _write_score(setup, scored, args.out + ".report.csv", args.out + ".samples.tsv")
     write_manifest(args.out + ".manifest.json", "train", {},
@@ -170,8 +175,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    cfg = _config(args)
-    model, vocab = _load_with_vocab(args.model)
+    model, vocab, cfg = _load_model(args.model)
     lines = read_lines(args.input)
     keep = [(i, line) for i, line in enumerate(lines) if line.strip()]
     outputs = [""] * len(lines)
@@ -181,15 +185,13 @@ def cmd_transfer(args) -> int:
             outputs[i] = text
     write_lines(args.output, outputs)
     write_manifest(args.output + ".manifest.json", "transfer", {},
-                   {"model": args.model, "input": args.input, "config": args.config}, cfg)
+                   {"model": args.model, "input": args.input}, cfg)
     print(f"transferred {len(lines)} lines")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config(args)
-    source_sents, target_sents, source_labels = _load_corpus(args.source, args.target, args.labels)
-    setup = prepare_experiment(source_sents, source_labels, target_sents, cfg)
+    cfg, setup = _setup(args)
     result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
     report = result.report
     if not report.accuracies:
@@ -206,7 +208,7 @@ def cmd_evaluate(args) -> int:
 # wiring
 
 CONFIG_HELP = ("key=value file of the run's settings and seed (default: the reference "
-               "settings, seed 0); give every command of one run the same file")
+               "settings, seed 0)")
 
 
 def build_parser() -> Parser:
@@ -229,8 +231,8 @@ def build_parser() -> Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--labels")
-    p.add_argument("--config", help=CONFIG_HELP + "; the ablations set lambda_cyc=0 or "
-                                                  "lambda_dis=0")
+    p.add_argument("--config", help=CONFIG_HELP + "; the checkpoint records it for transfer; "
+                                                  "the ablations set lambda_cyc=0 or lambda_dis=0")
     p.add_argument("--out", required=True, help="checkpoint path; the score goes to "
                                                 "OUT.report.csv and OUT.samples.tsv")
     p.add_argument("--log", required=True, help="metrics CSV path")
@@ -241,7 +243,6 @@ def build_parser() -> Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--config", help=CONFIG_HELP + "; transfer reads its pad_len")
     p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("evaluate", help="train --runs seeded transfer models and score each on "

@@ -40,20 +40,11 @@ class Vocab:
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
 
-    def to_file(self, path) -> None:
-        # one non-reserved token per line, line number = id - 4
-        with atomic_write(path) as fh:
-            fh.write(("\n".join(self.id_to_token[len(RESERVED):]) + "\n").encode("utf-8"))
-
-    @classmethod
-    def from_file(cls, path) -> "Vocab":
-        tokens = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-        return cls.from_tokens(tokens)
-
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocab":
-        id_to_token = list(RESERVED) + list(tokens)
-        return cls({t: i for i, t in enumerate(id_to_token)}, id_to_token)
+        """RESERVED, then the tokens; only the tokens are looked up, so a word
+        spelt like a reserved token encodes as UNK."""
+        return cls({t: i for i, t in enumerate(tokens, len(RESERVED))}, list(RESERVED) + list(tokens))
 
 
 @dataclass
@@ -74,7 +65,7 @@ def build_vocab(sentences: Iterable[str], min_count: int = 1) -> Vocab:
         counts.update(tokenize(s))
     if not seen_any:
         raise EmptyInputError("cannot build a vocabulary from an empty corpus")
-    kept = [t for t, c in counts.items() if c >= min_count]
+    kept = [t for t, c in counts.items() if c >= min_count and t not in RESERVED]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocab.from_tokens(kept)
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import atomic_write, save_params
+from .checkpoint import atomic_write
 from .corpus import CorpusPart, SpecError, Vocab, encode
 from .losses import TEMPERATURE, LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
 from .model import (
@@ -64,6 +65,10 @@ class TrainConfig:
 
     def __post_init__(self):
         """Refuses a value no run can use, naming its key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Integral if f.type == "int" else Real):
+                raise ConfigError(f"{f.name}={value!r} is not of type {f.type}")
         positive = ("d_emb", "d_z", "d_y", "d_maps", "batch_size", "epochs", "min_count")
         for key, ok, want in [
             *((key, getattr(self, key) >= 1, "at least 1") for key in positive),
@@ -239,12 +244,11 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
 
 
 def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnClassifier],
-          eval_clf: Optional[TextCnnClassifier] = None, ckpt_path=None, log_path=None,
-          progress: bool = False) -> TrainResult:
+          eval_clf: Optional[TextCnnClassifier] = None, progress: bool = False) -> TrainResult:
     """Full run: per batch, one discriminator update then one generator
     update; per epoch, a validation pass, plus `val_acc` from eval_clf (which
     shares the run's vocabulary) when given; the checkpoint with the best
-    validation total wins."""
+    validation total wins, and its parameters are returned."""
     vocab = corpora.vocab
     src_train, tgt_train = corpora.source.train.sentences, corpora.target.train.sentences
     if len(src_train) < cfg.batch_size or len(tgt_train) < cfg.batch_size:
@@ -310,10 +314,5 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
 
     for name, p in g_params.items():
         p.data = best_params[name].copy()
-    if ckpt_path is not None:
-        save_params(ckpt_path, g_params)
-        vocab.to_file(str(ckpt_path) + ".vocab")
-    if log_path is not None:
-        metrics_to_csv(metrics, log_path)
     return TrainResult(model=model, params=snapshot(g_params), metrics=metrics,
                        best_val=best_val, best_epoch=best_epoch, skipped_steps=skipped)

@@ -1,13 +1,15 @@
 import builtins
 import errno
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from styletx.autodiff import Tensor
-from styletx.checkpoint import MAGIC, CheckpointFormatError, load_into, load_params, save_params
-from styletx.corpus import Vocab
+from styletx.checkpoint import (MAGIC, CheckpointFormatError, load_checkpoint, load_into, load_params,
+                                save_params)
 from styletx.training import METRIC_COLUMNS, metrics_to_csv
 
 
@@ -38,7 +40,84 @@ def test_accepts_tensors(tmp_path):
 def test_magic_bytes(tmp_path):
     path = tmp_path / "m.ckpt"
     save_params(path, {"w": np.zeros(2)})
-    assert path.read_bytes()[:5] == MAGIC == b"LSTX1"
+    assert path.read_bytes()[:5] == MAGIC == b"LSTX2"
+
+
+def test_record_round_trip(tmp_path):
+    path = tmp_path / "r.ckpt"
+    record = {"vocab": ["caf\u00e9", "soup"], "config": {"pad_len": 14, "lr": 0.002}}
+    save_params(path, {"w": np.arange(3.0), "b": np.ones((2, 2))}, record)
+    loaded_record, tensors = load_checkpoint(path)
+    assert loaded_record == record
+    assert list(tensors) == ["w", "b"] and np.array_equal(tensors["w"], np.arange(3.0))
+    # the record is sorted-key JSON, so equal records give equal bytes
+    header = json.dumps(record, sort_keys=True).encode("utf-8")
+    assert path.read_bytes()[5:9 + len(header)] == struct.pack("<I", len(header)) + header
+
+
+def test_record_defaults_to_an_empty_object(tmp_path):
+    path = tmp_path / "r.ckpt"
+    save_params(path, {"w": np.zeros(2)})
+    assert path.read_bytes()[5:11] == struct.pack("<I", 2) + b"{}"
+    assert load_checkpoint(path)[0] == {}
+    assert list(load_params(path)) == ["w"]
+
+
+def _raw(path, record: bytes, tensors) -> None:
+    """A checkpoint written byte by byte: the record's bytes, then each
+    (name bytes, array) in order."""
+    blob = MAGIC + struct.pack("<I", len(record)) + record + struct.pack("<I", len(tensors))
+    for name, arr in tensors:
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<I", arr.ndim)
+        blob += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes()
+    path.write_bytes(blob)
+
+
+def test_lstx1_file_rejected(tmp_path):
+    # the record-less layout that LSTX2 replaced: no second reader
+    path = tmp_path / "old.ckpt"
+    save_params(path, {"w": np.ones(3)})
+    blob = path.read_bytes()
+    path.write_bytes(b"LSTX1" + blob[11:])
+    with pytest.raises(CheckpointFormatError, match=r"old\.ckpt: bad magic b'LSTX1'"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("record, problem", [
+    (b"\xff{}", "the record is not UTF-8"),
+    (b'{"vocab": [', "the record is not JSON"),
+    (b'["config", "vocab"]', "the record is not a JSON object"),
+    (b"", "the record is not JSON"),
+], ids=["not-utf8", "not-json", "not-an-object", "empty"])
+def test_malformed_record_rejected(tmp_path, record, problem):
+    path = tmp_path / "rec.ckpt"
+    _raw(path, record, [(b"w", np.ones(2))])
+    with pytest.raises(CheckpointFormatError, match=f"rec.ckpt: {problem}"):
+        load_checkpoint(path)
+
+
+def test_name_cut_inside_a_character_is_truncation(tmp_path):
+    path = tmp_path / "cut.ckpt"
+    save_params(path, {"w\u00f1": np.ones(1)})
+    blob = path.read_bytes()
+    cut = blob.index("\u00f1".encode("utf-8")) + 1  # between the two bytes of "\u00f1"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CheckpointFormatError, match="cut.ckpt: truncated"):
+        load_params(path)
+
+
+def test_name_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "name.ckpt"
+    _raw(path, b"{}", [(b"w\xc3", np.ones(1))])
+    with pytest.raises(CheckpointFormatError, match="name.ckpt: a tensor name is not UTF-8"):
+        load_params(path)
+
+
+def test_duplicate_tensor_names_rejected(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    _raw(path, b"{}", [(b"a", np.ones(2)), (b"a", np.ones(3))])
+    with pytest.raises(CheckpointFormatError, match="dup.ckpt: tensor 'a' appears twice"):
+        load_params(path)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -118,11 +197,7 @@ def _metrics(path, n):
                    path)
 
 
-def _vocab(path, n):
-    Vocab.from_tokens([f"word{i}" for i in range(n)]).to_file(path)
-
-
-@pytest.mark.parametrize("write", [_metrics, _vocab], ids=["metrics_to_csv", "vocab"])
+@pytest.mark.parametrize("write", [_metrics], ids=["metrics_to_csv"])
 def test_failed_text_write_keeps_the_old_file(write, tmp_path, monkeypatch):
     path = tmp_path / "artefact"
     write(path, 2)

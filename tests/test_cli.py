@@ -1,15 +1,17 @@
 import argparse
 import json
+import re
+import struct
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from styletx.checkpoint import load_params, save_params
-from styletx import evaluation
+from styletx.checkpoint import MAGIC, load_checkpoint, load_params, save_params
+from styletx import cli, evaluation
 from styletx.cli import build_parser, main
-from styletx.corpus import Vocab, read_lines, write_lines
+from styletx.corpus import RESERVED, Vocab, read_lines, write_lines
 from styletx.evaluation import prepare_experiment, split_corpus
 from styletx.model import TextCnnClassifier, TransferModel, transfer_sentences
 from styletx.training import TrainConfig, train
@@ -132,8 +134,11 @@ def test_train_is_the_protocol_run(seed2_run):
     header, *rows = read_lines(root / "metrics.csv")
     assert header.split(",")[-1] == "val_acc"
     assert [float(row.split(",")[-1]) for row in rows] == [m["val_acc"] for m in result.metrics]
-    vocab = Vocab.from_file(str(root / "model.ckpt") + ".vocab")
-    assert vocab.id_to_token == setup.vocab.id_to_token
+    # one file per model: the record holds the run config and the vocabulary
+    record, _ = load_checkpoint(root / "model.ckpt")
+    assert record == {"config": asdict(TrainConfig.from_file(cfg)),
+                      "vocab": setup.vocab.id_to_token[len(RESERVED):]}
+    assert not list(root.glob("*.vocab"))
 
 
 def test_train_report_is_run_0_of_evaluate(seed2_run, tmp_path):
@@ -279,7 +284,17 @@ def test_no_command_overrides_a_config_field():
         if "config" in dests:
             checked += 1
             assert not dests & config_keys, f"{name} overrides {sorted(dests & config_keys)}"
-    assert checked == 3  # train, transfer, evaluate
+    assert checked == 2  # train, evaluate
+
+
+def test_cli_flag_count():
+    # every option of every command, bar -h: a new knob fails here until this
+    # count is raised on purpose
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = [option for sub in subparsers.choices.values() for action in sub._actions
+             for option in action.option_strings[:1] if option != "-h"]
+    assert len(flags) == 23
 
 
 def test_train_unknown_config_key(workdir, tmp_path):
@@ -294,6 +309,8 @@ def test_train_unknown_config_key(workdir, tmp_path):
 
 
 def test_transfer_contract(workdir, tmp_path):
+    # no config file at hand: the checkpoint holds the vocabulary and pads
+    # with the pad_len=14 of the config it was trained under
     root, data, cfg = workdir
     source_lines = read_lines(data / "source.txt")[:7]
     inp = tmp_path / "in.txt"
@@ -301,44 +318,63 @@ def test_transfer_contract(workdir, tmp_path):
     out_a, out_b = tmp_path / "out_a.txt", tmp_path / "out_b.txt"
     for out in (out_a, out_b):
         assert main(["transfer", "--model", str(root / "model.ckpt"),
-                     "--input", str(inp), "--output", str(out),
-                     "--config", str(cfg)]) == 0
+                     "--input", str(inp), "--output", str(out)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert len(read_lines(out_a)) == 7
-    # padded to the config's pad_len, as `evaluate --config` pads
-    model = TransferModel.from_params(load_params(root / "model.ckpt"))
-    vocab = Vocab.from_file(str(root / "model.ckpt") + ".vocab")
-    assert read_lines(out_a) == transfer_sentences(model, vocab, source_lines,
-                                                   TrainConfig.from_file(cfg).pad_len)
+    record, arrays = load_checkpoint(root / "model.ckpt")
+    model, vocab = TransferModel.from_params(arrays), Vocab.from_tokens(record["vocab"])
+    assert read_lines(out_a) == transfer_sentences(model, vocab, source_lines, 14)
+    manifest = json.loads(Path(str(out_a) + ".manifest.json").read_text())
+    assert manifest["config"] == asdict(TrainConfig.from_file(cfg))
+    assert manifest["config_fingerprint"] == TrainConfig.from_file(cfg).fingerprint()
+    assert set(manifest["inputs"]) == {"model", "input"}
+
+
+def test_transfer_takes_no_config(workdir, tmp_path):
+    root, _, cfg = workdir
+    inp = tmp_path / "in.txt"
+    inp.write_text("the food was great\n")
+    assert main(["transfer", "--model", str(root / "model.ckpt"), "--input", str(inp),
+                 "--output", str(tmp_path / "out.txt"), "--config", str(cfg)]) == 1
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_train_that_diverges_leaves_its_log_and_no_checkpoint(workdir, tmp_path, monkeypatch):
+    _, data, cfg = workdir
+    monkeypatch.setattr(cli, "diverged", lambda result: True)
+    out, log = tmp_path / "diverged.ckpt", tmp_path / "diverged.csv"
+    assert main(["train", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
+                 "--config", str(cfg), "--out", str(out), "--log", str(log)]) == 3
+    assert read_lines(log)[0].startswith("epoch,")
+    assert [p.name for p in tmp_path.iterdir()] == ["diverged.csv"]
 
 
 def _transfer_exit(model, tmp_path, capsys) -> tuple:
     """(exit code, stderr) of `transfer --model model` on one sentence."""
     inp = tmp_path / "in.txt"
     inp.write_text("the food was great\n")
-    cfg = config_file(tmp_path / "desk.cfg", DESK_CFG)
     capsys.readouterr()
     code = main(["transfer", "--model", str(model), "--input", str(inp),
-                 "--output", str(tmp_path / "out.txt"), "--config", str(cfg)])
+                 "--output", str(tmp_path / "out.txt")])
     return code, capsys.readouterr().err
 
 
-def _copy_model(root, tmp_path, edit_params=None, edit_vocab=None) -> Path:
-    """model.ckpt and its sidecar under tmp_path, each optionally edited."""
-    params = load_params(root / "model.ckpt")
-    tokens = read_lines(str(root / "model.ckpt") + ".vocab")
+def _copy_model(root, tmp_path, edit_params=None, edit_record=None) -> Path:
+    """model.ckpt under tmp_path, its tensors and record each optionally edited."""
+    record, params = load_checkpoint(root / "model.ckpt")
     out = tmp_path / "edited.ckpt"
-    save_params(out, edit_params(params) if edit_params else params)
-    write_lines(str(out) + ".vocab", edit_vocab(tokens) if edit_vocab else tokens)
+    save_params(out, edit_params(params) if edit_params else params,
+                edit_record(record) if edit_record else record)
     return out
 
 
 def test_transfer_refuses_a_classifier_checkpoint(workdir, tmp_path, capsys):
     root, _, _ = workdir
-    vocab = Vocab.from_file(str(root / "model.ckpt") + ".vocab")
-    clf = TextCnnClassifier.create(np.random.default_rng(0), len(vocab), 24, (1, 2, 3), 8)
-    save_params(tmp_path / "eval.ckpt", clf.params())
-    vocab.to_file(tmp_path / "eval.ckpt.vocab")
+    record, _ = load_checkpoint(root / "model.ckpt")
+    clf = TextCnnClassifier.create(np.random.default_rng(0), len(RESERVED) + len(record["vocab"]),
+                                   24, (1, 2, 3), 8)
+    save_params(tmp_path / "eval.ckpt", clf.params(), record)
     code, err = _transfer_exit(tmp_path / "eval.ckpt", tmp_path, capsys)
     assert code == 2
     assert "eval.ckpt" in err and "'embedding'" in err and "Traceback" not in err
@@ -355,19 +391,79 @@ def test_transfer_refuses_a_mis_shaped_tensor(workdir, tmp_path, capsys):
     assert not (tmp_path / "out.txt").exists()
 
 
-def test_transfer_refuses_a_vocab_sidecar_of_another_size(workdir, tmp_path, capsys):
+def test_transfer_refuses_a_record_of_another_token_count(workdir, tmp_path, capsys):
     root, _, _ = workdir
-    model = _copy_model(root, tmp_path, edit_vocab=lambda tokens: tokens + ["zorble"])
+    model = _copy_model(root, tmp_path,
+                        edit_record=lambda r: {**r, "vocab": r["vocab"] + ["zorble"]})
     code, err = _transfer_exit(model, tmp_path, capsys)
     assert code == 2
-    assert "edited.ckpt.vocab" in err and "tokens" in err and "rows" in err
+    assert "edited.ckpt" in err and "tokens" in err and "rows" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def _with_config(**changes):
+    return lambda r: {**r, "config": {**r["config"], **changes}}
+
+
+def _without_config_field(name):
+    return lambda r: {**r, "config": {k: v for k, v in r["config"].items() if k != name}}
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda r: {**r, "extra": 1}, "record keys"),
+    (lambda r: {"vocab": r["vocab"]}, "record keys"),
+    (lambda r: {**r, "config": [14]}, "config fields missing"),
+    (_without_config_field("pad_len"), r"missing \['pad_len'\]"),
+    (_with_config(vorpal=1), r"unknown \['vorpal'\]"),
+    (_with_config(pad_len=2), "pad_len=2 is out of range"),
+    (_with_config(pad_len="14"), "pad_len='14' is not of type int"),
+    (_with_config(pad_len=14.5), "pad_len=14.5 is not of type int"),
+    (lambda r: {**r, "vocab": " ".join(r["vocab"])}, "vocab is not a list"),
+    (lambda r: {**r, "vocab": r["vocab"][:-1] + [""]}, "vocab is not a list"),
+    (lambda r: {**r, "vocab": r["vocab"][:-1] + [r["vocab"][0]]}, "vocab is not a list"),
+    (lambda r: {**r, "vocab": r["vocab"][:-1] + ["<unk>"]}, "vocab is not a list"),
+    (lambda r: {**r, "vocab": r["vocab"][:-1] + [7]}, "vocab is not a list"),
+], ids=["extra-key", "missing-key", "config-not-an-object", "config-missing-field",
+        "config-unknown-field", "config-out-of-range", "config-str", "config-float-for-int",
+        "vocab-not-a-list", "vocab-empty-token", "vocab-repeated-token", "vocab-reserved-token",
+        "vocab-not-a-string"])
+def test_transfer_refuses_a_malformed_record(workdir, tmp_path, capsys, edit, problem):
+    root, _, _ = workdir
+    code, err = _transfer_exit(_copy_model(root, tmp_path, edit_record=edit), tmp_path, capsys)
+    assert code == 2
+    assert "edited.ckpt: " in err and re.search(problem, err) and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("record", [b"\xff", b"{", b"[]"], ids=["not-utf8", "not-json",
+                                                              "not-an-object"])
+def test_transfer_refuses_a_record_that_is_not_a_json_object(workdir, tmp_path, capsys, record):
+    root, _, _ = workdir
+    blob = (root / "model.ckpt").read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 5)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(MAGIC + struct.pack("<I", len(record)) + record + blob[9 + length:])
+    code, err = _transfer_exit(bad, tmp_path, capsys)
+    assert code == 2
+    assert "bad.ckpt: the record" in err and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_transfer_refuses_an_lstx1_checkpoint(workdir, tmp_path, capsys):
+    root, _, _ = workdir
+    blob = (root / "model.ckpt").read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 5)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"LSTX1" + blob[9 + length:])
+    code, err = _transfer_exit(old, tmp_path, capsys)
+    assert code == 2
+    assert "old.ckpt: bad magic b'LSTX1'" in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
 
 
 def test_transfer_refuses_a_corrupt_checkpoint_magic(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"WRONG" + b"\x00" * 16)
-    (tmp_path / "bad.ckpt.vocab").write_text("the\nfood\n")
     code, err = _transfer_exit(bad, tmp_path, capsys)
     assert code == 2
     assert "bad.ckpt: bad magic" in err and "Traceback" not in err
@@ -375,12 +471,12 @@ def test_transfer_refuses_a_corrupt_checkpoint_magic(tmp_path, capsys):
 
 
 def test_transfer_handles_out_of_vocabulary_tokens(workdir, tmp_path):
-    root, _, cfg = workdir
+    root, _, _ = workdir
     inp = tmp_path / "oov.txt"
     inp.write_text("zorble the unknowable quux\n")
     out = tmp_path / "oov_out.txt"
     assert main(["transfer", "--model", str(root / "model.ckpt"),
-                 "--input", str(inp), "--output", str(out), "--config", str(cfg)]) == 0
+                 "--input", str(inp), "--output", str(out)]) == 0
     assert len(read_lines(out)) == 1
 
 

@@ -6,6 +6,7 @@ from styletx import corpus
 from styletx.corpus import (
     EOS,
     PAD,
+    RESERVED,
     UNK,
     EmptyInputError,
     SpecError,
@@ -43,15 +44,13 @@ def test_build_vocab_empty_corpus():
         build_vocab([])
 
 
-def test_vocab_file_round_trip(tmp_path):
-    vocab = build_vocab(["the food was great", "the soup was cold"])
-    path = tmp_path / "vocab.txt"
-    vocab.to_file(path)
-    loaded = corpus.Vocab.from_file(path)
-    assert loaded.id_to_token == vocab.id_to_token
-    # line number = id - 4
-    lines = path.read_text().splitlines()
-    assert lines[vocab.lookup("food") - 4] == "food"
+def test_words_spelt_like_reserved_tokens_encode_as_unk():
+    # such a word gets no second entry (a checkpoint's record holds unique
+    # tokens), and no reserved id: "<eos>" would cut the sentence short
+    vocab = build_vocab(["the <eos> food <pad>", "<unk> food"])
+    assert vocab.id_to_token == [*RESERVED, "food", "the"]
+    assert encode("the <eos> food <bos>", vocab, 8).ids.tolist() == [5, UNK, 4, UNK, EOS, PAD, PAD, PAD]
+    assert decode_to_text([5, UNK, 4, EOS], vocab) == "the <unk> food"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from styletx import autodiff as ad
 from styletx import losses as losses_mod
 from styletx import training as training_mod
 from styletx.autodiff import Tensor
-from styletx.checkpoint import load_params
+from styletx.checkpoint import save_params
 from styletx.corpus import CorpusPart, Dataset, SpecError, build_vocab, gen_synthetic
 from styletx.losses import TEMPERATURE, LossBreakdown, LossWeights
 from styletx.model import Batch, TextCnnClassifier, TransferModel, snapshot
@@ -130,6 +130,18 @@ def test_config_refuses_out_of_range_values(tmp_path, key, value):
     path.write_text(f"{key}={value}\n")
     with pytest.raises(ConfigError, match=f"bad.cfg: {key}="):
         TrainConfig.from_file(path)
+
+
+@pytest.mark.parametrize("key,value", [("pad_len", 14.5), ("d_emb", True), ("epochs", "3"),
+                                       ("lr", None), ("dropout", "0.1")])
+def test_config_refuses_values_of_another_type(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}=.* is not of type"):
+        TrainConfig(**{key: value})
+
+
+def test_config_takes_any_integral_or_real_number():
+    cfg = TrainConfig(lr=1, pad_len=np.int64(14), dropout=np.float64(0.25))
+    assert (cfg.lr, cfg.pad_len, cfg.dropout) == (1, 14, 0.25)
 
 
 def test_config_accepts_the_range_edges():
@@ -318,7 +330,9 @@ def test_train_run_is_deterministic(tmp_path):
     for tag in ("a", "b"):
         ckpt = tmp_path / f"run_{tag}.ckpt"
         log = tmp_path / f"run_{tag}.csv"
-        result = train(cfg, corpora, judge, ckpt_path=ckpt, log_path=log)
+        result = train(cfg, corpora, judge)
+        save_params(ckpt, result.params)
+        metrics_to_csv(result.metrics, log)
         outputs.append((ckpt.read_bytes(), log.read_bytes(), result.best_val))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
@@ -326,23 +340,25 @@ def test_train_run_is_deterministic(tmp_path):
 
 
 def test_train_metrics_identity_and_checkpoint(tmp_path):
+    # train writes nothing: it returns the best epoch's parameters, already
+    # loaded into its model, for the caller to save
     corpora = small_corpora()
     cfg = desk_config(seed=5, epochs=3, batch_size=32, pad_len=14)
     judge = judge_for(corpora, cfg)
-    ckpt = tmp_path / "run.ckpt"
     log = tmp_path / "run.csv"
-    result = train(cfg, corpora, judge, ckpt_path=ckpt, log_path=log)
+    result = train(cfg, corpora, judge)
+    metrics_to_csv(result.metrics, log)
     for row in result.metrics:
         recomputed = row["rec"] - cfg.weights().lambda_adv * row["adv"] \
             + cfg.lambda_cyc * row["cyc"] + cfg.lambda_dis * row["dis"]
         assert row["total"] == pytest.approx(recomputed, abs=1e-6)
     assert result.best_val == min(r["val_total"] for r in result.metrics)
-    saved = load_params(ckpt)
-    assert set(saved) == set(result.params)
-    assert all(np.array_equal(saved[k], result.params[k]) for k in saved)
+    held = result.model.params()
+    assert list(held) == list(result.params)
+    assert all(np.array_equal(held[k].data, result.params[k]) for k in held)
     header = log.read_text().splitlines()[0]
     assert header == "epoch,rec,adv,dis,cyc,total,val_total"
-    assert (tmp_path / "run.ckpt.vocab").exists()
+    assert list(tmp_path.iterdir()) == [log]
 
 
 def test_train_csv_includes_val_acc_with_eval_classifier(tmp_path):
@@ -351,7 +367,8 @@ def test_train_csv_includes_val_acc_with_eval_classifier(tmp_path):
     judge = judge_for(corpora, cfg)
     eval_clf = judge_for(corpora, cfg)
     log = tmp_path / "log.csv"
-    result = train(cfg, corpora, judge, eval_clf=eval_clf, log_path=log)
+    result = train(cfg, corpora, judge, eval_clf=eval_clf)
+    metrics_to_csv(result.metrics, log)
     assert "val_acc" in result.metrics[0]
     assert log.read_text().splitlines()[0].endswith(",val_acc")
 
