@@ -169,7 +169,7 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     return grad
 
 
-def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
+def backward(loss: Tensor, tape: Tape) -> None:
     """Populate .grad for every requires_grad leaf on the tape.
 
     Repeated calls accumulate. Leaves the loss does not reach receive
@@ -178,10 +178,6 @@ def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    if tape is None:
-        tape = _active_tape()
-    if tape is None:
-        raise RuntimeError("backward needs a tape (none active, none given)")
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     produced = {id(op.out) for op in tape.ops}
@@ -556,10 +552,10 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         z = σ((x·W_z + h·U_z) + b_z)    r = σ((x·W_r + h·U_r) + b_r)
         c = tanh((x·W_c + (r∘h)·U_c) + b_c)    h' = (1 − z)∘h + z∘c
 
-    for the rows whose length (`lengths`, [B]; None means T) exceeds t; the
-    other rows copy their state forward, so a row of length 0 keeps h0 and
-    one of length ≥ T is live at every step. Returns the state after every
-    step, [B, T, h].
+    for the rows whose length (`lengths`, [B]; None means T) exceeds t; a
+    row's states past its length are zeros, as a packed sequence's padding
+    is, so a row of length 0 is all zeros and one of length ≥ T is live at
+    every step. Returns the state after every step, [B, T, h].
 
     The rows are sorted once by length, longest first and stable, so step
     t's live rows are a prefix of the batch. Only the live (row, step)
@@ -612,11 +608,6 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         # flat index into [B·T] of each packed pair, and of each pair's input state in `hs`
         pair_index = (order * steps + np.arange(steps)[:, None])[live]
         prev_index = (np.array(prev)[:, None] + rows)[live]
-        # where the state of each (row, step) sits in `hs`, in the caller's row order
-        last = np.minimum(np.arange(steps), row_len[:, None] - 1)
-        state_index = np.empty((batch, steps), dtype=np.int64)
-        state_index[order] = np.where(last >= 0, batch + np.array(offsets)[last] + rows[:, None],
-                                      rows[:, None])
 
         def pack(a: Array) -> Array:
             return a.reshape(batch * steps, a.shape[2])[pair_index]
@@ -664,10 +655,7 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
             h_next *= h
             np.multiply(z, c, out=tmp)
             h_next += tmp
-    if packed:
-        out = hs[state_index.reshape(-1)].reshape(batch, steps, d_h)
-    else:
-        out = unpack(hs[batch:])
+    out = unpack(hs[batch:])
 
     def bwd(g):
         # g_hs mirrors hs: the gradient of h0, then of each live pair's new
@@ -676,11 +664,6 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         g_hs = np.empty((batch + n_live, d_h))
         g_hs[:batch] = 0.0
         g_hs[batch:] = pack(g)
-        if packed:
-            # a row's copied-forward states pass their gradient to its last state
-            first = int(row_len[-1])
-            past = (np.arange(first, steps) >= lengths[:, None])[:, :, None]
-            g_hs[state_index[order, -1]] += (g[:, first:] * past).sum(axis=1)[order]
         g_pre = np.empty((3, n_live, d_h))      # pre-activation z, r, c
         for lo, hi, p in reversed(blocks):
             n = hi - lo

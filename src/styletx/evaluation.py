@@ -179,7 +179,6 @@ class ExperimentSetup:
     """Everything that is fixed across the repeated runs: the vocabulary,
     the three-way split, and the two frozen classifiers with their fits."""
 
-    vocab: Vocab
     corpora: TransferCorpora
     judge: TextCnnClassifier
     judge_fit: ClassifierFit
@@ -187,6 +186,10 @@ class ExperimentSetup:
     eval_fit: ClassifierFit
     source_parts: tuple
     target_parts: tuple
+
+    @property
+    def vocab(self) -> Vocab:
+        return self.corpora.vocab
 
     @property
     def judge_acc(self) -> float:
@@ -210,7 +213,7 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
     judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg)
     eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg)
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
-    return ExperimentSetup(vocab=vocab, corpora=corpora, judge=judge, judge_fit=judge_fit,
+    return ExperimentSetup(corpora=corpora, judge=judge, judge_fit=judge_fit,
                            eval_clf=eval_clf, eval_fit=eval_fit,
                            source_parts=src_parts, target_parts=tgt_parts)
 

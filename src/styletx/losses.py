@@ -26,13 +26,12 @@ TEMPERATURE = 0.5  # softmax temperature of every soft generation
 
 @dataclass
 class LossWeights:
+    """Term weights. A zero cycle or discrepancy weight skips that term;
+    rec and adv are always computed."""
+
     lambda_adv: float = 1.0
     lambda_cyc: float = 1.0
     lambda_dis: float = 5.0
-
-    def __post_init__(self):
-        if min(self.lambda_adv, self.lambda_cyc, self.lambda_dis) < 0:
-            raise SpecError("loss weights must be non-negative")
 
 
 @dataclass
@@ -80,12 +79,25 @@ def adversarial_term(d_clf: TextCnnClassifier, soft, n_s: int, n_t: int) -> Tens
             + _segment_mean(ad.neg(ad.log(p)), n_s, n_t))
 
 
+def _decode_home(model: TransferModel, z: Tensor, y_s: Tensor, joint: Batch,
+                 dropout_p: float, dropout_rng) -> Tensor:
+    """Teacher-forced NLL of the joint batch decoded from the codes z, each
+    source row with its own style code (a row of y_s), each target row with
+    the shared target style: the source mean plus the target mean."""
+    n_s = y_s.shape[0]
+    n_t = len(joint) - n_s
+    y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
+    nll = model.decode_teacher_forced(z, y_home, joint, dropout_p, dropout_rng)
+    return _domain_means(nll, n_s, n_t)
+
+
 def reconstruction_loss(model: TransferModel, batch_s: Batch, batch_t: Batch,
                         dropout_p: float = 0.0, dropout_rng=None) -> Tensor:
     """Mean NLL of source sentences given (their own style, content) plus
     mean NLL of target sentences given (the shared target style, content)."""
-    return _terms(model, None, None, batch_s, batch_t, {"rec"},
-                  dropout_p=dropout_p, dropout_rng=dropout_rng)["rec"]
+    joint = _cat_batches(batch_s, batch_t)
+    z = model.encode_content(joint, dropout_p, dropout_rng)
+    return _decode_home(model, z, model.encode_style(batch_s), joint, dropout_p, dropout_rng)
 
 
 def _squared_rows(y_s: Tensor, y_star: Tensor) -> Tensor:
@@ -116,71 +128,55 @@ def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
 # the one place every term is computed
 
 
-def _terms(model: TransferModel, d_clf: Optional[TextCnnClassifier],
-           judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
-           need, temperature: float = TEMPERATURE, dropout_p: float = 0.0, dropout_rng=None,
-           draw_rng=None, draw_idx: Optional[np.ndarray] = None) -> dict:
-    """The requested subset of {rec, adv, cyc, dis}, keyed by name, from one
-    content encoding, one set of source style codes and one soft generation.
-    Its rows: source contents with the target style; then, for adv, target
-    contents with the target style; then, for cyc, target contents with
-    styles drawn per sample from the source batch. The cycle term decodes
-    every sentence back from its transfer with its own style."""
+def _terms(model: TransferModel, d_clf: TextCnnClassifier, judge: TextCnnClassifier,
+           batch_s: Batch, batch_t: Batch, w: LossWeights, temperature: float = TEMPERATURE,
+           dropout_p: float = 0.0, dropout_rng=None, draw_rng=None,
+           draw_idx: Optional[np.ndarray] = None) -> dict:
+    """rec and adv, plus cyc when w.lambda_cyc > 0 and dis when
+    w.lambda_dis > 0, keyed by name, from one content encoding, one set of
+    source style codes and one soft generation. Its rows: n_s source
+    contents with the target style (the fakes); n_t target contents with the
+    target style (the reals); then, with cyc, n_t target contents with styles
+    drawn per sample from the source batch. The cycle term decodes every
+    sentence back from its transfer with its own style."""
     n_s, n_t = len(batch_s), len(batch_t)
     if not n_s or not n_t:
         raise SpecError("need non-empty source and target batches")
-    need_adv, need_cyc = "adv" in need, "cyc" in need
-    if need_cyc and draw_idx is None:
+    with_cyc = w.lambda_cyc > 0
+    if with_cyc and draw_idx is None:
         if draw_rng is None:
             raise SpecError("cycle term needs draw_idx or draw_rng")
         draw_idx = draw_rng.integers(0, n_s, size=n_t)
-    if "dis" in need and judge is None:
-        raise SpecError("style discrepancy term needs the pre-trained judge")
     joint = _cat_batches(batch_s, batch_t)
     z = model.encode_content(joint, dropout_p, dropout_rng)
-    y_s = model.encode_style(batch_s) if need & {"rec", "cyc", "dis"} else None
-    out = {}
+    y_s = model.encode_style(batch_s)
+    out = {"rec": _decode_home(model, z, y_s, joint, dropout_p, dropout_rng)}
 
-    if "rec" in need:
-        y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
-        nll = model.decode_teacher_forced(z, y_home, joint, dropout_p, dropout_rng)
-        out["rec"] = _domain_means(nll, n_s, n_t)
+    z_gen, y_gen = z, style_rows(model.target_style, n_s + n_t)
+    if with_cyc:
+        z_gen = ad.concat([z, ad.take_rows(z, np.arange(n_s, n_s + n_t))], axis=0)
+        y_gen = ad.concat([y_gen, ad.take_rows(y_s, draw_idx)], axis=0)
+    soft = model.generate_soft(z_gen, y_gen, joint.max_len, temperature, dropout_p, dropout_rng)
+    out["adv"] = adversarial_term(d_clf, soft, n_s, n_t)
+    if with_cyc:
+        # the adversarial reals are not decoded back: skip their rows
+        back = np.r_[0:n_s, n_s + n_t:n_s + 2 * n_t]
+        z_back = model.encode_content(soft, dropout_p, dropout_rng, back)
+        out["cyc"] = _decode_home(model, z_back, y_s, joint, dropout_p, dropout_rng)
 
-    if need_adv or need_cyc:
-        z_gen, y_gen = z, style_rows(model.target_style, n_s + n_t if need_adv else n_s)
-        if need_cyc:
-            if need_adv:
-                z_gen = ad.concat([z, ad.take_rows(z, np.arange(n_s, n_s + n_t))], axis=0)
-            y_gen = ad.concat([y_gen, ad.take_rows(y_s, draw_idx)], axis=0)
-        soft = model.generate_soft(z_gen, y_gen, joint.max_len, temperature,
-                                   dropout_p, dropout_rng)
-        if need_adv:
-            out["adv"] = adversarial_term(d_clf, soft, n_s, n_t)
-        if need_cyc:
-            # the adversarial reals are not decoded back: skip their rows
-            back = np.r_[0:n_s, n_s + n_t:n_s + 2 * n_t] if need_adv else None
-            z_back = model.encode_content(soft, dropout_p, dropout_rng, back)
-            y_home = ad.concat([y_s, style_rows(model.target_style, n_t)], axis=0)
-            nll_cyc = model.decode_teacher_forced(z_back, y_home, joint, dropout_p, dropout_rng)
-            out["cyc"] = _domain_means(nll_cyc, n_s, n_t)
-
-    if "dis" in need:
+    if w.lambda_dis > 0:
         out["dis"] = style_discrepancy_loss(model, judge, batch_s, y_s)
     return out
 
 
 def compute_breakdown(model: TransferModel, d_clf: TextCnnClassifier,
-                      judge: Optional[TextCnnClassifier], batch_s: Batch, batch_t: Batch,
+                      judge: TextCnnClassifier, batch_s: Batch, batch_t: Batch,
                       w: LossWeights, temperature: float = TEMPERATURE,
                       dropout_p: float = 0.0, dropout_rng=None,
                       draw_rng=None, draw_idx: Optional[np.ndarray] = None):
-    """Full weighted objective in one pass; returns (total tensor, floats).
-
-    Terms whose weight is zero are skipped and reported as 0.
-    """
-    need = {"rec"} | {name for name, weight in (("adv", w.lambda_adv), ("cyc", w.lambda_cyc),
-                                                ("dis", w.lambda_dis)) if weight > 0}
-    terms = _terms(model, d_clf, judge, batch_s, batch_t, need, temperature, dropout_p,
+    """Full weighted objective in one pass; returns (total tensor, floats),
+    a skipped term reported as 0."""
+    terms = _terms(model, d_clf, judge, batch_s, batch_t, w, temperature, dropout_p,
                    dropout_rng, draw_rng, draw_idx)
     zero = Tensor(0.0)
     rec, adv, cyc, dis = (terms.get(name, zero) for name in ("rec", "adv", "cyc", "dis"))

@@ -118,7 +118,7 @@ class GruCell:
     def unroll(self, x: Tensor, h0: Tensor, lengths: Optional[np.ndarray] = None) -> Tensor:
         """States [B, T, h] after each step of a [B, T, d_in] sequence: the
         packed masked unroll, which computes a row's steps up to its length
-        only and copies its state forward from there."""
+        only and gives zeros from there."""
         return ad.gru_sequence(x, h0, [getattr(self, f.name) for f in fields(self)], lengths)
 
     def step(self, x: Tensor, h: Tensor) -> Tensor:
@@ -207,10 +207,6 @@ class TextCnnClassifier:
     def prob(self, x: Union[Batch, SoftSeq]) -> Tensor:
         return ad.sigmoid(self.logit(x))
 
-    @property
-    def vocab_size(self) -> int:
-        return self.cnn.embedding.shape[0]
-
     def params(self, prefix: str = "clf") -> dict:
         out = self.cnn.params(f"{prefix}.cnn")
         out[f"{prefix}.head.weight"] = self.head_w
@@ -268,19 +264,20 @@ class TransferModel:
             lengths = x.lengths
         else:
             emb = _soft_embed(self.embedding, x)
-            lengths = None
+            lengths = np.full(emb.shape[0], emb.shape[1])
         b, t = emb.shape[0], emb.shape[1]
         if rows is None:
             rows = np.arange(b)
         else:   # a row of length 0 costs the unroll nothing
             rows = np.asarray(rows)
             kept = np.zeros(b, dtype=np.int64)
-            kept[rows] = t if lengths is None else lengths[rows]
+            kept[rows] = lengths[rows]
             lengths = kept
         states = self.enc_cell.unroll(_dropout(emb, dropout_p, dropout_rng),
                                       Tensor(np.zeros((b, self.d_z))), lengths)
-        # row i's last state is row i*t + t-1 of the flattened [B*T, d_z]
-        return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), rows * t + t - 1)
+        # row i's last real state is row i*t + lengths[i]-1 of the flattened [B*T, d_z]
+        ends = rows * t + lengths[rows] - 1
+        return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), ends)
 
     def encode_style(self, batch: Batch) -> Tensor:
         """The CNN style code of each source sentence; target sentences all
@@ -310,8 +307,6 @@ class TransferModel:
                       dropout_p: float = 0.0, dropout_rng=None) -> SoftSeq:
         """Free-running decode emitting a distribution per step; each step
         feeds the distribution's expected embedding back in."""
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
         b = z.shape[0]
         h = ad.concat([z, style_rows(y, b)], axis=1)
         x = ad.take_rows(self.embedding, np.full(b, BOS, dtype=np.int64))

@@ -186,7 +186,7 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
 
 
 def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
-                         judge: Optional[TextCnnClassifier], batch_s: Batch,
+                         judge: TextCnnClassifier, batch_s: Batch,
                          batch_t: Batch, g_params: dict, g_state: AdamState,
                          cfg: TrainConfig, weights: LossWeights, dropout_rng=None,
                          draw_rng=None) -> Optional[LossBreakdown]:
@@ -243,7 +243,7 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
     return LossBreakdown(rec=sums[0], adv=sums[1], dis=sums[2], cyc=sums[3], total=sums[4])
 
 
-def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnClassifier],
+def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
           eval_clf: Optional[TextCnnClassifier] = None, progress: bool = False) -> TrainResult:
     """Full run: per batch, one discriminator update then one generator
     update; per epoch, a validation pass, plus `val_acc` from eval_clf (which
@@ -254,8 +254,6 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: Optional[TextCnnCla
     if len(src_train) < cfg.batch_size or len(tgt_train) < cfg.batch_size:
         raise SpecError(f"training corpus ({len(src_train)} source / {len(tgt_train)} target) "
                         f"smaller than batch size {cfg.batch_size}")
-    if cfg.lambda_dis > 0 and judge is None:
-        raise SpecError("lambda_dis > 0 requires a pre-trained style judge")
 
     rng_model = rng_for(cfg.seed, SEED_MODEL)
     rng_shuffle = rng_for(cfg.seed, SEED_SHUFFLE)

@@ -110,11 +110,12 @@ def test_criterion_1_gradient_correctness():
     weights = LossWeights()
     losses = {
         "reconstruction": lambda: reconstruction_loss(model, batch_s, batch_t),
-        "adversarial": lambda: _terms(model, d_clf, None, batch_s, batch_t, {"adv"},
-                                      0.5)["adv"],
+        "adversarial": lambda: _terms(model, d_clf, judge, batch_s, batch_t,
+                                      LossWeights(lambda_cyc=0.0, lambda_dis=0.0), 0.5)["adv"],
         "discrepancy": lambda: style_discrepancy_loss(model, judge, batch_s,
                                                       model.encode_style(batch_s)),
-        "cycle": lambda: _terms(model, None, None, batch_s, batch_t, {"cyc"}, 0.5,
+        "cycle": lambda: _terms(model, d_clf, judge, batch_s, batch_t,
+                                LossWeights(lambda_dis=0.0), 0.5,
                                 draw_idx=np.array([0, 1]))["cyc"],
         "total": lambda: compute_breakdown(model, d_clf, judge, batch_s, batch_t,
                                            weights, draw_idx=np.array([0, 1]))[0],
@@ -204,8 +205,7 @@ def test_criterion_4_style_dispatch_contract(monkeypatch):
             return _original(z, y, *args, **kwargs)
         monkeypatch.setattr(model, name, capture)
     with no_grad():
-        _terms(model, d_clf, judge, batch_s, batch_t, {"rec", "adv", "cyc", "dis"},
-               draw_idx=draw_idx)
+        _terms(model, d_clf, judge, batch_s, batch_t, LossWeights(), draw_idx=draw_idx)
         y_src = model.style_enc.encode(batch_s).data
     (rec, cyc), (gen,) = seen["decode_teacher_forced"], seen["generate_soft"]
     target_rows = [rec[n_s:], gen[: n_s + n_t], cyc[n_s:]]

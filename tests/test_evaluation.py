@@ -131,6 +131,13 @@ def test_prepare_experiment_rejects_judge_part_sharing_a_sentence():
         prepare_experiment(source, labels, data.target, desk_config(seed=0))
 
 
+def test_prepare_experiment_keeps_one_vocabulary():
+    data = gen_synthetic(0, 200, 200, (0.3, 0.7, 0.0))
+    setup = prepare_experiment(data.source, data.source_styles, data.target,
+                               desk_config(d_emb=8, d_maps=2, batch_size=16))
+    assert setup.vocab is setup.corpora.vocab
+
+
 def test_binary_style_data_uses_ground_truth_when_present():
     source = Dataset(["x", "y", "z"], labels=["a", "b", "a"])
     target = Dataset(["t1", "t2"])

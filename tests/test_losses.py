@@ -39,12 +39,14 @@ def setup(seed=0, d_emb=8, d_z=12, d_y=10):
     return model, d_clf, judge, batch_s, batch_t, vocab
 
 
-def adversarial(model, d_clf, batch_s, batch_t):
-    return _terms(model, d_clf, None, batch_s, batch_t, {"adv"})["adv"]
+def adversarial(model, d_clf, judge, batch_s, batch_t):
+    w = LossWeights(lambda_cyc=0.0, lambda_dis=0.0)
+    return _terms(model, d_clf, judge, batch_s, batch_t, w)["adv"]
 
 
-def cycle(model, batch_s, batch_t, **draw):
-    return _terms(model, None, None, batch_s, batch_t, {"cyc"}, **draw)["cyc"]
+def cycle(model, d_clf, judge, batch_s, batch_t, **draw):
+    w = LossWeights(lambda_dis=0.0)
+    return _terms(model, d_clf, judge, batch_s, batch_t, w, **draw)["cyc"]
 
 
 def discrepancy(model, judge, batch_s):
@@ -138,43 +140,43 @@ def test_style_discrepancy_loss_gradient_stays_out_of_judge_and_generator():
 
 
 def test_adversarial_loss_at_half_is_two_log_two():
-    model, _, _, batch_s, batch_t, vocab = setup(seed=5)
+    model, _, judge, batch_s, batch_t, vocab = setup(seed=5)
     d_half = zero_weight_clf(len(vocab))
     with no_grad():
-        loss = adversarial(model, d_half, batch_s, batch_t)
+        loss = adversarial(model, d_half, judge, batch_s, batch_t)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
 
 
 def test_adversarial_loss_matches_scalar_recomputation():
-    model, d_clf, _, batch_s, batch_t, _ = setup(seed=6)
+    model, d_clf, judge, batch_s, batch_t, _ = setup(seed=6)
     with no_grad():
         joint = Batch(ids=np.concatenate([batch_s.ids, batch_t.ids]),
                       lengths=np.concatenate([batch_s.lengths, batch_t.lengths]))
         z = model.encode_content(joint)
         soft = model.generate_soft(z, model.target_style, joint.max_len, 0.5)
         p = d_clf.prob(soft).data
-        loss = adversarial(model, d_clf, batch_s, batch_t)
+        loss = adversarial(model, d_clf, judge, batch_s, batch_t)
     n = len(batch_s)
     expected = np.mean(-np.log(1 - p[:n])) + np.mean(-np.log(p[n:]))
     assert loss.item() == pytest.approx(expected, abs=1e-9)
 
 
 def test_adversarial_loss_extreme_discriminator_is_clamped_not_fatal():
-    model, _, _, batch_s, batch_t, vocab = setup(seed=7)
+    model, _, judge, batch_s, batch_t, vocab = setup(seed=7)
     sure = zero_weight_clf(len(vocab))
     sure.head_b.data[...] = 1e9  # p pinned at sigmoid(30) on everything
     with no_grad():
-        loss = adversarial(model, sure, batch_s, batch_t)
+        loss = adversarial(model, sure, judge, batch_s, batch_t)
     assert np.isfinite(loss.item())
     # the fake term hits the clamp: -log(eps-ish) stays huge but finite
     assert loss.item() > 10
 
 
 def test_adversarial_loss_gradients_reach_both_arms():
-    model, d_clf, _, batch_s, batch_t, _ = setup(seed=8)
+    model, d_clf, judge, batch_s, batch_t, _ = setup(seed=8)
     tape = Tape()
     with recording(tape):
-        loss = adversarial(model, d_clf, batch_s, batch_t)
+        loss = adversarial(model, d_clf, judge, batch_s, batch_t)
         backward(loss, tape)
     assert any(p.grad is not None and np.abs(p.grad).sum() > 0
                for p in d_clf.params().values())
@@ -229,12 +231,12 @@ def test_reconstruction_non_negative():
 
 
 def test_cycle_loss_copy_generator_equals_reconstruction_of_copies():
-    model, _, _, batch_s, batch_t, vocab = setup(seed=11)
+    model, d_clf, judge, batch_s, batch_t, vocab = setup(seed=11)
 
     def copying_soft(z, y, max_len, temperature, dropout_p=0.0, dropout_rng=None):
         # replaces generation with an exact one-hot copy of the batch the
-        # cycle is reconstructing
-        ids = np.concatenate([batch_s.ids, batch_t.ids])
+        # cycle is reconstructing: the fakes, the reals, the cycle rows
+        ids = np.concatenate([batch_s.ids, batch_t.ids, batch_t.ids])
         steps = []
         for t in range(max_len):
             row = np.zeros((ids.shape[0], len(vocab)))
@@ -246,15 +248,14 @@ def test_cycle_loss_copy_generator_equals_reconstruction_of_copies():
     model.generate_soft = copying_soft
     try:
         with no_grad():
-            cyc = cycle(model, batch_s, batch_t,
-                                         draw_idx=np.array([0, 1]))
+            cyc = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([0, 1]))
             soft = copying_soft(None, None, batch_s.max_len, 0.5)
             z_back = model.encode_content(soft)
             y_s = model.encode_style(batch_s)
             idx_s = np.arange(len(batch_s))
             nll_s = model.decode_teacher_forced(
                 ad.take_rows(z_back, idx_s), y_s, batch_s)
-            idx_t = np.arange(len(batch_s), len(batch_s) + len(batch_t))
+            idx_t = np.arange(len(batch_s) + len(batch_t), len(batch_s) + 2 * len(batch_t))
             nll_t = model.decode_teacher_forced(
                 ad.take_rows(z_back, idx_t), model.target_style, batch_t)
             expected = nll_s.data.mean() + nll_t.data.mean()
@@ -264,23 +265,23 @@ def test_cycle_loss_copy_generator_equals_reconstruction_of_copies():
 
 
 def test_cycle_loss_non_negative_and_deterministic():
-    model, _, _, batch_s, batch_t, _ = setup(seed=12)
+    model, d_clf, judge, batch_s, batch_t, _ = setup(seed=12)
     with no_grad():
-        a = cycle(model, batch_s, batch_t, draw_idx=np.array([1, 0]))
-        b = cycle(model, batch_s, batch_t, draw_idx=np.array([1, 0]))
+        a = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([1, 0]))
+        b = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([1, 0]))
     assert a.item() >= 0.0
     assert a.item() == b.item()
 
 
 def test_cycle_loss_requires_source_styles():
-    model, _, _, batch_s, batch_t, _ = setup(seed=13)
+    model, d_clf, judge, batch_s, batch_t, _ = setup(seed=13)
     empty = Batch(ids=batch_s.ids[:0], lengths=batch_s.lengths[:0])
     with pytest.raises(SpecError):
-        cycle(model, empty, batch_t, draw_idx=np.array([0, 0]))
+        cycle(model, d_clf, judge, empty, batch_t, draw_idx=np.array([0, 0]))
 
 
 def test_cycle_loss_falls_under_overfitting():
-    model, _, _, batch_s, batch_t, _ = setup(seed=14)
+    model, d_clf, judge, batch_s, batch_t, _ = setup(seed=14)
     params = model.params()
     state = AdamState()
     rng = np.random.default_rng(0)
@@ -289,7 +290,7 @@ def test_cycle_loss_falls_under_overfitting():
         tape = Tape()
         with recording(tape):
             rec = reconstruction_loss(model, batch_s, batch_t)
-            cyc = cycle(model, batch_s, batch_t, draw_rng=rng)
+            cyc = cycle(model, d_clf, judge, batch_s, batch_t, draw_rng=rng)
             loss = rec + cyc
             backward(loss, tape)
         if first is None:
@@ -297,8 +298,7 @@ def test_cycle_loss_falls_under_overfitting():
         adam_step(params, state, 5e-3)
         zero_grads(params)
     with no_grad():
-        final = cycle(model, batch_s, batch_t,
-                                       draw_idx=np.array([0, 1])).item()
+        final = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([0, 1])).item()
     assert final < 0.1 * first
 
 
@@ -306,20 +306,21 @@ def test_cycle_loss_gradients_stay_out_of_discriminators():
     model, d_clf, judge, batch_s, batch_t, _ = setup(seed=15)
     tape = Tape()
     with recording(tape):
-        loss = cycle(model, batch_s, batch_t, draw_idx=np.array([0, 1]))
+        loss = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([0, 1]))
         backward(loss, tape)
     groups = model.param_groups()
     for name in ("content_enc", "style_enc", "generator"):
         assert any(p.grad is not None and np.abs(p.grad).sum() > 0
                    for p in groups[name].values())
-    assert all(p.grad is None for p in d_clf.params().values())
+    # the adversarial term shares the tape, so D gets gradients, all zero
+    assert all(p.grad is None or not p.grad.any() for p in d_clf.params().values())
     assert all(p.grad is None for p in judge.params().values())
 
 
 def test_cycle_encoder_skips_the_adversarial_reals_exactly():
     # the cycle encoder runs only over the fakes and the cycle rows; the
     # reference encodes every soft row and keeps those two blocks after
-    model, d_clf, _, batch_s, batch_t, _ = setup(seed=16)
+    model, d_clf, judge, batch_s, batch_t, _ = setup(seed=16)
     original = model.encode_content
     kept = []
 
@@ -337,8 +338,8 @@ def test_cycle_encoder_skips_the_adversarial_reals_exactly():
         tape = Tape()
         try:
             with recording(tape):
-                cyc = _terms(model, d_clf, None, batch_s, batch_t, {"adv", "cyc"},
-                             dropout_p=0.3, dropout_rng=rng, draw_idx=np.array([1, 0]))["cyc"]
+                cyc = cycle(model, d_clf, judge, batch_s, batch_t, dropout_p=0.3,
+                            dropout_rng=rng, draw_idx=np.array([1, 0]))
                 backward(cyc, tape)
         finally:
             model.encode_content = original
@@ -383,23 +384,23 @@ def test_breakdown_identity(rec, adv, cyc, dis, l1, l2, l3):
     assert abs(total - (rec - l1 * adv + l2 * cyc + l3 * dis)) < 1e-9
 
 
-@pytest.mark.parametrize("lambda_adv", [1.0, 0.0])
-def test_compute_breakdown_matches_standalone_terms(lambda_adv):
-    # lambda_adv = 0 leaves the cycle term alone in the soft generation
+@pytest.mark.parametrize("w", [LossWeights(), LossWeights(lambda_cyc=0.0),
+                               LossWeights(lambda_dis=0.0)], ids=["reference", "no-cyc", "no-dis"])
+def test_compute_breakdown_matches_standalone_terms(w):
+    # without the cycle term the soft generation holds the fakes and reals only
     model, d_clf, judge, batch_s, batch_t, _ = setup(seed=16)
     draw = np.array([1, 0])
-    w = LossWeights(lambda_adv=lambda_adv)
     with no_grad():
         total, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, w,
                                       draw_idx=draw)
         rec = reconstruction_loss(model, batch_s, batch_t).item()
-        adv = adversarial(model, d_clf, batch_s, batch_t).item()
-        cyc = cycle(model, batch_s, batch_t, draw_idx=draw).item()
+        adv = adversarial(model, d_clf, judge, batch_s, batch_t).item()
+        cyc = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=draw).item()
         dis = discrepancy(model, judge, batch_s).item()
     assert br.rec == pytest.approx(rec, rel=1e-9)
-    assert br.adv == (pytest.approx(adv, rel=1e-9) if lambda_adv else 0.0)
-    assert br.cyc == pytest.approx(cyc, rel=1e-9)
-    assert br.dis == pytest.approx(dis, rel=1e-9)
+    assert br.adv == pytest.approx(adv, rel=1e-9)
+    assert br.cyc == (pytest.approx(cyc, rel=1e-9) if w.lambda_cyc else 0.0)
+    assert br.dis == (pytest.approx(dis, rel=1e-9) if w.lambda_dis else 0.0)
     assert br.total == pytest.approx(br.rec - w.lambda_adv * br.adv + w.lambda_cyc * br.cyc
                                      + w.lambda_dis * br.dis, abs=1e-9)
     assert total.item() == pytest.approx(br.total)
@@ -410,8 +411,8 @@ def test_compute_breakdown_skips_zero_weight_terms():
     w = LossWeights(0.0, 0.0, 0.0)
     with no_grad():
         total, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, w)
-    assert br.adv == br.cyc == br.dis == 0.0
-    assert total.item() == pytest.approx(br.rec)
+    assert br.cyc == br.dis == 0.0
+    assert br.total == total.item() == pytest.approx(br.rec)
 
 
 def test_no_gradient_ever_reaches_the_frozen_judge():

@@ -171,6 +171,14 @@ def test_generate_soft_deterministic_and_normalised():
         assert abs(da.data.sum() - 1.0) < 1e-9
 
 
+def test_generate_soft_refuses_a_non_positive_temperature():
+    model, vocab = make_model(seed=5)
+    with no_grad():
+        z = model.encode_content(batch_of(["the food was great"], vocab))
+        with pytest.raises(ValueError, match="temperature"):
+            model.generate_soft(z, model.target_style, 6, temperature=0)
+
+
 def test_generate_soft_low_temperature_approaches_greedy():
     model, vocab = make_model(seed=6)
     model.out_w.data *= 50  # fresh-init logits are near ties; give them real gaps

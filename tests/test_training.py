@@ -9,6 +9,7 @@ from styletx import training as training_mod
 from styletx.autodiff import Tensor
 from styletx.checkpoint import save_params
 from styletx.corpus import CorpusPart, Dataset, SpecError, build_vocab, gen_synthetic
+from styletx.evaluation import prepare_experiment
 from styletx.losses import TEMPERATURE, LossBreakdown, LossWeights
 from styletx.model import Batch, TextCnnClassifier, TransferModel, snapshot
 from styletx.optim import AdamState, adam_step, clip_global_norm
@@ -188,9 +189,13 @@ def test_discriminator_step_moves_only_discriminator(step_setup):
 
 def test_discriminator_step_returns_the_adversarial_loss(step_setup):
     cfg, model, d_clf, judge, batch_s, batch_t = step_setup
+    # the step's own recipe: fakes and reals generated without dropout
     with ad.no_grad():
-        expected = losses_mod._terms(model, d_clf, None, batch_s, batch_t, {"adv"},
-                                     TEMPERATURE)["adv"].item()
+        joint = losses_mod._cat_batches(batch_s, batch_t)
+        soft = model.generate_soft(model.encode_content(joint), model.target_style,
+                                   joint.max_len, TEMPERATURE)
+        expected = losses_mod.adversarial_term(d_clf, soft, len(batch_s),
+                                               len(batch_t)).item()
     got = train_step_discriminator(model, d_clf, batch_s, batch_t,
                                    d_clf.params("d"), AdamState(), cfg)
     assert got == expected
@@ -255,7 +260,7 @@ def test_pure_autoencoder_objective_learns(step_setup):
     state = AdamState()
     first = last = None
     for _ in range(120):
-        br = train_step_generator(model, d_clf, None, batch_s, batch_t,
+        br = train_step_generator(model, d_clf, judge, batch_s, batch_t,
                                   model.params(), state, cfg, weights)
         first = first if first is not None else br.rec
         last = br.rec
@@ -382,3 +387,25 @@ def test_metrics_csv_round_trip(tmp_path):
     assert lines[0] == "epoch,rec,adv,dis,cyc,total,val_total"
     values = lines[1].split(",")
     assert values[0] == "0" and float(values[1]) == 1.5 and float(values[6]) == 4.5
+
+
+# the per-epoch metrics of one fixed-seed run, pinned: a change that moves
+# any fixed-seed output fails here and has to update these values on purpose
+GOLDEN_METRICS = [
+    {"epoch": 0, "rec": 73.24652109680801, "adv": 1.386294755342897,
+     "dis": 0.011559715656560957, "cyc": 73.24639631209466, "total": 145.1644212318426,
+     "val_total": 145.98350208277913, "val_acc": 0.0},
+    {"epoch": 1, "rec": 73.03478113799962, "adv": 1.3862944916806554,
+     "dis": 0.005644549618916494, "cyc": 73.03485369125804, "total": 144.71156308567157,
+     "val_total": 145.47138957771594, "val_acc": 0.0},
+]
+
+
+def test_fixed_seed_run_reproduces_its_pinned_metrics():
+    # the benchmark's tiny desk dimensions, run for two epochs
+    cfg = desk_config(d_emb=8, d_z=12, d_y=5, d_maps=2, batch_size=16, epochs=2)
+    syn = gen_synthetic(0, 200, 200, (0.3, 0.7, 0))
+    setup = prepare_experiment(syn.source, syn.source_styles, syn.target, cfg)
+    result = train(cfg, setup.corpora, setup.judge, setup.eval_clf)
+    assert result.metrics == [pytest.approx(row, rel=1e-9) for row in GOLDEN_METRICS]
+    assert (result.best_epoch, result.skipped_steps) == (1, 0)
