@@ -41,8 +41,7 @@ def matrix(out: Path, seed: int, runs: int, epochs: int):
         ("full-target500", small_setup, cfg),
         ("no-dis-target500", small_setup, replace(cfg, lambda_dis=0.0)),
     ]:
-        result = run_experiment(this_setup, variant, n_runs=runs)
-        report = result.report
+        report = run_experiment(this_setup, variant, n_runs=runs)
         report.to_csv(out / f"{name}.csv")
         rows.append((name, report.mean, report.std, report.by_style))
         print(f"{name:18s} mean {report.mean:.3f} std {report.std:.3f} "

@@ -11,6 +11,7 @@ spelt, and `load_into` refuses a checkpoint whose names or shapes differ.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -71,7 +72,10 @@ def load_checkpoint(path) -> tuple:
 
     def take(fmt, what="checkpoint"):
         nonlocal offset
-        size = struct.calcsize(fmt)
+        try:
+            size = struct.calcsize(fmt)
+        except struct.error:  # too large for struct to size, so past any file's end
+            size = math.inf
         if offset + size > len(blob):
             raise CheckpointFormatError(f"{path}: truncated {what}")
         values = struct.unpack_from(fmt, blob, offset)
@@ -100,7 +104,7 @@ def load_checkpoint(path) -> tuple:
             raise CheckpointFormatError(f"{path}: tensor {name!r} appears twice")
         (rank,) = take("<I")
         shape = take(f"<{rank}I") if rank else ()
-        (payload,) = take(f"<{8 * int(np.prod(shape))}s", f"tensor data for {name}")
+        (payload,) = take(f"<{8 * math.prod(shape)}s", f"tensor data for {name}")
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if offset != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - offset} trailing bytes")

@@ -20,9 +20,9 @@ from .checkpoint import CheckpointFormatError, atomic_write, load_checkpoint, sa
 from .corpus import RESERVED, EmptyInputError, SpecError, Vocab, gen_synthetic, read_lines, write_lines
 from .evaluation import (
     ContaminationError,
+    EvalReport,
     diverged,
     prepare_experiment,
-    report_runs,
     run_experiment,
     score_model,
     write_sample_dump,
@@ -114,14 +114,13 @@ def _load_model(path) -> tuple:
     return model, vocab, cfg
 
 
-def _write_score(setup, result, report_path, samples_path) -> int:
-    """Write the report and, given samples_path, run 0's transfers of the
-    held-out source test part; ADVISORY_EXIT below the trust gate, else 0."""
-    report = result.report
+def _write_score(setup, report, report_path, samples_path) -> int:
+    """Write the report and, given samples_path, the first scored run's transfers
+    of the held-out source test part; ADVISORY_EXIT below the trust gate, else 0."""
     report.to_csv(report_path)
     if samples_path:
         write_sample_dump(samples_path, list(zip(setup.corpora.source.test.sentences,
-                                                 result.runs[0].transferred)))
+                                                 report.scores[0].transferred)))
     print(f"mean_accuracy={report.mean} std={report.std} n_runs={report.n_runs}")
     if report.warning is not None:
         print("warning: evaluation classifier is below the trust gate", file=sys.stderr)
@@ -159,8 +158,9 @@ def cmd_train(args) -> int:
         raise DivergenceError(f"{result.skipped_steps} skipped steps, best_val={result.best_val}")
     save_params(args.out, result.params,
                 {"config": asdict(cfg), "vocab": setup.vocab.id_to_token[len(RESERVED):]})
-    scored = report_runs(cfg, setup.eval_acc, [(cfg.seed, score_model(setup, result.model, cfg))])
-    code = _write_score(setup, scored, args.out + ".report.csv", args.out + ".samples.tsv")
+    report = EvalReport([(cfg.seed, score_model(setup, result.model, cfg))], cfg.fingerprint(),
+                        setup.eval_acc)
+    code = _write_score(setup, report, args.out + ".report.csv", args.out + ".samples.tsv")
     write_manifest(args.out + ".manifest.json", "train", {},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "config": args.config},
@@ -192,11 +192,10 @@ def cmd_transfer(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, setup = _setup(args)
-    result = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
-    report = result.report
-    if not report.accuracies:
+    report = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
+    if not report.scores:
         raise DivergenceError("all runs tripped the divergence guard")
-    code = _write_score(setup, result, args.report, args.samples)
+    code = _write_score(setup, report, args.report, args.samples)
     write_manifest(args.report + ".manifest.json", "evaluate", {"runs": args.runs},
                    {"source": args.source, "target": args.target, "labels": args.labels,
                     "config": args.config},
@@ -254,7 +253,8 @@ def build_parser() -> Parser:
     p.add_argument("--runs", type=int, default=3,
                    help="independent train+evaluate runs, seeded seed, seed+1, ...")
     p.add_argument("--report", required=True)
-    p.add_argument("--samples", help="optional source<TAB>transferred dump of the test part")
+    p.add_argument("--samples", help="optional source<TAB>transferred dump of the test part, "
+                                     "from the first scored run")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
     return parser

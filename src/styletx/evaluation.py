@@ -4,7 +4,7 @@ population standard deviation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,9 +15,9 @@ from .model import (
     ClassifierFit,
     TextCnnClassifier,
     TransferModel,
-    classify_texts,
+    TransferScore,
     pretrain_style_judge,
-    transfer_sentences,
+    score_transfers,
 )
 from .training import (
     SEED_EVAL_CLF,
@@ -95,43 +95,29 @@ def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Voc
                                 [cfg.seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
 
 
-@dataclass
-class TransferScore:
-    accuracy: float
-    by_style: dict
-    transferred: list
-
-
-def transfer_accuracy(model: TransferModel, vocab: Vocab, clf: TextCnnClassifier,
-                      sentences: Sequence[str], pad_len: int,
-                      true_styles: Optional[Sequence[str]] = None) -> TransferScore:
-    """Greedy-transfer every sentence and report the fraction the classifier
-    labels target-styled, with a per-true-style breakdown when available.
-    Model and classifier share vocab."""
-    if not sentences:
-        raise SpecError("transfer accuracy needs a non-empty test set")
-    transferred = transfer_sentences(model, vocab, sentences, pad_len)
-    hits = classify_texts(clf, vocab, transferred, pad_len)
-    by_style: dict = {}
-    if true_styles is not None:
-        for style in sorted(set(true_styles)):
-            idx = [i for i, s in enumerate(true_styles) if s == style]
-            by_style[style] = float(hits[idx].mean())
-    return TransferScore(accuracy=float(hits.mean()), by_style=by_style, transferred=transferred)
-
-
 # ---------------------------------------------------------------------------
 # report
 
 
 @dataclass
 class EvalReport:
-    accuracies: list
-    seeds: list
-    config_fingerprint: str = ""
-    failed_runs: list = field(default_factory=list)
-    warning: Optional[str] = None
-    by_style: dict = field(default_factory=dict)
+    """The report of seeded runs: one (seed, TransferScore) per run in run
+    order, with None in place of the score of a run that tripped the
+    divergence guard; such runs are recorded, not aggregated. It warns when
+    eval_acc, the evaluation classifier's held-out accuracy, is below the
+    trust gate."""
+
+    runs: list
+    config_fingerprint: str
+    eval_acc: float
+
+    @property
+    def scores(self) -> list:
+        return [score for _, score in self.runs if score is not None]
+
+    @property
+    def accuracies(self) -> list:
+        return [score.accuracy for score in self.scores]
 
     @property
     def n_runs(self) -> int:
@@ -146,19 +132,29 @@ class EvalReport:
         # population standard deviation over the run accuracies
         return float(np.std(self.accuracies)) if self.accuracies else float("nan")
 
+    @property
+    def by_style(self) -> dict:
+        scores = self.scores
+        return {style: float(np.mean([s.by_style[style] for s in scores]))
+                for style in (scores[0].by_style if scores else ())}
+
+    @property
+    def warning(self) -> Optional[str]:
+        if self.eval_acc >= QUALITY_GATE:
+            return None
+        return (f"evaluation classifier held-out accuracy {self.eval_acc:.3f} is below the "
+                f"{QUALITY_GATE} trust gate")
+
     def to_csv(self, path) -> None:
         lines = []
         if self.warning:
             lines.append(f"# warning: {self.warning}")
-        if self.config_fingerprint:
-            lines.append(f"# config: {self.config_fingerprint}")
+        lines.append(f"# config: {self.config_fingerprint}")
         for style, acc in sorted(self.by_style.items()):
             lines.append(f"# style {style}: {acc!r}")
         lines.append("run,seed,accuracy")
-        for i, (seed, acc) in enumerate(zip(self.seeds, self.accuracies)):
-            lines.append(f"{i},{seed},{acc!r}")
-        for run, seed in self.failed_runs:
-            lines.append(f"{run},{seed},failed")
+        for i, (seed, score) in enumerate(self.runs):
+            lines.append(f"{i},{seed},{'failed' if score is None else repr(score.accuracy)}")
         lines.append(f"mean,,{self.mean!r}")
         lines.append(f"std,,{self.std!r}")
         with atomic_write(path) as fh:
@@ -200,12 +196,6 @@ class ExperimentSetup:
         return self.eval_fit.heldout_accuracy
 
 
-@dataclass
-class ExperimentResult:
-    report: EvalReport
-    runs: list            # per-run TransferScore
-
-
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
                        target_sentences: Sequence[str], cfg: TrainConfig) -> ExperimentSetup:
     vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
@@ -221,9 +211,8 @@ def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[
 def score_model(setup: ExperimentSetup, model: TransferModel, cfg: TrainConfig) -> TransferScore:
     """The protocol's measurement of one transfer model: its greedy transfers
     of the held-out source test part, scored by the evaluation classifier."""
-    test = setup.corpora.source.test
-    return transfer_accuracy(model, setup.vocab, setup.eval_clf, test.sentences, cfg.pad_len,
-                             true_styles=test.labels)
+    return score_transfers(model, setup.vocab, setup.eval_clf, setup.corpora.source.test,
+                           cfg.pad_len)
 
 
 def diverged(result: TrainResult) -> bool:
@@ -232,28 +221,8 @@ def diverged(result: TrainResult) -> bool:
     return result.skipped_steps > MAX_SKIPPED_STEPS or not np.isfinite(result.best_val)
 
 
-def report_runs(cfg: TrainConfig, eval_acc: float, runs: Sequence[tuple]) -> ExperimentResult:
-    """The report of runs, one (seed, TransferScore) per run, with None in
-    place of the score of a run that tripped the divergence guard: such runs
-    are excluded from the aggregate and recorded. It warns when eval_acc,
-    the evaluation classifier's held-out accuracy, is below the trust gate."""
-    scores = [score for _, score in runs if score is not None]
-    seeds = [seed for seed, score in runs if score is not None]
-    failed = [(i, seed) for i, (seed, score) in enumerate(runs) if score is None]
-    by_style: dict = {}
-    if scores:
-        for style in scores[0].by_style:
-            by_style[style] = float(np.mean([s.by_style[style] for s in scores]))
-    warning = (f"evaluation classifier held-out accuracy {eval_acc:.3f} is below the "
-               f"{QUALITY_GATE} trust gate" if eval_acc < QUALITY_GATE else None)
-    report = EvalReport(accuracies=[s.accuracy for s in scores], seeds=seeds,
-                        config_fingerprint=cfg.fingerprint(), failed_runs=failed,
-                        warning=warning, by_style=by_style)
-    return ExperimentResult(report=report, runs=scores)
-
-
 def run_experiment(setup: ExperimentSetup, cfg: TrainConfig, n_runs: int = 3,
-                   progress: bool = False) -> ExperimentResult:
+                   progress: bool = False) -> EvalReport:
     """n_runs independent train+evaluate cycles with seeds seed, seed+1, ..."""
     if n_runs < 1:
         raise SpecError(f"n_runs must be at least 1, got {n_runs}")
@@ -265,4 +234,4 @@ def run_experiment(setup: ExperimentSetup, cfg: TrainConfig, n_runs: int = 3,
         runs.append((run_cfg.seed, score))
         if progress and score is not None:
             print(f"run {i} (seed {run_cfg.seed}): accuracy {score.accuracy:.3f}")
-    return report_runs(cfg, setup.eval_acc, runs)
+    return EvalReport(runs, cfg.fingerprint(), setup.eval_acc)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import CheckpointFormatError, load_into, shape_of
-from .corpus import BOS, EOS, PAD, TokenSeq, Vocab, encode
+from .corpus import BOS, EOS, PAD, Dataset, SpecError, TokenSeq, Vocab, encode
 from .optim import AdamState, adam_step, zero_grads
 
 INIT_SCALE = 0.08
@@ -409,6 +409,30 @@ def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
             p = clf.prob(Batch.from_seqs(seqs)).data
         preds.append(p > 0.5)
     return np.concatenate(preds).astype(np.float64)
+
+
+@dataclass
+class TransferScore:
+    accuracy: float
+    by_style: dict
+    transferred: list
+
+
+def score_transfers(model: TransferModel, vocab: Vocab, clf: TextCnnClassifier,
+                    data: Dataset, pad_len: int) -> TransferScore:
+    """Greedy-transfer every sentence of data and report the fraction clf
+    labels target-styled, with a per-true-style breakdown when data has
+    labels. Model and classifier share vocab."""
+    if not data.sentences:
+        raise SpecError("scoring transfers needs a non-empty data part")
+    transferred = transfer_sentences(model, vocab, data.sentences, pad_len)
+    hits = classify_texts(clf, vocab, transferred, pad_len)
+    by_style: dict = {}
+    if data.labels is not None:
+        for style in sorted(set(data.labels)):
+            idx = [i for i, s in enumerate(data.labels) if s == style]
+            by_style[style] = float(hits[idx].mean())
+    return TransferScore(accuracy=float(hits.mean()), by_style=by_style, transferred=transferred)
 
 
 # ---------------------------------------------------------------------------

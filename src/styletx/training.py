@@ -21,9 +21,8 @@ from .model import (
     Batch,
     TextCnnClassifier,
     TransferModel,
-    classify_texts,
+    score_transfers,
     snapshot,
-    transfer_sentences,
 )
 from .optim import AdamState, adam_step, clip_global_norm, zero_grads
 
@@ -246,8 +245,9 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
 def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
           eval_clf: Optional[TextCnnClassifier] = None, progress: bool = False) -> TrainResult:
     """Full run: per batch, one discriminator update then one generator
-    update; per epoch, a validation pass, plus `val_acc` from eval_clf (which
-    shares the run's vocabulary) when given; the checkpoint with the best
+    update; per epoch, a validation pass, plus `val_acc`, the score_transfers
+    accuracy of eval_clf (which shares the run's vocabulary) on the validation
+    sources, when eval_clf is given; the checkpoint with the best
     validation total wins, and its parameters are returned."""
     vocab = corpora.vocab
     src_train, tgt_train = corpora.source.train.sentences, corpora.target.train.sentences
@@ -302,8 +302,8 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
                "dis": float(sums[2]), "cyc": float(sums[3]), "total": float(sums[4]),
                "val_total": float(val.total)}
         if eval_clf is not None:
-            texts = transfer_sentences(model, vocab, corpora.source.val.sentences, cfg.pad_len)
-            row["val_acc"] = float(classify_texts(eval_clf, vocab, texts, cfg.pad_len).mean())
+            row["val_acc"] = score_transfers(model, vocab, eval_clf, corpora.source.val,
+                                             cfg.pad_len).accuracy
         metrics.append(row)
         if progress:
             print(f"epoch {epoch}: total {sums[4]:.3f} val {val.total:.3f}")

@@ -4,6 +4,7 @@ import re
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from styletx.checkpoint import MAGIC, load_checkpoint, load_params, save_params
 from styletx import cli, evaluation
 from styletx.cli import build_parser, main
 from styletx.corpus import RESERVED, Vocab, read_lines, write_lines
-from styletx.evaluation import prepare_experiment, split_corpus
-from styletx.model import TextCnnClassifier, TransferModel, transfer_sentences
+from styletx.evaluation import EvalReport, prepare_experiment, split_corpus
+from styletx.model import TextCnnClassifier, TransferModel, TransferScore, transfer_sentences
 from styletx.training import TrainConfig, train
 
 DESK_CFG = """\
@@ -468,6 +469,31 @@ def test_transfer_refuses_a_corrupt_checkpoint_magic(tmp_path, capsys):
     assert code == 2
     assert "bad.ckpt: bad magic" in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_transfer_refuses_overflowing_tensor_dims(tmp_path, capsys):
+    # dims whose product wraps around in int64 still read as a tensor past
+    # the end of the file
+    record = b"{}"
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(MAGIC + struct.pack("<I", len(record)) + record + struct.pack("<I", 1)
+                    + struct.pack("<I", 1) + b"w" + struct.pack("<I", 3)
+                    + struct.pack("<3I", 2**32 - 1, 2**32 - 1, 2**31 + 5))
+    code, err = _transfer_exit(bad, tmp_path, capsys)
+    assert code == 2
+    assert "huge.ckpt: truncated tensor data for w" in err and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_samples_come_from_the_first_scored_run(tmp_path):
+    # run 0 diverged, so the samples are run 1's transfers
+    setup = SimpleNamespace(corpora=SimpleNamespace(
+        source=SimpleNamespace(test=SimpleNamespace(sentences=["a b", "c"]))))
+    report = EvalReport([(0, None), (1, TransferScore(0.5, {}, ["x y", "z"])),
+                         (2, TransferScore(1.0, {}, ["p", "q"]))], "abc123", 1.0)
+    samples = tmp_path / "samples.tsv"
+    assert cli._write_score(setup, report, tmp_path / "report.csv", samples) == 0
+    assert samples.read_text() == "a b\tx y\nc\tz\n"
 
 
 def test_transfer_handles_out_of_vocabulary_tokens(workdir, tmp_path):

@@ -10,14 +10,12 @@ from styletx.evaluation import (
     check_disjoint,
     diverged,
     prepare_experiment,
-    report_runs,
     split_corpus,
     train_part_classifier,
-    transfer_accuracy,
     write_sample_dump,
 )
 from styletx import model as model_module
-from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge
+from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge, score_transfers
 from styletx.training import TrainResult, desk_config
 
 
@@ -25,31 +23,36 @@ from styletx.training import TrainResult, desk_config
 # report arithmetic and serialization
 
 
+def scored(seeds, accuracies, by_style=None) -> list:
+    """(seed, TransferScore) runs with the given accuracies."""
+    return [(seed, TransferScore(acc, dict(by_style or {}), []))
+            for seed, acc in zip(seeds, accuracies)]
+
+
 def test_report_mean_std_recompute():
-    report = EvalReport(accuracies=[0.8, 0.9, 1.0], seeds=[0, 1, 2])
+    report = EvalReport(scored([0, 1, 2], [0.8, 0.9, 1.0]), "", 1.0)
     assert report.mean == pytest.approx(0.9)
     assert report.std == pytest.approx(np.std([0.8, 0.9, 1.0]))
     assert report.n_runs == 3
 
 
 def test_report_single_run_std_zero():
-    assert EvalReport(accuracies=[0.77], seeds=[5]).std == 0.0
+    assert EvalReport(scored([5], [0.77]), "", 1.0).std == 0.0
 
 
 def test_report_identical_seeds_std_zero():
     # determinism consequence: identical seeds means identical accuracies
-    report = EvalReport(accuracies=[0.9, 0.9, 0.9], seeds=[3, 3, 3])
+    report = EvalReport(scored([3, 3, 3], [0.9, 0.9, 0.9]), "", 1.0)
     assert report.std == 0.0
 
 
 def test_report_csv_round_trip(tmp_path):
-    report = EvalReport(accuracies=[0.75, 0.85], seeds=[10, 11],
-                        config_fingerprint="abc123", failed_runs=[(2, 12)],
-                        warning="evaluator weak", by_style={"a": 1.0, "b": 0.7})
+    runs = scored([10, 11], [0.75, 0.85], by_style={"a": 1.0, "b": 0.7}) + [(12, None)]
+    report = EvalReport(runs, "abc123", 0.5)
     path = tmp_path / "report.csv"
     report.to_csv(path)
     assert path.read_text().splitlines() == [
-        "# warning: evaluator weak",
+        "# warning: evaluation classifier held-out accuracy 0.500 is below the 0.8 trust gate",
         "# config: abc123",
         "# style a: 1.0",
         "# style b: 0.7",
@@ -62,25 +65,32 @@ def test_report_csv_round_trip(tmp_path):
     ]
 
 
-def test_report_runs_aggregates_the_scored_runs():
+def report_rows(report, tmp_path) -> list:
+    """The run,seed,accuracy rows of the report's CSV."""
+    report.to_csv(tmp_path / "report.csv")
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    return lines[lines.index("run,seed,accuracy") + 1:-2]
+
+
+def test_report_aggregates_the_scored_runs(tmp_path):
     # `train`'s model and every run of `evaluate` are reported through this
-    # one builder: a diverged run (None) is recorded, not averaged, and the
-    # trust gate is decided once, from the evaluation classifier's accuracy
-    cfg = desk_config(seed=4)
+    # one report: a diverged run (None) is recorded, not averaged, and the
+    # trust gate is decided once, from the evaluation classifier's accuracy;
+    # each row keeps its own run index, so the failed middle run shifts none
     runs = [(4, TransferScore(0.5, {"a": 0.25, "b": 1.0}, [])),
             (5, None),
             (6, TransferScore(1.0, {"a": 0.75, "b": 1.0}, []))]
-    result = report_runs(cfg, 0.5, runs)
-    report = result.report
-    assert (report.accuracies, report.seeds, report.failed_runs) == ([0.5, 1.0], [4, 6], [(1, 5)])
+    report = EvalReport(runs, "abc123", 0.5)
+    assert (report.accuracies, report.n_runs) == ([0.5, 1.0], 2)
+    assert report_rows(report, tmp_path) == ["0,4,0.5", "1,5,failed", "2,6,1.0"]
     assert report.by_style == {"a": 0.5, "b": 1.0}
-    assert report.config_fingerprint == cfg.fingerprint()
     assert report.warning == ("evaluation classifier held-out accuracy 0.500 is below the "
                               "0.8 trust gate")
-    assert result.runs == [runs[0][1], runs[2][1]]
-    assert report_runs(cfg, 0.8, runs).report.warning is None
-    empty = report_runs(cfg, 1.0, [(4, None)]).report
-    assert (empty.accuracies, empty.failed_runs, empty.by_style) == ([], [(0, 4)], {})
+    assert report.scores == [runs[0][1], runs[2][1]]
+    assert EvalReport(runs, "abc123", 0.8).warning is None
+    empty = EvalReport([(4, None)], "abc123", 1.0)
+    assert (empty.accuracies, empty.by_style) == ([], {})
+    assert report_rows(empty, tmp_path) == ["0,4,failed"]
 
 
 @pytest.mark.parametrize("skipped,best_val,expected", [
@@ -193,27 +203,27 @@ def test_shuffled_labels_give_chance_accuracy(monkeypatch):
     assert abs(fit.heldout_accuracy - 0.5) <= 0.1
 
 
-def test_transfer_accuracy_contract(eval_world):
+def test_score_transfers_contract(eval_world):
     data, vocab, src_parts, _, clf, acc = eval_world
     model = TransferModel.create(np.random.default_rng(0), len(vocab), 16, 24, 10)
     sentences = src_parts[0].test.sentences[:40]
     styles = src_parts[0].test.labels[:40]
-    score = transfer_accuracy(model, vocab, clf, sentences, 16, true_styles=styles)
+    score = score_transfers(model, vocab, clf, Dataset(sentences, styles), 16)
     assert 0.0 <= score.accuracy <= 1.0
     assert set(score.by_style) == set(styles)
     assert len(score.transferred) == 40
-    assert report_runs(desk_config(), acc, [(0, score)]).report.warning is None
+    assert EvalReport([(0, score)], desk_config().fingerprint(), acc).warning is None
     # order invariance
     perm = np.random.default_rng(1).permutation(40)
-    score2 = transfer_accuracy(model, vocab, clf, [sentences[i] for i in perm], 16)
+    score2 = score_transfers(model, vocab, clf, Dataset([sentences[i] for i in perm]), 16)
     assert score2.accuracy == pytest.approx(score.accuracy)
 
 
-def test_transfer_accuracy_empty_test_set(eval_world):
+def test_score_transfers_refuses_an_empty_part(eval_world):
     data, vocab, _, _, clf, _ = eval_world
     model = TransferModel.create(np.random.default_rng(0), len(vocab), 16, 24, 10)
     with pytest.raises(SpecError):
-        transfer_accuracy(model, vocab, clf, [], 16)
+        score_transfers(model, vocab, clf, Dataset([]), 16)
 
 
 def test_degenerate_always_target_evaluator_flags_warning(eval_world):
@@ -222,8 +232,7 @@ def test_degenerate_always_target_evaluator_flags_warning(eval_world):
     stuck = TextCnnClassifier.create(np.random.default_rng(2), len(vocab), 16, (1, 2), 2)
     stuck.head_b.data[...] = 1e9  # answers "target" for everything
     stuck.freeze()
-    score = transfer_accuracy(model, vocab, stuck,
-                              src_parts[0].test.sentences[:20], 16)
+    score = score_transfers(model, vocab, stuck, Dataset(src_parts[0].test.sentences[:20]), 16)
     assert score.accuracy == 1.0
-    warning = report_runs(desk_config(), 0.5, [(0, score)]).report.warning
+    warning = EvalReport([(0, score)], desk_config().fingerprint(), 0.5).warning
     assert warning is not None and "below" in warning

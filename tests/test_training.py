@@ -11,7 +11,7 @@ from styletx.checkpoint import save_params
 from styletx.corpus import CorpusPart, Dataset, SpecError, build_vocab, gen_synthetic
 from styletx.evaluation import prepare_experiment
 from styletx.losses import TEMPERATURE, LossBreakdown, LossWeights
-from styletx.model import Batch, TextCnnClassifier, TransferModel, snapshot
+from styletx.model import Batch, TextCnnClassifier, TransferModel, score_transfers, snapshot
 from styletx.optim import AdamState, adam_step, clip_global_norm
 from styletx.training import (
     ConfigError,
@@ -376,6 +376,20 @@ def test_train_csv_includes_val_acc_with_eval_classifier(tmp_path):
     metrics_to_csv(result.metrics, log)
     assert "val_acc" in result.metrics[0]
     assert log.read_text().splitlines()[0].endswith(",val_acc")
+
+
+def test_val_acc_is_the_transfer_score_of_the_validation_sources():
+    # one epoch, so the returned model holds that epoch's parameters
+    corpora = small_corpora()
+    cfg = desk_config(seed=0, epochs=1, batch_size=32, pad_len=14)
+    eval_clf = TextCnnClassifier.create(np.random.default_rng(0), len(corpora.vocab), cfg.d_emb,
+                                        (1, 2), 4)
+    eval_clf.freeze()
+    result = train(cfg, corpora, judge_for(corpora, cfg), eval_clf=eval_clf)
+    assert result.best_epoch == 0
+    score = score_transfers(result.model, corpora.vocab, eval_clf, corpora.source.val, cfg.pad_len)
+    assert 0.0 < score.accuracy < 1.0  # a rate that can tell two scorers apart
+    assert result.metrics[0]["val_acc"] == score.accuracy
 
 
 def test_metrics_csv_round_trip(tmp_path):
