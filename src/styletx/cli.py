@@ -1,8 +1,9 @@
 """Command-line pipeline: synthetic corpora, transfer-model training,
 transfer, and model-based evaluation.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-divergence, 4 advisory (evaluation classifier below its trust gate).
+Exit codes: 0 success, 1 usage error, 2 data/format error or unreadable
+path, 3 numerical divergence, 4 advisory (evaluation classifier below its
+trust gate).
 """
 
 from __future__ import annotations
@@ -16,17 +17,9 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import CheckpointFormatError, atomic_write, load_checkpoint, save_params
-from .corpus import RESERVED, EmptyInputError, SpecError, Vocab, gen_synthetic, read_lines, write_lines
-from .evaluation import (
-    ContaminationError,
-    EvalReport,
-    diverged,
-    prepare_experiment,
-    run_experiment,
-    score_model,
-    write_sample_dump,
-)
+from .checkpoint import CheckpointFormatError, load_checkpoint, save_params
+from .corpus import RESERVED, SpecError, Vocab, gen_synthetic, read_lines, write_lines
+from .evaluation import EvalReport, diverged, prepare_experiment, run_experiment, score_model
 from .model import TransferModel, transfer_sentences
 from .training import ConfigError, TrainConfig, metrics_to_csv, train
 
@@ -64,8 +57,7 @@ def write_manifest(out_path, command: str, flags: dict, inputs: dict,
         manifest.update(config=asdict(cfg), config_fingerprint=cfg.fingerprint())
     if extra:
         manifest.update(extra)
-    with atomic_write(out_path) as fh:
-        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_lines(out_path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _parse_mix(text: str):
@@ -119,8 +111,9 @@ def _write_score(setup, report, report_path, samples_path) -> int:
     of the held-out source test part; ADVISORY_EXIT below the trust gate, else 0."""
     report.to_csv(report_path)
     if samples_path:
-        write_sample_dump(samples_path, list(zip(setup.corpora.source.test.sentences,
-                                                 report.scores[0].transferred)))
+        write_lines(samples_path, [f"{src}\t{out}" for src, out in
+                                   zip(setup.corpora.source.test.sentences,
+                                       report.scores[0].transferred)])
     print(f"mean_accuracy={report.mean} std={report.std} n_runs={report.n_runs}")
     if report.warning is not None:
         print("warning: evaluation classifier is below the trust gate", file=sys.stderr)
@@ -133,9 +126,9 @@ def _write_score(setup, report, report_path, samples_path) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    data = gen_synthetic(args.seed, args.n_source, args.n_target, _parse_mix(args.mix))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = gen_synthetic(args.seed, args.n_source, args.n_target, _parse_mix(args.mix))
     write_lines(out / "source.txt", data.source)
     write_lines(out / "target.txt", data.target)
     write_lines(out / "labels.txt", data.source_styles)
@@ -261,13 +254,8 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -275,8 +263,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return DIVERGENCE_ERROR
-    except (FileNotFoundError, CheckpointFormatError, ConfigError, SpecError,
-            EmptyInputError, ContaminationError, ValueError) as err:
+    except (OSError, ValueError) as err:  # an unreadable path, or bad data or format
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
 

@@ -261,6 +261,9 @@ def gen_synthetic(seed: int, n_source: int, n_target: int, mix: Sequence[float])
     Sentences are unique across both corpora so that downstream three-way
     splits stay disjoint at the sentence level, not just by index.
     """
+    if n_source < 0 or n_target < 0:
+        raise SpecError(f"sentence counts must be non-negative, got {n_source} source "
+                        f"and {n_target} target")
     mix = tuple(float(w) for w in mix)
     if len(mix) != 3 or any(w < 0 for w in mix):
         raise SpecError(f"mix must be three non-negative weights, got {mix}")

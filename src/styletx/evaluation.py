@@ -9,8 +9,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write
-from .corpus import STYLE_TARGET, Dataset, SpecError, Vocab, build_vocab, encode, three_way_split
+from .corpus import (
+    STYLE_TARGET,
+    Dataset,
+    SpecError,
+    Vocab,
+    build_vocab,
+    encode,
+    three_way_split,
+    write_lines,
+)
 from .model import (
     ClassifierFit,
     TextCnnClassifier,
@@ -157,13 +165,7 @@ class EvalReport:
             lines.append(f"{i},{seed},{'failed' if score is None else repr(score.accuracy)}")
         lines.append(f"mean,,{self.mean!r}")
         lines.append(f"std,,{self.std!r}")
-        with atomic_write(path) as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def write_sample_dump(path, pairs: Sequence[tuple]) -> None:
-    with atomic_write(path) as fh:
-        fh.write("".join(f"{src}\t{out}\n" for src, out in pairs).encode("utf-8"))
+        write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

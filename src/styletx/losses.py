@@ -10,8 +10,8 @@ is a batch mean, so the weight defaults transfer across batch sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import astuple, dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
+    """The objective's term values and their weighted total, as floats."""
+
     rec: float
     adv: float
     dis: float
@@ -44,7 +46,16 @@ class LossBreakdown:
 
     @property
     def finite(self) -> bool:
-        return all(np.isfinite(v) for v in (self.rec, self.adv, self.dis, self.cyc, self.total))
+        return all(np.isfinite(v) for v in astuple(self))
+
+    @classmethod
+    def mean(cls, rows: Sequence["LossBreakdown"]) -> "LossBreakdown":
+        """The field-wise mean of rows, each row weighted equally: summed in
+        row order from 0.0, then divided once; all zeros for no rows."""
+        sums = [0.0] * len(fields(cls))
+        for row in rows:
+            sums = [s + v for s, v in zip(sums, astuple(row))]
+        return cls(*(s / max(len(rows), 1) for s in sums))
 
 
 def _cat_batches(a: Batch, b: Batch) -> Batch:

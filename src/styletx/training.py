@@ -5,7 +5,7 @@ objective, Adam everywhere, deterministic under a single seed."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Sequence
@@ -13,8 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import atomic_write
-from .corpus import CorpusPart, SpecError, Vocab, encode
+from .corpus import CorpusPart, SpecError, Vocab, encode, write_lines
 from .losses import TEMPERATURE, LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
 from .model import (
     STYLE_WIDTHS,
@@ -85,16 +84,15 @@ class TrainConfig:
         return LossWeights(lambda_cyc=self.lambda_cyc, lambda_dis=self.lambda_dis)
 
     def to_file(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)!r}".replace("'", "") for f in fields(self)]
-        with atomic_write(path) as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        write_lines(path, [f"{f.name}={getattr(self, f.name)!r}".replace("'", "")
+                           for f in fields(self)])
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        """The defaults, overridden by the file's key=value lines."""
+        """The defaults, overridden by the file's key=value lines, one per key."""
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float}
-        overrides = {}
+        overrides, seen_on = {}, {}
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -104,6 +102,10 @@ class TrainConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in seen_on:
+                raise ConfigError(f"{path}: config key {key!r} given twice, on lines "
+                                  f"{seen_on[key]} and {lineno}")
+            seen_on[key] = lineno
             try:
                 overrides[key] = casts[types[key]](value)
             except ValueError as err:
@@ -145,17 +147,16 @@ class TrainResult:
     skipped_steps: int
 
 
-METRIC_COLUMNS = ["epoch", "rec", "adv", "dis", "cyc", "total", "val_total"]
+# the columns of every epoch row; a run with an evaluation classifier adds val_acc
+METRIC_COLUMNS = ["epoch", *(f.name for f in fields(LossBreakdown)), "val_total"]
 
 
 def metrics_to_csv(rows: Sequence[dict], path) -> None:
-    columns = list(METRIC_COLUMNS) + (["val_acc"] if rows and "val_acc" in rows[0] else [])
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[c])) if c != "epoch" else str(row[c])
-                              for c in columns))
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    """One CSV line per epoch row, under the first row's keys."""
+    columns = list(rows[0]) if rows else METRIC_COLUMNS
+    write_lines(path, [",".join(columns)] + [
+        ",".join(str(row[c]) if c == "epoch" else repr(float(row[c])) for c in columns)
+        for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,7 @@ def _epoch_order(rng, n: int, needed: int) -> np.ndarray:
 def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
                      epoch: int) -> LossBreakdown:
     rng = rng_for(cfg.seed, SEED_VAL, epoch)
-    sums = np.zeros(5)
-    chunks = 0
+    chunks = []
     bs = cfg.batch_size
     n = min(len(val_s), len(val_t))
     for lo in range(0, n, bs):
@@ -234,12 +234,9 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
         batch_s = Batch.from_seqs(val_s[sl])
         batch_t = Batch.from_seqs(val_t[sl])
         with ad.no_grad():
-            _, br = compute_breakdown(model, d_clf, judge, batch_s, batch_t, weights,
-                                      dropout_p=0.0, draw_rng=rng)
-        sums += [br.rec, br.adv, br.dis, br.cyc, br.total]
-        chunks += 1
-    sums /= max(chunks, 1)
-    return LossBreakdown(rec=sums[0], adv=sums[1], dis=sums[2], cyc=sums[3], total=sums[4])
+            chunks.append(compute_breakdown(model, d_clf, judge, batch_s, batch_t, weights,
+                                            dropout_p=0.0, draw_rng=rng)[1])
+    return LossBreakdown.mean(chunks)
 
 
 def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
@@ -280,7 +277,7 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
     for epoch in range(cfg.epochs):
         order_s = _epoch_order(rng_shuffle, len(seqs_s), steps_per_epoch * cfg.batch_size)
         order_t = _epoch_order(rng_shuffle, len(seqs_t), steps_per_epoch * cfg.batch_size)
-        sums, counted = np.zeros(5), 0
+        done = []
         for step in range(steps_per_epoch):
             idx_s = order_s[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             idx_t = order_t[step * cfg.batch_size:(step + 1) * cfg.batch_size]
@@ -293,20 +290,17 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
                                       rng_draw)
             if br is None:
                 skipped += 1
-                continue
-            sums += [br.rec, br.adv, br.dis, br.cyc, br.total]
-            counted += 1
-        sums /= max(counted, 1)
+            else:
+                done.append(br)
+        epoch_mean = LossBreakdown.mean(done)
         val = _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t, epoch)
-        row = {"epoch": epoch, "rec": float(sums[0]), "adv": float(sums[1]),
-               "dis": float(sums[2]), "cyc": float(sums[3]), "total": float(sums[4]),
-               "val_total": float(val.total)}
+        row = {"epoch": epoch, **asdict(epoch_mean), "val_total": val.total}
         if eval_clf is not None:
             row["val_acc"] = score_transfers(model, vocab, eval_clf, corpora.source.val,
                                              cfg.pad_len).accuracy
         metrics.append(row)
         if progress:
-            print(f"epoch {epoch}: total {sums[4]:.3f} val {val.total:.3f}")
+            print(f"epoch {epoch}: total {epoch_mean.total:.3f} val {val.total:.3f}")
         if np.isfinite(val.total) and val.total < best_val:
             best_val, best_epoch, best_params = val.total, epoch, snapshot(g_params)
 

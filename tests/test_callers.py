@@ -161,3 +161,25 @@ def test_qualified_uses_resolve_to_their_module():
     assert "autodiff.gru_sequence" in used      # `ad.gru_sequence` in model
     assert "corpus.encode" in used              # bare, imported from corpus
     assert "model.StyleEncoder.encode" in used  # `self.style_enc.encode`
+
+
+def references(name: str) -> list:
+    """`module.function` of every place CALLERS refer to `name` in code."""
+    found = []
+
+    def visit(node, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and \
+                    getattr(child, "id", getattr(child, "attr", None)) == name:
+                found.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in CALLERS:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_every_text_artefact_goes_through_write_lines():
+    # one atomic writer for the binary checkpoint and one for every text file
+    assert references("atomic_write") == ["checkpoint.save_params", "corpus.write_lines"]

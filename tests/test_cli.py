@@ -82,6 +82,13 @@ def test_gen_synth_bad_mix(tmp_path):
     assert main(["gen-synth", "--out", str(tmp_path / "x"), "--mix", "0.5,0.6,0"]) == 2
 
 
+def test_gen_synth_refuses_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen-synth", "--out", str(out), "--n-source", "-5", "--n-target", "3"]) == 2
+    assert "-5 source" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     out = tmp_path / "never"
     assert main(["gen-synth", "--out", str(out), "--warp", "9"]) == 1
@@ -307,6 +314,28 @@ def test_train_unknown_config_key(workdir, tmp_path):
                  "--config", str(cfg),
                  "--out", str(tmp_path / "x.ckpt"), "--log", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_train_refuses_a_repeated_config_key(workdir, tmp_path, capsys):
+    _, data, _ = workdir
+    cfg = config_file(tmp_path / "twice.cfg", DESK_CFG + "lr=0.05\n")
+    code = main(["train", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--config", str(cfg),
+                 "--out", str(tmp_path / "x.ckpt"), "--log", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "'lr' given twice, on lines 6 and 10" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["twice.cfg"]
+
+
+def test_a_directory_given_as_a_file_is_a_data_error(workdir, tmp_path, capsys):
+    # an unreadable path exits 2 with its name, not with a traceback
+    _, data, cfg = workdir
+    code, err = _transfer_exit(data, tmp_path, capsys)
+    assert code == 2 and str(data) in err
+    code = main(["train", "--source", str(data), "--target", str(data / "target.txt"),
+                 "--config", str(cfg), "--out", str(tmp_path / "x.ckpt"),
+                 "--log", str(tmp_path / "x.csv")])
+    assert code == 2 and str(data) in capsys.readouterr().err
 
 
 def test_transfer_contract(workdir, tmp_path):

@@ -228,6 +228,12 @@ def test_synthetic_mix_validation():
         gen_synthetic(seed=0, n_source=5, n_target=5, mix=(0.5, 0.2, 0.1))
 
 
+@pytest.mark.parametrize("n_source,n_target", [(-5, 3), (3, -1)])
+def test_synthetic_refuses_negative_counts(n_source, n_target):
+    with pytest.raises(SpecError, match="non-negative"):
+        gen_synthetic(seed=0, n_source=n_source, n_target=n_target, mix=(0.3, 0.7, 0.0))
+
+
 def test_line_io_round_trip(tmp_path):
     lines = ["the food was great", "sadly the soup was stale"]
     path = tmp_path / "c.txt"

@@ -12,7 +12,6 @@ from styletx.evaluation import (
     prepare_experiment,
     split_corpus,
     train_part_classifier,
-    write_sample_dump,
 )
 from styletx import model as model_module
 from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge, score_transfers
@@ -100,12 +99,6 @@ def test_diverged_is_the_one_divergence_verdict(skipped, best_val, expected):
     result = TrainResult(model=None, params={}, metrics=[], best_val=best_val, best_epoch=0,
                          skipped_steps=skipped)
     assert diverged(result) is expected
-
-
-def test_sample_dump_format(tmp_path):
-    path = tmp_path / "samples.tsv"
-    write_sample_dump(path, [("a b", "c d"), ("e", "f")])
-    assert path.read_text() == "a b\tc d\ne\tf\n"
 
 
 # ---------------------------------------------------------------------------

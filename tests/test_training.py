@@ -104,6 +104,14 @@ def test_config_file_unknown_key(tmp_path):
         TrainConfig.from_file(path)
 
 
+def test_config_file_refuses_a_repeated_key(tmp_path):
+    # a later line must not silently win over an earlier one
+    path = tmp_path / "twice.cfg"
+    path.write_text("lr=1e-3\nepochs=2\nlr=5e-2\n")
+    with pytest.raises(ConfigError, match="'lr' given twice, on lines 1 and 3"):
+        TrainConfig.from_file(path)
+
+
 def test_config_file_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("epochs=three\n")
@@ -401,6 +409,21 @@ def test_metrics_csv_round_trip(tmp_path):
     assert lines[0] == "epoch,rec,adv,dis,cyc,total,val_total"
     values = lines[1].split(",")
     assert values[0] == "0" and float(values[1]) == 1.5 and float(values[6]) == 4.5
+    # a run with an evaluation classifier adds its val_acc column, last
+    rows = [{**row, "epoch": e, "val_acc": 0.1 * e} for e, row in enumerate(rows * 2)]
+    metrics_to_csv(rows, path)
+    assert path.read_text() == ("epoch,rec,adv,dis,cyc,total,val_total,val_acc\n"
+                                "0,1.5,0.5,0.25,2.0,4.25,4.5,0.0\n"
+                                "1,1.5,0.5,0.25,2.0,4.25,4.5,0.1\n")
+
+
+def test_loss_breakdown_mean_sums_in_row_order():
+    # 1e16 + 1.0 rounds back to 1e16, so only row-order summation gives 0.0
+    rows = [LossBreakdown(rec=r, adv=1.0, dis=2.0, cyc=3.0, total=4.0)
+            for r in (1e16, 1.0, -1e16)]
+    assert LossBreakdown.mean(rows) == LossBreakdown(rec=0.0, adv=1.0, dis=2.0, cyc=3.0,
+                                                     total=4.0)
+    assert LossBreakdown.mean([]) == LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 # the per-epoch metrics of one fixed-seed run, pinned: a change that moves
