@@ -300,4 +300,10 @@ def write_lines(path, lines: Sequence[str]) -> None:
 
 
 def read_lines(path) -> list:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    """The file's lines, split at line feeds only, each without a carriage
+    return before its line feed: other line breaks (U+2028, form feed, ...)
+    stay inside their line."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]

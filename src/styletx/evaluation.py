@@ -5,6 +5,7 @@ population standard deviation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .training import (
     TrainConfig,
     TrainResult,
     TransferCorpora,
+    rng_for,
     train,
 )
 
@@ -42,29 +44,17 @@ QUALITY_GATE = 0.8
 MAX_SKIPPED_STEPS = 10
 
 
-def split_corpus(source: Sequence[str], labels: Optional[Sequence[str]],
-                 target: Sequence[str], cfg: TrainConfig) -> tuple:
-    """(vocab, source parts, target parts): the shared vocabulary, counted
-    with cfg.min_count, and each side's (transfer model, style judge,
-    evaluation classifier) split, seeded by cfg.seed."""
-    vocab = build_vocab(list(source) + list(target), cfg.min_count)
-    src_parts = three_way_split(source, [cfg.seed, SEED_SPLIT_SOURCE], labels=labels)
-    tgt_parts = three_way_split(target, [cfg.seed, SEED_SPLIT_TARGET])
-    return vocab, src_parts, tgt_parts
-
-
 class ContaminationError(ValueError):
     """A classifier split shares sentences with another data part."""
 
 
-def check_disjoint(eval_sentences: Sequence[str], others: Sequence[Sequence[str]]) -> None:
-    eval_set = set(eval_sentences)
-    for other in others:
-        overlap = eval_set & set(other)
+def check_disjoint(parts: Sequence[Sequence[str]]) -> None:
+    """Refuses sentence lists of which any two share a sentence."""
+    for a, b in combinations([set(part) for part in parts], 2):
+        overlap = a & b
         if overlap:
-            sample = sorted(overlap)[:3]
             raise ContaminationError(
-                f"{len(overlap)} sentences shared with another split, e.g. {sample}")
+                f"{len(overlap)} sentences shared with another split, e.g. {sorted(overlap)[:3]}")
 
 
 def binary_style_data(source: Dataset, target: Dataset):
@@ -81,26 +71,6 @@ def binary_style_data(source: Dataset, target: Dataset):
     else:
         src_labels = [0.0] * len(source.sentences)
     return sentences, src_labels + [1.0] * len(target.sentences)
-
-
-def train_part_classifier(src_parts: tuple, tgt_parts: tuple, k: int, vocab: Vocab,
-                          cfg: TrainConfig) -> tuple:
-    """(frozen classifier, ClassifierFit) of split_corpus part k: the
-    style judge for k = 1, seeded [cfg.seed, SEED_JUDGE], or the evaluation
-    classifier for k = 2, seeded [cfg.seed, SEED_EVAL_CLF]. It embeds in
-    cfg.d_emb dimensions and pads to cfg.pad_len. Refuses to train if part k
-    shares a sentence with either other part."""
-    part_s, part_t = src_parts[k], tgt_parts[k]
-    if not len(part_s.train) or not len(part_t.train):
-        raise SpecError("classifier part is empty; the corpus is too small")
-    parts = [s.all_sentences() + t.all_sentences() for s, t in zip(src_parts, tgt_parts)]
-    check_disjoint(parts[k], [parts[i] for i in range(3) if i != k])
-    train_sents, train_labels = binary_style_data(part_s.train, part_t.train)
-    held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
-    enc = lambda sents: [encode(s, vocab, cfg.pad_len) for s in sents]
-    return pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
-                                len(vocab), cfg.d_emb,
-                                [cfg.seed, {1: SEED_JUDGE, 2: SEED_EVAL_CLF}[k]])
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +170,25 @@ class ExperimentSetup:
 
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
                        target_sentences: Sequence[str], cfg: TrainConfig) -> ExperimentSetup:
-    vocab, src_parts, tgt_parts = split_corpus(source_sentences, source_labels,
-                                               target_sentences, cfg)
-    judge, judge_fit = train_part_classifier(src_parts, tgt_parts, 1, vocab, cfg)
-    eval_clf, eval_fit = train_part_classifier(src_parts, tgt_parts, 2, vocab, cfg)
+    """The set-up, in one pass: the vocabulary (cfg.min_count), each side's
+    (transfer, judge, evaluation) split, the refusal of a sentence shared by two
+    parts, then the judge and the evaluation classifier, each on its own part."""
+    vocab = build_vocab(list(source_sentences) + list(target_sentences), cfg.min_count)
+    src_parts = three_way_split(source_sentences, rng_for(cfg.seed, SEED_SPLIT_SOURCE),
+                                labels=source_labels)
+    tgt_parts = three_way_split(target_sentences, rng_for(cfg.seed, SEED_SPLIT_TARGET))
+    check_disjoint([s.all_sentences() + t.all_sentences() for s, t in zip(src_parts, tgt_parts)])
+    enc = lambda sents: [encode(s, vocab, cfg.pad_len) for s in sents]
+    fitted = []
+    for part_s, part_t, offset in zip(src_parts[1:], tgt_parts[1:], (SEED_JUDGE, SEED_EVAL_CLF)):
+        if not len(part_s.train) or not len(part_t.train):
+            raise SpecError("classifier part is empty; the corpus is too small")
+        train_sents, train_labels = binary_style_data(part_s.train, part_t.train)
+        held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
+        fitted.append(pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents),
+                                           held_labels, len(vocab), cfg.d_emb,
+                                           rng_for(cfg.seed, offset)))
+    (judge, judge_fit), (eval_clf, eval_fit) = fitted
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     return ExperimentSetup(corpora=corpora, judge=judge, judge_fit=judge_fit,
                            eval_clf=eval_clf, eval_fit=eval_fit,

@@ -7,13 +7,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import CorpusPart, SpecError, Vocab, encode, write_lines
+from .corpus import CorpusPart, SpecError, Vocab, encode, read_lines, write_lines
 from .losses import TEMPERATURE, LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
 from .model import (
     STYLE_WIDTHS,
@@ -93,7 +92,7 @@ class TrainConfig:
         types = {f.name: f.type for f in fields(cls)}
         casts = {"int": int, "float": float}
         overrides, seen_on = {}, {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_lines(path), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -251,6 +250,10 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
     if len(src_train) < cfg.batch_size or len(tgt_train) < cfg.batch_size:
         raise SpecError(f"training corpus ({len(src_train)} source / {len(tgt_train)} target) "
                         f"smaller than batch size {cfg.batch_size}")
+    n_val_s, n_val_t = len(corpora.source.val), len(corpora.target.val)
+    if not n_val_s or not n_val_t:
+        raise SpecError(f"validation split ({n_val_s} source / {n_val_t} target) has an "
+                        f"empty side; the corpus is too small")
 
     rng_model = rng_for(cfg.seed, SEED_MODEL)
     rng_shuffle = rng_for(cfg.seed, SEED_SHUFFLE)
@@ -305,6 +308,6 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
             best_val, best_epoch, best_params = val.total, epoch, snapshot(g_params)
 
     for name, p in g_params.items():
-        p.data = best_params[name].copy()
-    return TrainResult(model=model, params=snapshot(g_params), metrics=metrics,
+        p.data = best_params[name]
+    return TrainResult(model=model, params=best_params, metrics=metrics,
                        best_val=best_val, best_epoch=best_epoch, skipped_steps=skipped)

@@ -12,10 +12,10 @@ import pytest
 from styletx.checkpoint import MAGIC, load_checkpoint, load_params, save_params
 from styletx import cli, evaluation
 from styletx.cli import build_parser, main
-from styletx.corpus import RESERVED, Vocab, read_lines, write_lines
-from styletx.evaluation import EvalReport, prepare_experiment, split_corpus
+from styletx.corpus import RESERVED, Vocab, read_lines, three_way_split, write_lines
+from styletx.evaluation import EvalReport, prepare_experiment
 from styletx.model import TextCnnClassifier, TransferModel, TransferScore, transfer_sentences
-from styletx.training import TrainConfig, train
+from styletx.training import SEED_SPLIT_SOURCE, TrainConfig, rng_for, train
 
 DESK_CFG = """\
 d_emb=24
@@ -280,14 +280,24 @@ def test_train_refuses_an_out_of_range_config(workdir, tmp_path, capsys, line):
     assert not out.exists() and not (tmp_path / "x.csv").exists()
 
 
+def commands() -> dict:
+    """command name -> its subparser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def options(sub) -> set:
+    """Every option of a command, bar -h, by its first spelling."""
+    return {option for action in sub._actions
+            for option in action.option_strings[:1] if option != "-h"}
+
+
 def test_no_command_overrides_a_config_field():
     # a command that reads --config takes every run setting from it, so none
     # of its other options may set a TrainConfig field
     config_keys = {f.name for f in fields(TrainConfig)}
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
     checked = 0
-    for name, sub in subparsers.choices.items():
+    for name, sub in commands().items():
         dests = {action.dest for action in sub._actions}
         if "config" in dests:
             checked += 1
@@ -298,11 +308,20 @@ def test_no_command_overrides_a_config_field():
 def test_cli_flag_count():
     # every option of every command, bar -h: a new knob fails here until this
     # count is raised on purpose
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    flags = [option for sub in subparsers.choices.values() for action in sub._actions
-             for option in action.option_strings[:1] if option != "-h"]
-    assert len(flags) == 23
+    assert sum(len(options(sub)) for sub in commands().values()) == 23
+
+
+def test_readme_cli_block_names_every_option():
+    # each `styletx <command>` usage line of the README's CLI block, with its
+    # indented continuation lines, names exactly the command's options
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    usage, command = {}, None
+    for line in block.strip().split("\n"):
+        if line.startswith("styletx "):
+            command = line.split()[1]
+        usage.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    assert usage == {name: options(sub) for name, sub in commands().items()}
 
 
 def test_train_unknown_config_key(workdir, tmp_path):
@@ -358,6 +377,38 @@ def test_transfer_contract(workdir, tmp_path):
     assert manifest["config"] == asdict(TrainConfig.from_file(cfg))
     assert manifest["config_fingerprint"] == TrainConfig.from_file(cfg).fingerprint()
     assert set(manifest["inputs"]) == {"model", "input"}
+
+
+def test_transfer_keeps_one_output_line_per_input_line(workdir, tmp_path):
+    # lines end at "\n" only: a U+2028 inside a line neither splits it nor
+    # shifts the outputs of the lines after it
+    root, data, _ = workdir
+    first, last = read_lines(data / "source.txt")[:2]
+    lines = [first, "the food\u2028was great", last]
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    write_lines(inp, lines)
+    assert main(["transfer", "--model", str(root / "model.ckpt"),
+                 "--input", str(inp), "--output", str(out)]) == 0
+    record, arrays = load_checkpoint(root / "model.ckpt")
+    model, vocab = TransferModel.from_params(arrays), Vocab.from_tokens(record["vocab"])
+    assert read_lines(out) == [transfer_sentences(model, vocab, [line], 14)[0]
+                               for line in lines]
+
+
+def test_train_refuses_an_empty_validation_split(tmp_path, capsys):
+    # 10 target sentences leave the transfer part's target validation split
+    # empty: selection would compare validation totals of 0.0
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(data), "--n-source", "400", "--n-target", "10"]) == 0
+    cfg = config_file(tmp_path / "small.cfg", "d_emb=8\nd_z=8\nd_y=5\nd_maps=2\nbatch_size=2\n"
+                                               "epochs=3\npad_len=14\nlr=0.05\n")
+    out, log = tmp_path / "m.ckpt", tmp_path / "m.csv"
+    capsys.readouterr()
+    assert main(["train", "--source", str(data / "source.txt"),
+                 "--target", str(data / "target.txt"), "--labels", str(data / "labels.txt"),
+                 "--config", str(cfg), "--out", str(out), "--log", str(log)]) == 2
+    assert "validation split (24 source / 0 target)" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
 
 
 def test_transfer_takes_no_config(workdir, tmp_path):
@@ -552,9 +603,9 @@ def test_train_report_recomputes(workdir):
     assert set(rows) == {"0", "mean", "std"}
     assert float(rows["mean"]) == float(rows["0"])
     assert float(rows["std"]) == 0.0
-    _, src_parts, _ = split_corpus(read_lines(data / "source.txt"),
-                                   read_lines(data / "labels.txt"),
-                                   read_lines(data / "target.txt"), TrainConfig.from_file(cfg))
+    src_parts = three_way_split(read_lines(data / "source.txt"),
+                                rng_for(TrainConfig.from_file(cfg).seed, SEED_SPLIT_SOURCE),
+                                labels=read_lines(data / "labels.txt"))
     samples = Path(str(root / "model.ckpt") + ".samples.tsv")
     assert samples.read_text().count("\n") == len(src_parts[0].test)
     manifest = json.loads(Path(str(root / "model.ckpt") + ".manifest.json").read_text())

@@ -239,3 +239,16 @@ def test_line_io_round_trip(tmp_path):
     path = tmp_path / "c.txt"
     corpus.write_lines(path, lines)
     assert corpus.read_lines(path) == lines
+
+
+def test_read_lines_splits_at_line_feeds_only(tmp_path):
+    # other Unicode line breaks stay inside their line, so a file keeps the
+    # line count that write_lines gave it; a CRLF file reads as its LF twin
+    lines = ["the food\u2028was great", "a\x0cb\x1cc\x85d\x0be", "", "x\ry"]
+    path = tmp_path / "c.txt"
+    corpus.write_lines(path, lines)
+    assert corpus.read_lines(path) == lines
+    path.write_bytes(b"one\r\ntwo\r\n\r\nthree")
+    assert corpus.read_lines(path) == ["one", "two", "", "three"]
+    path.write_bytes(b"")
+    assert corpus.read_lines(path) == []

@@ -10,12 +10,18 @@ from styletx.evaluation import (
     check_disjoint,
     diverged,
     prepare_experiment,
-    split_corpus,
-    train_part_classifier,
 )
+from styletx import evaluation as evaluation_module
 from styletx import model as model_module
 from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge, score_transfers
-from styletx.training import TrainResult, desk_config
+from styletx.training import (
+    SEED_EVAL_CLF,
+    SEED_SPLIT_SOURCE,
+    SEED_SPLIT_TARGET,
+    TrainResult,
+    desk_config,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,22 +112,59 @@ def test_diverged_is_the_one_divergence_verdict(skipped, best_val, expected):
 
 
 def test_check_disjoint_passes_on_disjoint_sets():
-    check_disjoint(["a", "b"], [["c"], ["d", "e"]])
+    check_disjoint([["a", "b"], ["c"], ["d", "e"]])
 
 
 def test_check_disjoint_raises_on_overlap():
     with pytest.raises(ContaminationError, match="shared"):
-        check_disjoint(["a", "b"], [["b", "c"]])
+        check_disjoint([["a", "b"], ["c"], ["b", "d"]])
+
+
+def share_one_sentence(sentences: list, offset: int, part: int, other: int) -> list:
+    """The sentences with one of the given part's validation sentences
+    replaced by a sentence of the other part: the split, seeded
+    rng_for(0, offset), depends only on the sentence count, so the copy
+    lands in both parts."""
+    where = three_way_split([str(i) for i in range(len(sentences))], rng_for(0, offset))
+    out = list(sentences)
+    out[int(where[part].val.sentences[0])] = out[int(where[other].train.sentences[0])]
+    return out
+
+
+@pytest.fixture
+def classifier_calls(monkeypatch) -> list:
+    """One entry per classifier that prepare_experiment trains."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pretrain_style_judge(*args)
+
+    monkeypatch.setattr(evaluation_module, "pretrain_style_judge", counted)
+    return calls
 
 
 @pytest.mark.parametrize("k,other", [(1, 0), (1, 2), (2, 0), (2, 1)])
-def test_part_classifier_rejects_a_sentence_shared_with_another_part(k, other):
+def test_part_classifier_rejects_a_sentence_shared_with_another_part(k, other, classifier_calls):
     data = gen_synthetic(seed=40, n_source=60, n_target=60, mix=(0.0, 1.0, 0.0))
-    cfg = desk_config(seed=0, pad_len=14)
-    vocab, src_parts, tgt_parts = split_corpus(data.source, None, data.target, cfg)
-    tgt_parts[k].val.sentences.append(tgt_parts[other].train.sentences[0])
+    target = share_one_sentence(data.target, SEED_SPLIT_TARGET, k, other)
     with pytest.raises(ContaminationError, match="1 sentences shared"):
-        train_part_classifier(src_parts, tgt_parts, k, vocab, cfg)
+        prepare_experiment(data.source, None, target, desk_config(seed=0, pad_len=14))
+    assert len(classifier_calls) == 0
+
+
+def test_prepare_experiment_refuses_a_shared_sentence_before_any_classifier_trains(
+        classifier_calls):
+    # a sentence in the transfer part and the evaluation classifier's part is
+    # refused before the judge trains, not after
+    data = gen_synthetic(0, 400, 400, (0.3, 0.7, 0))
+    source = share_one_sentence(data.source, SEED_SPLIT_SOURCE, 2, 0)
+    with pytest.raises(ContaminationError, match="1 sentences shared"):
+        prepare_experiment(source, data.source_styles, data.target, desk_config(seed=0))
+    assert len(classifier_calls) == 0
+    setup = prepare_experiment(data.source, data.source_styles, data.target,
+                               desk_config(d_emb=8, d_maps=2))
+    assert len(classifier_calls) == 2 and setup.judge is not setup.eval_clf
 
 
 def test_prepare_experiment_rejects_judge_part_sharing_a_sentence():
@@ -161,8 +204,12 @@ def eval_world():
     vocab = build_vocab(data.source + data.target)
     src_parts = three_way_split(data.source, 1, labels=data.source_styles)
     tgt_parts = three_way_split(data.target, 2)
-    clf, fit = train_part_classifier(src_parts, tgt_parts, 2, vocab,
-                                     desk_config(d_emb=24, pad_len=16, seed=3))
+    # the evaluation classifier as prepare_experiment trains it, on part 2
+    enc = lambda sents: [encode(s, vocab, 16) for s in sents]
+    train_sents, train_labels = binary_style_data(src_parts[2].train, tgt_parts[2].train)
+    held_sents, held_labels = binary_style_data(src_parts[2].test, tgt_parts[2].test)
+    clf, fit = pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
+                                    len(vocab), 24, rng_for(3, SEED_EVAL_CLF))
     return data, vocab, src_parts, tgt_parts, clf, fit.heldout_accuracy
 
 

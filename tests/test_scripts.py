@@ -7,10 +7,10 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from styletx.corpus import read_lines
-from styletx.evaluation import EvalReport, split_corpus
+from styletx.corpus import read_lines, three_way_split
+from styletx.evaluation import EvalReport
 from styletx.model import ClassifierFit, TransferScore
-from styletx.training import desk_config
+from styletx.training import SEED_SPLIT_SOURCE, rng_for
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,8 +31,8 @@ def test_run_pipeline_writes_its_artifacts(tmp_path):
     assert [row.split(",")[:2] for row in rows] == [["0", "0"], ["mean", ""], ["std", ""]]
     # one transfer per sentence of the held-out source test part
     data = out / "data"
-    _, src_parts, _ = split_corpus(read_lines(data / "source.txt"), read_lines(data / "labels.txt"),
-                                   read_lines(data / "target.txt"), desk_config(seed=0, epochs=1))
+    src_parts = three_way_split(read_lines(data / "source.txt"), rng_for(0, SEED_SPLIT_SOURCE),
+                                labels=read_lines(data / "labels.txt"))
     assert len(read_lines(out / "model.ckpt.samples.tsv")) == len(src_parts[0].test)
 
 

@@ -1,4 +1,5 @@
-from dataclasses import fields, replace
+import re
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,18 @@ def test_train_rejects_tiny_corpus():
         train(cfg, corpora, judge_for(corpora, cfg))
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_train_refuses_an_empty_validation_split(side):
+    # no validation chunk would leave val_total 0.0 in every epoch, and
+    # selection would keep epoch 0 without a word
+    corpora = small_corpora()
+    corpora = replace(corpora, **{side: replace(getattr(corpora, side), val=Dataset([]))})
+    sizes = f"({len(corpora.source.val)} source / {len(corpora.target.val)} target)"
+    cfg = desk_config(batch_size=32, epochs=1, pad_len=14)
+    with pytest.raises(SpecError, match=re.escape(f"validation split {sizes}")):
+        train(cfg, corpora, judge_for(corpora, cfg))
+
+
 def test_train_run_is_deterministic(tmp_path):
     corpora = small_corpora()
     cfg = desk_config(seed=3, epochs=2, batch_size=32, pad_len=14)
@@ -426,7 +439,8 @@ def test_loss_breakdown_mean_sums_in_row_order():
     assert LossBreakdown.mean([]) == LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-# the per-epoch metrics of one fixed-seed run, pinned: a change that moves
+# the per-epoch metrics of one fixed-seed run and the fits of its two
+# classifiers, pinned: a change that moves
 # any fixed-seed output fails here and has to update these values on purpose
 GOLDEN_METRICS = [
     {"epoch": 0, "rec": 73.24652109680801, "adv": 1.386294755342897,
@@ -437,6 +451,11 @@ GOLDEN_METRICS = [
      "val_total": 145.47138957771594, "val_acc": 0.0},
 ]
 
+GOLDEN_JUDGE_FIT = {"heldout_accuracy": 0.875, "train_bce": 0.24055432396482296,
+                    "heldout_margin": 0.27185998279718515}
+GOLDEN_EVAL_FIT = {"heldout_accuracy": 0.75, "train_bce": 0.2056920464482883,
+                   "heldout_margin": 0.2937595477664155}
+
 
 def test_fixed_seed_run_reproduces_its_pinned_metrics():
     # the benchmark's tiny desk dimensions, run for two epochs
@@ -446,3 +465,5 @@ def test_fixed_seed_run_reproduces_its_pinned_metrics():
     result = train(cfg, setup.corpora, setup.judge, setup.eval_clf)
     assert result.metrics == [pytest.approx(row, rel=1e-9) for row in GOLDEN_METRICS]
     assert (result.best_epoch, result.skipped_steps) == (1, 0)
+    assert asdict(setup.judge_fit) == pytest.approx(GOLDEN_JUDGE_FIT, rel=1e-9)
+    assert asdict(setup.eval_fit) == pytest.approx(GOLDEN_EVAL_FIT, rel=1e-9)
