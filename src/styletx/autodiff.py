@@ -1,10 +1,12 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float32/float64 tensors with tape-based reverse-mode differentiation.
 
 Small enough to audit, big enough for GRUs, 1-D convolutions over token
-sequences, softmax/cross-entropy and the loss algebra built on top. All
-math is float64; gradient checking relies on that precision. Tensors are
-treated as immutable while recorded on a tape; parameter updates happen
-between tapes.
+sequences, softmax/cross-entropy and the loss algebra built on top. The
+dtype is a property of the data: a float32 array stays float32, anything
+else becomes float64, and each primitive computes in numpy's result type of
+its operands. Runs feed float32 parameters; gradient checking probes in
+float64, the precision central differences need. Tensors are treated as
+immutable while recorded on a tape; parameter updates happen between tapes.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ class NonDeterministicError(RuntimeError):
 
 
 class Tensor:
-    """n-d float64 value, optionally carrying an accumulated gradient."""
+    """n-d float32 or float64 value, optionally carrying an accumulated
+    gradient. A float32 array is kept as it is; anything else (Python
+    numbers, lists, integer, bool or float64 arrays) becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
 
@@ -491,6 +496,7 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
         if length < f.shape[0]:
             raise SequenceTooShortError(
                 f"sequence length {length} shorter than filter width {f.shape[0]}")
+    dtype = np.result_type(*(t.data for t in (seq_emb,) + filters + biases))
     # where each filter's taps start in the stacked columns, and its maps in the output
     tap_cols = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in filters])
     map_cols = np.cumsum([0] + [f.shape[2] for f in filters])
@@ -499,12 +505,12 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
     flat = seq_emb.data.reshape(batch * length, d_emb)
     prod = (flat @ taps).reshape(batch, length, tap_cols[-1])
 
-    out = np.empty((batch, map_cols[-1]))
+    out = np.empty((batch, map_cols[-1]), dtype=dtype)
     argmax = []
     for (f, col, m0, m1), b in zip(spans, biases):
         width, n_maps = f.shape[0], f.shape[2]
         n_win = length - width + 1
-        resp = prod[:, :n_win, col:col + n_maps].copy()
+        resp = prod[:, :n_win, col:col + n_maps].astype(dtype)
         for j in range(1, width):
             resp += prod[:, j:j + n_win, col + j * n_maps:col + (j + 1) * n_maps]
         resp += b.data
@@ -512,7 +518,7 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
         argmax.append(resp.argmax(axis=1))                     # [B, C]
 
     def bwd(g):
-        g_prod = np.zeros((batch, length, tap_cols[-1]))
+        g_prod = np.zeros((batch, length, tap_cols[-1]), dtype=dtype)
         rows = np.arange(batch)[:, None, None]
         for (f, col, m0, m1), idx in zip(spans, argmax):
             tap = np.arange(f.shape[0])[None, :, None]
@@ -575,6 +581,7 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         raise ShapeError(f"gru_sequence expects x [B, T, {wz.shape[0]}] and h0 [B, {uz.shape[0]}], "
                          f"got {x.shape} and {h0.shape}")
     inputs = (x, h0) + weights
+    dtype = np.result_type(*(t.data for t in inputs))
     batch, steps, d_in = x.shape
     d_h = uz.shape[0]
     if lengths is not None:
@@ -613,7 +620,7 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
             return a.reshape(batch * steps, a.shape[2])[pair_index]
 
         def unpack(a: Array) -> Array:
-            out = np.zeros((batch * steps, a.shape[1]))
+            out = np.zeros((batch * steps, a.shape[1]), dtype=a.dtype)
             out[pair_index] = a
             return out.reshape(batch, steps, a.shape[1])
     else:
@@ -628,14 +635,14 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     # one buffer for the gates z, r, c of every live pair, then h0 and the
     # state after every live pair: one large allocation faults in much
     # faster than several mid-sized ones (numpy asks for huge pages from 4 MB up)
-    work = np.empty((4 * n_live + batch, d_h))
+    work = np.empty((4 * n_live + batch, d_h), dtype=dtype)
     zs, rs, cs = work[:3 * n_live].reshape(3, n_live, d_h)
     hs = work[3 * n_live:]
     flat_x = pack(x.data)
     for gate, w in zip((zs, rs, cs), (wz, wr, wc)):
         np.matmul(flat_x, w, out=gate)
     hs[:batch] = h0.data[order] if packed else h0.data
-    rh_buf, tmp_buf = np.empty((2, batch, d_h))
+    rh_buf, tmp_buf = np.empty((2, batch, d_h), dtype=dtype)
     with np.errstate(over="ignore"):   # exp overflow gives the correct sigmoid 0
         for lo, hi, p in blocks:
             n = hi - lo
@@ -661,10 +668,10 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         # g_hs mirrors hs: the gradient of h0, then of each live pair's new
         # state; each step adds its terms to its input states' rows in the
         # order of the per-gate ops' reverse sweep
-        g_hs = np.empty((batch + n_live, d_h))
+        g_hs = np.empty((batch + n_live, d_h), dtype=dtype)
         g_hs[:batch] = 0.0
         g_hs[batch:] = pack(g)
-        g_pre = np.empty((3, n_live, d_h))      # pre-activation z, r, c
+        g_pre = np.empty((3, n_live, d_h), dtype=dtype)  # pre-activation z, r, c
         for lo, hi, p in reversed(blocks):
             n = hi - lo
             h, z, r, c = hs[p:p + n], zs[lo:hi], rs[lo:hi], cs[lo:hi]
@@ -720,12 +727,13 @@ class GradCheckReport:
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients of scalar f against central differences
-    with step 1e-4.
+    with step 1e-4, both taken at x's values cast to float64: central
+    differences at that step do not survive float32 rounding.
 
     Relative error per entry is |a - n| / max(1, |a|, |n|). Raises
     NonDeterministicError if two forward passes of f disagree.
     """
-    base = x.data.copy()
+    base = x.data.astype(np.float64)
 
     def run() -> float:
         with no_grad():

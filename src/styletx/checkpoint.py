@@ -128,8 +128,9 @@ def shape_of(arrays: dict, name: str, rank: int) -> tuple:
 
 def load_into(params: dict, arrays: dict) -> None:
     """Set each parameter tensor of a name -> Tensor map to the same-named
-    checkpoint array. Refuses, before changing any parameter, a checkpoint
-    with a missing, unexpected or mis-shaped tensor."""
+    checkpoint array, cast to that parameter's dtype. Refuses, before
+    changing any parameter, a checkpoint with a missing, unexpected or
+    mis-shaped tensor."""
     missing = [name for name in params if name not in arrays]
     unexpected = [name for name in arrays if name not in params]
     if missing or unexpected:
@@ -140,4 +141,4 @@ def load_into(params: dict, arrays: dict) -> None:
             raise CheckpointFormatError(f"tensor {name!r} has shape {arrays[name].shape}, "
                                         f"the model expects {p.shape}")
     for name, p in params.items():
-        p.data = np.asarray(arrays[name], dtype=np.float64)
+        p.data = np.asarray(arrays[name], dtype=p.data.dtype)

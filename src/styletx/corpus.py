@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import math
 
@@ -140,12 +140,14 @@ def _slice(sentences, labels, idx) -> Dataset:
                    [labels[i] for i in idx] if labels is not None else None)
 
 
-def three_way_split(sentences: Sequence[str], seed: int,
+def three_way_split(sentences: Sequence[str], seed: Union[int, np.random.Generator],
                     labels: Optional[Sequence[str]] = None) -> tuple:
     """Disjoint (transfer, judge, eval) parts, each sub-split train/test/val.
 
-    The shuffle is a seeded permutation, so the same seed always yields the
-    same partition.
+    The shuffle is a permutation drawn from `np.random.default_rng(seed)`:
+    an int seeds a new stream, and a Generator (the set-up passes one) is
+    drawn from as it is. The same seed, or a Generator in the same state,
+    always yields the same partition.
     """
     n = len(sentences)
     if labels is not None and len(labels) != n:

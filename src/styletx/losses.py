@@ -66,7 +66,7 @@ def _cat_batches(a: Batch, b: Batch) -> Batch:
 
 
 def _segment_mean(x: Tensor, start: int, size: int) -> Tensor:
-    weights = np.zeros(x.shape[0])
+    weights = np.zeros(x.shape[0], dtype=x.data.dtype)
     weights[start:start + size] = 1.0 / size
     return ad.sum_(ad.mul(x, Tensor(weights)))
 

@@ -22,7 +22,10 @@ from .corpus import BOS, EOS, PAD, Dataset, SpecError, TokenSeq, Vocab, encode
 from .optim import AdamState, adam_step, zero_grads
 
 INIT_SCALE = 0.08
-LOGIT_CLAMP = 30.0  # keeps sigmoid outputs strictly inside (0, 1) at float64
+PARAM_DTYPE = np.float32  # of every parameter a model builds; activations follow it
+# keeps sigmoid outputs strictly inside (0, 1) in float32 too: σ(16) is
+# 0.99999988 there, while σ(17) and above round to exactly 1.0
+LOGIT_CLAMP = 16.0
 STYLE_WIDTHS = (1, 2, 3, 4, 5)  # filter widths of the style encoder and the discriminator
 # the judge and the evaluation classifier
 CLASSIFIER_WIDTHS, CLASSIFIER_MAPS, CLASSIFIER_BATCH = (2, 3, 4, 5), 8, 32
@@ -34,11 +37,12 @@ SOURCE, TARGET = "source", "target"  # only the benchmark still passes these to 
 
 
 def _init(rng: np.random.Generator, *shape) -> Tensor:
-    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
+    draw = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+    return Tensor(draw.astype(PARAM_DTYPE), requires_grad=True)
 
 
 def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=PARAM_DTYPE), requires_grad=True)
 
 
 @dataclass
@@ -81,7 +85,7 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
         draw = rng.random((x.shape[1], x.shape[0], x.shape[2])).swapaxes(0, 1)
     else:
         draw = rng.random(x.shape)
-    return ad.mul(x, Tensor((draw >= p) / (1.0 - p)))
+    return ad.mul(x, Tensor(((draw >= p) / (1.0 - p)).astype(x.data.dtype)))
 
 
 def style_rows(y: Tensor, batch_size: int) -> Tensor:
@@ -274,7 +278,8 @@ class TransferModel:
             kept[rows] = lengths[rows]
             lengths = kept
         states = self.enc_cell.unroll(_dropout(emb, dropout_p, dropout_rng),
-                                      Tensor(np.zeros((b, self.d_z))), lengths)
+                                      Tensor(np.zeros((b, self.d_z), dtype=emb.data.dtype)),
+                                      lengths)
         # row i's last real state is row i*t + lengths[i]-1 of the flattened [B*T, d_z]
         ends = rows * t + lengths[rows] - 1
         return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), ends)
@@ -299,7 +304,7 @@ class TransferModel:
         probs = ad.softmax(flat @ self.out_w + self.out_b, temperature=1.0)
         gold = ad.take_along_last(ad.reshape(probs, (b, t_eff, self.vocab_size)),
                                   batch.ids[:, :t_eff])
-        mask = (np.arange(t_eff)[None, :] < batch.lengths[:, None]).astype(np.float64)
+        mask = (np.arange(t_eff)[None, :] < batch.lengths[:, None]).astype(gold.data.dtype)
         logp = ad.mul(ad.log(ad.clip(gold, 1e-12, 1.0)), Tensor(mask))
         return ad.neg(ad.sum_(logp, axis=1))
 
@@ -464,12 +469,16 @@ def heldout_scores(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
 
 def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[float],
                          heldout_seqs: Sequence[TokenSeq], heldout_labels: Sequence[float],
-                         vocab_size: int, d_emb: int, seed: int = 0) -> tuple:
+                         vocab_size: int, d_emb: int,
+                         seed: Union[int, np.random.Generator] = 0) -> tuple:
     """The pre-trained, then frozen, probability-of-target-style classifier.
 
     Binary cross-entropy training of a text CNN on its own data part, before
     the transfer model; never updated afterwards. Label 1 means the sentence
-    has the target style. Returns the classifier and its ClassifierFit.
+    has the target style. Its initial weights and batch order come from
+    `np.random.default_rng(seed)`: an int seeds a new stream, and a Generator
+    (the set-up passes one) is drawn from as it is. Returns the classifier
+    and its ClassifierFit.
     """
     if not train_seqs or not heldout_seqs:
         raise ValueError("classifier training needs non-empty train and held-out sets")
@@ -485,10 +494,10 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
         for lo in range(0, n, CLASSIFIER_BATCH):
             idx = order[lo: lo + CLASSIFIER_BATCH]
             batch = Batch.from_seqs([train_seqs[i] for i in idx])
-            ybat = Tensor(labels[idx])
             tape = ad.Tape()
             with ad.recording(tape):
                 p = ad.clip(clf.prob(batch), 1e-7, 1 - 1e-7)
+                ybat = Tensor(labels[idx].astype(p.data.dtype))
                 loss = ad.neg(ad.mean_(ybat * ad.log(p) + (1.0 - ybat) * ad.log(1.0 - p)))
                 ad.backward(loss, tape)
             bce_sum += loss.item() * len(idx)

@@ -36,7 +36,18 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 # shared tiny world for the gradient criteria
 
 
+def in_float64(model):
+    """`model`, its parameters cast to float64 in place: models are built in
+    float32, and the finite-difference checks and closed-form oracles need
+    float64. Every activation follows the parameters' dtype."""
+    for p in model.params().values():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
 def tiny_world(seed=0):
+    """A float64 transfer model, discriminator and frozen judge, with two
+    source and two target sentences."""
     sentences = ["the food was so warm", "my soup felt too cold today",
                  "the staff looked so dark", "we found the coffee too slow here"]
     vocab = build_vocab(sentences + ["it seemed a quite bright room"])
@@ -45,6 +56,7 @@ def tiny_world(seed=0):
     d_clf = TextCnnClassifier.create(rng, len(vocab), 6, (1, 2, 3), 2)
     judge = TextCnnClassifier.create(rng, len(vocab), 6, (2, 3), 2)
     judge.freeze()
+    model, d_clf, judge = map(in_float64, (model, d_clf, judge))
     batch_s = Batch.from_sentences(sentences[:2], vocab, 8)
     batch_t = Batch.from_sentences(sentences[2:], vocab, 8)
     return model, d_clf, judge, batch_s, batch_t

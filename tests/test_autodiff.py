@@ -32,6 +32,20 @@ from styletx.autodiff import (
 )
 
 
+def test_tensor_keeps_float32_and_casts_everything_else_to_float64():
+    f32 = np.ones((2, 3), dtype=np.float32)
+    assert Tensor(f32).data is f32
+    for value in (1.0, 2, [1, 2], np.ones(2, dtype=np.int64), np.ones(2, dtype=bool),
+                  np.ones(2, dtype=np.float16)):
+        assert Tensor(value).data.dtype == np.float64
+    # a primitive computes in numpy's result type of its operands: a Python
+    # number becomes a float64 0-d tensor, so it promotes what it touches
+    x = Tensor(f32)
+    assert (x * x).data.dtype == np.float32
+    assert ad.softmax(x, temperature=0.5).data.dtype == np.float32
+    assert (x * 2.0).data.dtype == np.float64
+
+
 def run_taped(fn):
     tape = Tape()
     with recording(tape):
@@ -186,6 +200,25 @@ def test_text_cnn_batched_matches_per_sequence():
     for i in range(3):
         single = cnn(seqs[i:i + 1], filts, biases)
         np.testing.assert_array_equal(batched.data[i], single.data[0])
+
+
+def test_text_cnn_in_float32_runs_in_float32_and_follows_float64():
+    rng = np.random.default_rng(4)
+    arrays = ([rng.normal(size=(3, 6, 2))] + [rng.normal(size=(w, 2, 4)) for w in (1, 2, 5)]
+              + [rng.normal(size=4) for _ in range(3)])
+    runs = []
+    for dtype in (np.float32, np.float64):
+        ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        tape = Tape()
+        with recording(tape):
+            out = text_cnn(ts[0], ts[1:4], ts[4:])
+            backward(sum_(ad.mul(out, out)), tape)
+        runs.append((out.data, [t.grad for t in ts]))
+    (out32, grads32), (out64, grads64) = runs
+    assert out32.dtype == np.float32 and all(g.dtype == np.float32 for g in grads32)
+    np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
+    for g, ref in zip(grads32, grads64):
+        np.testing.assert_allclose(g, ref, rtol=1e-5, atol=1e-5)
 
 
 def test_text_cnn_too_short():
@@ -471,6 +504,18 @@ def gru_grads(values, lengths):
     return states.data, probe, [t.grad for t in tensors]
 
 
+@pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
+def test_gru_sequence_in_float32_runs_in_float32_and_follows_float64(lengths):
+    values = gru_inputs(lengths=lengths)
+    states, _, grads = gru_grads([v.astype(np.float32) for v in values], lengths)
+    ref_states, _, ref_grads = gru_grads(values, lengths)
+    assert states.dtype == np.float32 and all(g.dtype == np.float32 for g in grads)
+    # inputs rounded to float32 (relative 6e-8), a few steps of float32 arithmetic
+    np.testing.assert_allclose(states, ref_states, rtol=1e-5, atol=1e-6)
+    for name, g, ref in zip(GRU_NAMES, grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-5, atol=1e-5, err_msg=name)
+
+
 def test_gru_sequence_permuting_rows_permutes_states_and_input_gradients():
     lengths = GRU_LENGTHS["unsorted"]
     values = gru_inputs(lengths=lengths)
@@ -580,6 +625,18 @@ def test_primitive_gradients_100_seeds(name, fn, shape):
 def test_grad_check_linear_is_exact():
     report = grad_check(lambda x: sum_(x), Tensor(np.random.default_rng(0).normal(size=(4,))))
     assert report.max_rel_err < 1e-10
+
+
+def test_grad_check_probes_a_float32_input_in_float64():
+    seen = []
+
+    def f(x):
+        seen.append(x.data.dtype)
+        return sum_(ad.sigmoid(ad.mul(ad.tanh(x), 2.0)))
+
+    x = np.random.default_rng(1).normal(size=(5,)).astype(np.float32)
+    report = grad_check(f, Tensor(x), tol=1e-4)
+    assert report.passed and set(seen) == {np.dtype(np.float64)}
 
 
 def test_grad_check_sigmoid_composite_passes():

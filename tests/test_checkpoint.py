@@ -10,6 +10,7 @@ import pytest
 from styletx.autodiff import Tensor
 from styletx.checkpoint import (MAGIC, CheckpointFormatError, load_checkpoint, load_into, load_params,
                                 save_params)
+from styletx.model import TransferModel
 from styletx.training import METRIC_COLUMNS, metrics_to_csv
 
 
@@ -29,6 +30,20 @@ def test_round_trip_bit_exact(tmp_path):
     for name in params:
         assert loaded[name].shape == params[name].shape
         assert np.array_equal(loaded[name], params[name])
+
+
+def test_float32_model_saves_float64_and_reloads_as_float32(tmp_path):
+    model = TransferModel.create(np.random.default_rng(0), 11, 6, 8, 5)
+    params = model.params()
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+    save_params(tmp_path / "f32.ckpt", params)
+    # the tensor table stays <f8: the bytes equal those of the values cast up
+    save_params(tmp_path / "f64.ckpt", {k: p.data.astype(np.float64) for k, p in params.items()})
+    assert (tmp_path / "f32.ckpt").read_bytes() == (tmp_path / "f64.ckpt").read_bytes()
+    clone = TransferModel.from_params(load_params(tmp_path / "f32.ckpt"))
+    for name, p in clone.params().items():
+        assert p.data.dtype == np.float32
+        assert np.array_equal(p.data, params[name].data)
 
 
 def test_accepts_tensors(tmp_path):

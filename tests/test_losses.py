@@ -16,8 +16,9 @@ from styletx.losses import (
     style_discrepancy_loss,
     total_loss,
 )
-from styletx.model import Batch, TextCnnClassifier, TransferModel
+from styletx.model import LOGIT_CLAMP, Batch, TextCnnClassifier, TransferModel
 from styletx.optim import AdamState, adam_step, zero_grads
+from test_acceptance import in_float64
 
 
 def tiny_vocab():
@@ -81,12 +82,18 @@ def test_style_discrepancy_loss_exact_anchor():
 
 
 def test_style_discrepancy_loss_zero_probability_annihilates():
+    # the logit floor -LOGIT_CLAMP gives p = σ(-16) ≈ 1.1e-7, the smallest
+    # probability the judge can give: the loss is that times the mean
+    # squared distance, about 1e-7 of the loss at p = 1
     model, _, _, batch_s, _, vocab = setup(seed=1)
-    judge = zero_weight_clf(len(vocab))
-    judge.head_b.data[...] = -1e9  # clamps to the -30 logit floor: p ~ 1e-14
+    model = in_float64(model)
+    judge = in_float64(zero_weight_clf(len(vocab)))
+    judge.head_b.data[...] = -1e9
     with no_grad():
         loss = discrepancy(model, judge, batch_s)
-    assert abs(loss.item()) < 1e-9
+        y_s = model.encode_style(batch_s).data
+    squared = ((y_s - model.target_style.data) ** 2).sum(axis=1)
+    assert loss.item() == pytest.approx(squared.mean() / (1.0 + math.exp(LOGIT_CLAMP)), rel=1e-12)
 
 
 def test_style_discrepancy_loss_monotone_in_distance():
@@ -106,7 +113,7 @@ def test_style_discrepancy_loss_optimisation_pulls_styles_together():
     # on the style encoder should drive it near zero
     model, _, _, batch_s, _, vocab = setup(seed=3)
     judge = zero_weight_clf(len(vocab))
-    judge.head_b.data[...] = 1e9  # clamps to +30: p ~ 1 exactly
+    judge.head_b.data[...] = 1e9  # clamps to +LOGIT_CLAMP: p ~ 1
     params = {**model.style_enc.params("style"), "target_style": model.target_style}
     state = AdamState()
     history = []
@@ -141,7 +148,8 @@ def test_style_discrepancy_loss_gradient_stays_out_of_judge_and_generator():
 
 def test_adversarial_loss_at_half_is_two_log_two():
     model, _, judge, batch_s, batch_t, vocab = setup(seed=5)
-    d_half = zero_weight_clf(len(vocab))
+    model, judge = map(in_float64, (model, judge))
+    d_half = in_float64(zero_weight_clf(len(vocab)))
     with no_grad():
         loss = adversarial(model, d_half, judge, batch_s, batch_t)
     assert loss.item() == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
@@ -149,6 +157,7 @@ def test_adversarial_loss_at_half_is_two_log_two():
 
 def test_adversarial_loss_matches_scalar_recomputation():
     model, d_clf, judge, batch_s, batch_t, _ = setup(seed=6)
+    model, d_clf, judge = map(in_float64, (model, d_clf, judge))
     with no_grad():
         joint = Batch(ids=np.concatenate([batch_s.ids, batch_t.ids]),
                       lengths=np.concatenate([batch_s.lengths, batch_t.lengths]))
@@ -164,7 +173,7 @@ def test_adversarial_loss_matches_scalar_recomputation():
 def test_adversarial_loss_extreme_discriminator_is_clamped_not_fatal():
     model, _, judge, batch_s, batch_t, vocab = setup(seed=7)
     sure = zero_weight_clf(len(vocab))
-    sure.head_b.data[...] = 1e9  # p pinned at sigmoid(30) on everything
+    sure.head_b.data[...] = 1e9  # p pinned at sigmoid(LOGIT_CLAMP) on everything
     with no_grad():
         loss = adversarial(model, sure, judge, batch_s, batch_t)
     assert np.isfinite(loss.item())
@@ -197,6 +206,7 @@ def test_adversarial_loss_gradients_reach_both_arms():
 
 def test_reconstruction_uniform_baseline():
     model, _, _, batch_s, batch_t, _ = setup(seed=9)
+    model = in_float64(model)
     for p in model.params().values():
         p.data[...] = 0.0
     with no_grad():

@@ -8,6 +8,7 @@ from styletx.checkpoint import load_params, save_params
 from styletx.corpus import BOS, EOS, PAD, build_vocab, gen_synthetic, encode
 from styletx.model import (
     CLASSIFIER_WIDTHS,
+    LOGIT_CLAMP,
     Batch,
     TextCnnClassifier,
     TransferModel,
@@ -19,6 +20,7 @@ from styletx.model import (
     transfer_sentences,
 )
 from styletx.optim import AdamState, adam_step, zero_grads
+from test_acceptance import in_float64
 
 
 def tiny_vocab():
@@ -114,6 +116,7 @@ def test_encode_style_source_uses_cnn():
 
 def test_uniform_model_nll_is_length_times_log_vocab():
     model, vocab = make_model()
+    model = in_float64(model)
     for p in model.params().values():
         p.data[...] = 0.0  # zero weights: every step is the uniform distribution
     batch = batch_of(["the food was great", "we came here"], vocab, max_len=8)
@@ -160,6 +163,7 @@ def test_decoder_overfits_single_sentence():
 
 def test_generate_soft_deterministic_and_normalised():
     model, vocab = make_model(seed=5)
+    model = in_float64(model)
     batch = batch_of(["the food was great"], vocab)
     with no_grad():
         z = model.encode_content(batch)
@@ -346,6 +350,14 @@ def test_discriminate_strictly_inside_unit_interval():
     assert 0.0 < p.data[0] < 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_at_the_logit_clamp_is_strictly_inside_unit_interval(dtype):
+    # σ(17) already rounds to exactly 1.0 in float32, so log(1 - p) needs the clamp
+    p = ad.sigmoid(Tensor(np.array([-LOGIT_CLAMP, LOGIT_CLAMP], dtype=dtype))).data
+    assert p.dtype == dtype
+    assert 0.0 < p[0] < p[1] < 1.0
+
+
 def test_discriminate_sequence_too_short():
     vocab = tiny_vocab()
     clf = TextCnnClassifier.create(np.random.default_rng(3), len(vocab), 8, (2, 5), 2)
@@ -394,6 +406,8 @@ def test_judge_training_bce_is_the_per_sentence_mean_of_the_last_epoch(judge_set
     _, _, vocab, (tr_s, tr_l, he_s, he_l) = judge_setup
     monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 2)
     monkeypatch.setattr(model_module, "CLASSIFIER_LR", 0.0)
+    create = TextCnnClassifier.create
+    monkeypatch.setattr(TextCnnClassifier, "create", lambda *args: in_float64(create(*args)))
     judge, fit = pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab), d_emb=16, seed=0)
     with no_grad():
         p = np.clip(judge.prob(Batch.from_seqs(tr_s)).data, 1e-7, 1 - 1e-7)
