@@ -4,9 +4,12 @@ Small enough to audit, big enough for GRUs, 1-D convolutions over token
 sequences, softmax/cross-entropy and the loss algebra built on top. The
 dtype is a property of the data: a float32 array stays float32, anything
 else becomes float64, and each primitive computes in numpy's result type of
-its operands. Runs feed float32 parameters; gradient checking probes in
-float64, the precision central differences need. Tensors are treated as
-immutable while recorded on a tape; parameter updates happen between tapes.
+its operands. A constant (anything that is not a Tensor: a Python number, a
+mask, a weight array) takes the dtype of the Tensor it meets, so the loss
+algebra stays in its operands' dtype. Runs feed float32 parameters;
+gradient checking probes in float64, the precision central differences
+need. Tensors are treated as immutable while recorded on a tape; parameter
+updates happen between tapes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class Tensor:
     numbers, lists, integer, bool or float64 arrays) becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
+    # numpy defers to the reflected operator: array * tensor is Tensor.__rmul__
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -149,8 +154,14 @@ def _active_tape() -> Optional[Tape]:
     return _tape_stack[-1] if _tape_stack else None
 
 
-def as_tensor(x: TensorLike) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x: TensorLike, like: Optional[TensorLike] = None) -> Tensor:
+    """x as a Tensor. A constant meeting the Tensor `like` takes its dtype;
+    on its own it follows the Tensor constructor's rule."""
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(like, Tensor):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def _record(out_data: Array, inputs: tuple, backward_fn) -> Tensor:
@@ -217,7 +228,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def add(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, like=b), as_tensor(b, like=a)
     out = a.data + b.data
 
     def bwd(g):
@@ -227,7 +238,7 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, like=b), as_tensor(b, like=a)
     out = a.data - b.data
 
     def bwd(g):
@@ -237,7 +248,7 @@ def sub(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, like=b), as_tensor(b, like=a)
     out = a.data * b.data
 
     def bwd(g):
@@ -552,8 +563,9 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
                  lengths: Optional[Array] = None) -> Tensor:
     """Length-packed GRU unroll over a whole sequence, recorded as one tape op.
 
-    x is [B, T, d_in], h0 [B, h], and weights the nine gate tensors
-    (w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c). Each step computes
+    x is [B, T, d_in], h0 [B, h] (a constant h0 takes x's dtype), and
+    weights the nine gate tensors (w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c,
+    b_c). Each step computes
 
         z = σ((x·W_z + h·U_z) + b_z)    r = σ((x·W_r + h·U_r) + b_r)
         c = tanh((x·W_c + (r∘h)·U_c) + b_c)    h' = (1 − z)∘h + z∘c
@@ -572,7 +584,8 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     prefixes, then forms each weight gradient with one matmul over all live
     pairs.
     """
-    x, h0 = as_tensor(x), as_tensor(h0)
+    x = as_tensor(x)
+    h0 = as_tensor(h0, like=x)
     weights = tuple(as_tensor(w) for w in weights)
     if len(weights) != 9:
         raise ShapeError(f"gru_sequence takes nine gate tensors, got {len(weights)}")

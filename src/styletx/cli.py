@@ -61,10 +61,13 @@ def write_manifest(out_path, command: str, flags: dict, inputs: dict,
 
 
 def _parse_mix(text: str):
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
         raise UsageError(f"--mix wants three comma-separated weights, got {text!r}")
-    return tuple(parts)
+    return parts
 
 
 def _setup(args) -> tuple:

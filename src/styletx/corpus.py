@@ -267,8 +267,8 @@ def gen_synthetic(seed: int, n_source: int, n_target: int, mix: Sequence[float])
         raise SpecError(f"sentence counts must be non-negative, got {n_source} source "
                         f"and {n_target} target")
     mix = tuple(float(w) for w in mix)
-    if len(mix) != 3 or any(w < 0 for w in mix):
-        raise SpecError(f"mix must be three non-negative weights, got {mix}")
+    if len(mix) != 3 or not all(math.isfinite(w) and w >= 0 for w in mix):
+        raise SpecError(f"mix must be three finite non-negative weights, got {mix}")
     if abs(sum(mix) - 1.0) > 1e-9:
         raise SpecError(f"mix weights must sum to 1, got {sum(mix)}")
     rng = np.random.default_rng(seed)

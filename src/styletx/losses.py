@@ -66,9 +66,9 @@ def _cat_batches(a: Batch, b: Batch) -> Batch:
 
 
 def _segment_mean(x: Tensor, start: int, size: int) -> Tensor:
-    weights = np.zeros(x.shape[0], dtype=x.data.dtype)
+    weights = np.zeros(x.shape[0])
     weights[start:start + size] = 1.0 / size
-    return ad.sum_(ad.mul(x, Tensor(weights)))
+    return ad.sum_(ad.mul(x, weights))
 
 
 def _domain_means(x: Tensor, n_s: int, n_t: int) -> Tensor:
@@ -125,14 +125,14 @@ def style_discrepancy_loss(model: TransferModel, judge: TextCnnClassifier,
     gradient reaches only the style encoder and the target style vector.
     """
     with no_grad():
-        p = judge.prob(batch_s).data.copy()
-    return ad.mean_(ad.mul(_squared_rows(y_s, model.target_style), Tensor(p)))
+        p = judge.prob(batch_s).data
+    return ad.mean_(ad.mul(_squared_rows(y_s, model.target_style), p))
 
 
-def total_loss(rec, adv, cyc, dis, w: LossWeights) -> Tensor:
-    """rec - lambda_adv*adv + lambda_cyc*cyc + lambda_dis*dis."""
-    return (ad.as_tensor(rec) + ad.mul(ad.as_tensor(adv), -w.lambda_adv)
-            + ad.mul(ad.as_tensor(cyc), w.lambda_cyc) + ad.mul(ad.as_tensor(dis), w.lambda_dis))
+def total_loss(rec, adv, cyc, dis, w: LossWeights):
+    """rec - lambda_adv*adv + lambda_cyc*cyc + lambda_dis*dis, of Tensors or
+    of floats."""
+    return rec - w.lambda_adv * adv + w.lambda_cyc * cyc + w.lambda_dis * dis
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +186,13 @@ def compute_breakdown(model: TransferModel, d_clf: TextCnnClassifier,
                       dropout_p: float = 0.0, dropout_rng=None,
                       draw_rng=None, draw_idx: Optional[np.ndarray] = None):
     """Full weighted objective in one pass; returns (total tensor, floats),
-    a skipped term reported as 0."""
+    a skipped term being the float 0.0. The floats' total is total_loss of
+    the logged terms."""
     terms = _terms(model, d_clf, judge, batch_s, batch_t, w, temperature, dropout_p,
                    dropout_rng, draw_rng, draw_idx)
-    zero = Tensor(0.0)
-    rec, adv, cyc, dis = (terms.get(name, zero) for name in ("rec", "adv", "cyc", "dis"))
-    total = total_loss(rec, adv, cyc, dis, w)
-    breakdown = LossBreakdown(rec=rec.item(), adv=adv.item(), dis=dis.item(),
-                              cyc=cyc.item(), total=total.item())
+    names = ("rec", "adv", "cyc", "dis")
+    total = total_loss(*(terms.get(name, 0.0) for name in names), w)
+    rec, adv, cyc, dis = (terms[name].item() if name in terms else 0.0 for name in names)
+    breakdown = LossBreakdown(rec=rec, adv=adv, dis=dis, cyc=cyc,
+                              total=total_loss(rec, adv, cyc, dis, w))
     return total, breakdown

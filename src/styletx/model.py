@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import CheckpointFormatError, load_into, shape_of
-from .corpus import BOS, EOS, PAD, Dataset, SpecError, TokenSeq, Vocab, encode
+from .corpus import BOS, EOS, PAD, Dataset, SpecError, TokenSeq, Vocab, decode_to_text, encode
 from .optim import AdamState, adam_step, zero_grads
 
 INIT_SCALE = 0.08
@@ -85,7 +85,7 @@ def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
         draw = rng.random((x.shape[1], x.shape[0], x.shape[2])).swapaxes(0, 1)
     else:
         draw = rng.random(x.shape)
-    return ad.mul(x, Tensor(((draw >= p) / (1.0 - p)).astype(x.data.dtype)))
+    return ad.mul(x, (draw >= p) / (1.0 - p))
 
 
 def style_rows(y: Tensor, batch_size: int) -> Tensor:
@@ -119,7 +119,7 @@ class GruCell:
     def hidden_dim(self) -> int:
         return self.u_update.shape[0]
 
-    def unroll(self, x: Tensor, h0: Tensor, lengths: Optional[np.ndarray] = None) -> Tensor:
+    def unroll(self, x: Tensor, h0: ad.TensorLike, lengths: Optional[np.ndarray] = None) -> Tensor:
         """States [B, T, h] after each step of a [B, T, d_in] sequence: the
         packed masked unroll, which computes a row's steps up to its length
         only and gives zeros from there."""
@@ -278,8 +278,7 @@ class TransferModel:
             kept[rows] = lengths[rows]
             lengths = kept
         states = self.enc_cell.unroll(_dropout(emb, dropout_p, dropout_rng),
-                                      Tensor(np.zeros((b, self.d_z), dtype=emb.data.dtype)),
-                                      lengths)
+                                      np.zeros((b, self.d_z)), lengths)
         # row i's last real state is row i*t + lengths[i]-1 of the flattened [B*T, d_z]
         ends = rows * t + lengths[rows] - 1
         return ad.take_rows(ad.reshape(states, (b * t, self.d_z)), ends)
@@ -304,8 +303,8 @@ class TransferModel:
         probs = ad.softmax(flat @ self.out_w + self.out_b, temperature=1.0)
         gold = ad.take_along_last(ad.reshape(probs, (b, t_eff, self.vocab_size)),
                                   batch.ids[:, :t_eff])
-        mask = (np.arange(t_eff)[None, :] < batch.lengths[:, None]).astype(gold.data.dtype)
-        logp = ad.mul(ad.log(ad.clip(gold, 1e-12, 1.0)), Tensor(mask))
+        mask = np.arange(t_eff)[None, :] < batch.lengths[:, None]
+        logp = ad.mul(ad.log(ad.clip(gold, 1e-12, 1.0)), mask)
         return ad.neg(ad.sum_(logp, axis=1))
 
     def generate_soft(self, z: Tensor, y: Tensor, max_len: int, temperature: float,
@@ -382,8 +381,6 @@ def snapshot(params: dict) -> dict:
 def transfer_sentences(model: TransferModel, vocab: Vocab, sentences: Sequence[str],
                        pad_len: int) -> list:
     """Greedy-transfer each sentence into the target style, order preserved."""
-    from .corpus import decode_to_text
-
     out: list = []
     for lo in range(0, len(sentences), TRANSFER_BATCH):
         chunk = sentences[lo: lo + TRANSFER_BATCH]
@@ -497,7 +494,7 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
             tape = ad.Tape()
             with ad.recording(tape):
                 p = ad.clip(clf.prob(batch), 1e-7, 1 - 1e-7)
-                ybat = Tensor(labels[idx].astype(p.data.dtype))
+                ybat = labels[idx]
                 loss = ad.neg(ad.mean_(ybat * ad.log(p) + (1.0 - ybat) * ad.log(1.0 - p)))
                 ad.backward(loss, tape)
             bce_sum += loss.item() * len(idx)

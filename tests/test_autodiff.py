@@ -1,5 +1,7 @@
+import ast
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,12 +40,50 @@ def test_tensor_keeps_float32_and_casts_everything_else_to_float64():
     for value in (1.0, 2, [1, 2], np.ones(2, dtype=np.int64), np.ones(2, dtype=bool),
                   np.ones(2, dtype=np.float16)):
         assert Tensor(value).data.dtype == np.float64
-    # a primitive computes in numpy's result type of its operands: a Python
-    # number becomes a float64 0-d tensor, so it promotes what it touches
+    # a primitive computes in numpy's result type of its operands, and a
+    # constant takes the dtype of the tensor it meets
     x = Tensor(f32)
     assert (x * x).data.dtype == np.float32
     assert ad.softmax(x, temperature=0.5).data.dtype == np.float32
-    assert (x * 2.0).data.dtype == np.float64
+    assert (x * 2.0).data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_constant_takes_the_dtype_of_the_tensor_it_meets(dtype):
+    t = Tensor(np.arange(1, 3, dtype=dtype))
+    mask = np.array([True, False])
+    for out in (np.ones(2, np.float32) * t, mask * t, t * mask, 1.0 - t, t + 2, 0.5 * t,
+                ad.add(np.ones(2), t), ad.sub(t, np.ones(2)), ad.mul(np.ones(2, np.int64), t)):
+        assert isinstance(out, Tensor) and out.data.dtype == dtype
+    assert np.array_equal((mask * t).data, [1.0, 0.0])
+    # on its own a constant still follows the constructor's rule
+    assert ad.as_tensor(1.0).data.dtype == np.float64
+    assert ad.add(1.0, 2.0).data.dtype == np.float64
+    # a constant initial state of the GRU takes the input's dtype
+    rng = np.random.default_rng(0)
+    gates = [Tensor(rng.normal(size=s).astype(dtype)) for s in [(3, 2), (2, 2), (2,)] * 3]
+    states = ad.gru_sequence(Tensor(np.ones((1, 2, 3), dtype)), np.zeros((1, 2)), gates)
+    assert states.data.dtype == dtype
+
+
+@pytest.mark.parametrize("module", ["model.py", "losses.py"])
+def test_the_dtype_rule_lives_in_autodiff_only(module):
+    # the model and the losses neither read a tensor's dtype nor wrap a
+    # constant in Tensor(...); only the parameter builders make Tensors
+    path = Path(__file__).resolve().parent.parent / "src" / "styletx" / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def is_tensor_call(node) -> bool:
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "Tensor" or getattr(node.func, "attr", None) == "Tensor")
+
+    dtype_reads = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "dtype"
+                   and isinstance(node.value, ast.Attribute) and node.value.attr == "data"]
+    builders = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_init", "_zeros")]
+    allowed = {id(node) for f in builders for node in ast.walk(f) if is_tensor_call(node)}
+    wraps = [node.lineno for node in ast.walk(tree) if is_tensor_call(node) and id(node) not in allowed]
+    assert dtype_reads == [] and wraps == []
 
 
 def run_taped(fn):

@@ -82,6 +82,14 @@ def test_gen_synth_bad_mix(tmp_path):
     assert main(["gen-synth", "--out", str(tmp_path / "x"), "--mix", "0.5,0.6,0"]) == 2
 
 
+@pytest.mark.parametrize("mix", ["a,b,c", "0.5,0.5"])
+def test_gen_synth_unreadable_mix_is_a_usage_error_naming_the_flag(tmp_path, capsys, mix):
+    out = tmp_path / "x"
+    assert main(["gen-synth", "--out", str(out), "--mix", mix]) == 1
+    assert "--mix" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_synth_refuses_a_negative_count(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["gen-synth", "--out", str(out), "--n-source", "-5", "--n-target", "3"]) == 2

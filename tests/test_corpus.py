@@ -226,6 +226,10 @@ def test_synthetic_domains_have_partial_noun_overlap():
 def test_synthetic_mix_validation():
     with pytest.raises(SpecError):
         gen_synthetic(seed=0, n_source=5, n_target=5, mix=(0.5, 0.2, 0.1))
+    # NaN compares False both ways, so it would pass a sign and a sum check
+    for n_source in (5, 0):
+        with pytest.raises(SpecError, match="finite"):
+            gen_synthetic(seed=0, n_source=n_source, n_target=5, mix=(float("nan"), 0.0, 1.0))
 
 
 @pytest.mark.parametrize("n_source,n_target", [(-5, 3), (3, -1)])
