@@ -391,6 +391,16 @@ def concat(parts: Sequence[TensorLike], axis: int = 0) -> Tensor:
     return _record(out, parts, bwd)
 
 
+def _scatter_add(like: Array, index: Array, values: Array) -> Array:
+    """Zeros shaped like `like`, plus each of `values` (flattened) added at
+    the flat element `index` names, in order. A 1-d index into the flattened
+    array is `np.add.at`'s fast path; adding whole rows into a 2-d target
+    is its slow path, for the same sums in the same order."""
+    out = np.zeros(like.size, dtype=like.dtype)
+    np.add.at(out, index, values.reshape(-1))
+    return out.reshape(like.shape)
+
+
 def take_rows(table: TensorLike, ids: Array) -> Tensor:
     """Row lookup table[ids]; the embedding-table primitive.
 
@@ -402,9 +412,8 @@ def take_rows(table: TensorLike, ids: Array) -> Tensor:
     out = table.data[ids]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (gt,)
+        d = table.data.shape[-1]
+        return (_scatter_add(table.data, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g),)
 
     return _record(out, (table,), bwd)
 
@@ -416,10 +425,7 @@ def take_along_last(x: TensorLike, idx: Array) -> Tensor:
     out = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        grid = np.indices(idx.shape, sparse=True)
-        np.add.at(gx, (*grid, idx), g)
-        return (gx,)
+        return (_scatter_add(x.data, np.arange(idx.size) * x.data.shape[-1] + idx.reshape(-1), g),)
 
     return _record(out, (x,), bwd)
 
@@ -485,13 +491,18 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
     Returns the pooled maps [B, ΣC_i] in the order of `filters`, before any
     nonlinearity.
 
-    One matmul multiplies the [B·L, D] embeddings by the taps of every
-    filter, stacked as [D, Σ w_i·C_i]; a filter's response at window p is
-    the sum over taps j of tap j's product at position p + j, plus the bias.
-    Pooling keeps the first argmax, so each (row, map) pools exactly one
-    window: backward assigns its gradient to that window's taps, where no
-    two writes collide, then forms the input and the filter gradients with
-    one matmul each.
+    One matmul multiplies the taps of every filter, stacked as
+    [Σ w_i·C_i, D], by a time-major copy of the embeddings, [D, L·B], so the
+    products are laid out [tap column, time, row]. A filter's response at
+    window p is the sum over taps j of tap j's product at time p + j, plus
+    the bias: each shifted tap block is one slice of whole (time, row)
+    planes, and max-over-time pools along the plane's time axis. Pooling
+    keeps the first argmax, so each (row, map) pools exactly one window.
+    Only backward needs that window: it finds the first argmax from the
+    kept per-width responses, so a pass that records nothing never pays for
+    it. Backward assigns each pooled gradient to its window's taps in a
+    [B, L, Σ w_i·C_i] array, where no two writes collide, then forms the
+    input and the filter gradients with one matmul each.
     """
     seq_emb = as_tensor(seq_emb)
     filters = tuple(as_tensor(f) for f in filters)
@@ -513,25 +524,26 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
     map_cols = np.cumsum([0] + [f.shape[2] for f in filters])
     spans = list(zip(filters, tap_cols, map_cols, map_cols[1:]))
     taps = np.concatenate([f.data.transpose(1, 0, 2).reshape(d_emb, -1) for f in filters], axis=1)
-    flat = seq_emb.data.reshape(batch * length, d_emb)
-    prod = (flat @ taps).reshape(batch, length, tap_cols[-1])
+    time_major = np.ascontiguousarray(seq_emb.data.transpose(2, 1, 0)).reshape(d_emb, length * batch)
+    prod = (taps.T @ time_major).reshape(tap_cols[-1], length, batch)
 
     out = np.empty((batch, map_cols[-1]), dtype=dtype)
-    argmax = []
+    resps = []                                                   # [C, windows, B] each
     for (f, col, m0, m1), b in zip(spans, biases):
         width, n_maps = f.shape[0], f.shape[2]
         n_win = length - width + 1
-        resp = prod[:, :n_win, col:col + n_maps].astype(dtype)
+        resp = prod[col:col + n_maps, :n_win].astype(dtype)
         for j in range(1, width):
-            resp += prod[:, j:j + n_win, col + j * n_maps:col + (j + 1) * n_maps]
-        resp += b.data
-        out[:, m0:m1] = resp.max(axis=1)
-        argmax.append(resp.argmax(axis=1))                     # [B, C]
+            resp += prod[col + j * n_maps:col + (j + 1) * n_maps, j:j + n_win]
+        resp += b.data[:, None, None]
+        out[:, m0:m1] = resp.max(axis=1).T
+        resps.append(resp)
 
     def bwd(g):
         g_prod = np.zeros((batch, length, tap_cols[-1]), dtype=dtype)
         rows = np.arange(batch)[:, None, None]
-        for (f, col, m0, m1), idx in zip(spans, argmax):
+        for (f, col, m0, m1), resp in zip(spans, resps):
+            idx = resp.argmax(axis=1).T                          # [B, C]
             tap = np.arange(f.shape[0])[None, :, None]
             n_maps = f.shape[2]
             g_prod[rows, idx[:, None, :] + tap, col + tap * n_maps + np.arange(n_maps)] = \
@@ -540,7 +552,7 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
         gx = (g_prod @ taps.T).reshape(seq_emb.shape) if seq_emb.requires_grad else None
         g_filters = (None,) * len(filters)
         if any(f.requires_grad for f in filters):
-            g_taps = flat.T @ g_prod
+            g_taps = seq_emb.data.reshape(batch * length, d_emb).T @ g_prod
             g_filters = tuple(
                 np.ascontiguousarray(g_taps[:, col:col + f.shape[0] * f.shape[2]]
                                      .reshape(d_emb, f.shape[0], f.shape[2]).transpose(1, 0, 2))

@@ -70,18 +70,29 @@ def build_vocab(sentences: Iterable[str], min_count: int = 1) -> Vocab:
     return Vocab.from_tokens(kept)
 
 
-def encode(sentence: str, vocab: Vocab, max_len: int) -> TokenSeq:
+def encode_batch(sentences: Sequence[str], vocab: Vocab, max_len: int) -> tuple:
+    """(ids [N, max_len] int64, lengths [N] int64) of the sentences: the one
+    token-to-id rule. Each sentence's tokens, cut to max_len - 1, are looked
+    up in one pass over all of them and stored with one masked store; EOS
+    follows each row's tokens, PAD fills the rest, and a length counts the
+    EOS. A text with no tokens encodes as EOS alone, of length 1."""
     if max_len < 2:
         raise SpecError(f"max_len must be at least 2, got {max_len}")
-    tokens = tokenize(sentence)
-    if not tokens:
+    rows = [tokenize(s)[: max_len - 1] for s in sentences]
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    ids = np.full((len(rows), max_len), PAD, dtype=np.int64)
+    ids[np.arange(max_len) < lengths[:, None]] = [vocab.lookup(t) for row in rows for t in row]
+    ids[np.arange(len(rows)), lengths] = EOS
+    return ids, lengths + 1
+
+
+def encode(sentence: str, vocab: Vocab, max_len: int) -> TokenSeq:
+    """One sentence through `encode_batch`; a sentence with no tokens, which
+    alone encodes to length 1, is refused."""
+    (ids,), (length,) = encode_batch([sentence], vocab, max_len)
+    if length == 1:
         raise EmptyInputError("cannot encode an empty sentence")
-    tokens = tokens[: max_len - 1]
-    ids = np.full(max_len, PAD, dtype=np.int64)
-    for i, t in enumerate(tokens):
-        ids[i] = vocab.lookup(t)
-    ids[len(tokens)] = EOS
-    return TokenSeq(ids=ids, true_len=len(tokens) + 1)
+    return TokenSeq(ids=ids, true_len=int(length))
 
 
 def decode_to_text(ids: Sequence[int], vocab: Vocab) -> str:

@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import CheckpointFormatError, load_into, shape_of
-from .corpus import BOS, EOS, PAD, Dataset, SpecError, TokenSeq, Vocab, decode_to_text, encode
+from .corpus import (BOS, EOS, PAD, Dataset, EmptyInputError, SpecError, TokenSeq, Vocab,
+                     decode_to_text, encode, encode_batch)
 from .optim import AdamState, adam_step, zero_grads
 
 INIT_SCALE = 0.08
@@ -34,6 +35,8 @@ CLASSIFIER_LR = 2e-2  # Adam moves each weight ~lr per step from ±0.08; 2e-3 st
 TRANSFER_BATCH, CLASSIFY_BATCH = 256, 512  # sentences per forward-only batch
 
 SOURCE, TARGET = "source", "target"  # only the benchmark still passes these to from_sentences
+# not called here: the benchmark's tracer wraps `encode` by name in this module
+_TRACED_BY_NAME = (encode,)
 
 
 def _init(rng: np.random.Generator, *shape) -> Tensor:
@@ -63,7 +66,10 @@ class Batch:
                        _unused=None) -> "Batch":
         # _unused is ignored; its only reason is that perfbench/workloads.py:192-193,
         # 214-215 still pass model.SOURCE / model.TARGET positionally
-        return cls.from_seqs([encode(s, vocab, max_len) for s in sentences])
+        ids, lengths = encode_batch(sentences, vocab, max_len)
+        if (lengths == 1).any():   # only a text with no tokens encodes to length 1
+            raise EmptyInputError("cannot encode an empty sentence")
+        return cls(ids=ids, lengths=lengths)
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -392,25 +398,17 @@ def transfer_sentences(model: TransferModel, vocab: Vocab, sentences: Sequence[s
     return out
 
 
-def _seq_for_classifier(text: str, vocab: Vocab, pad_len: int) -> TokenSeq:
-    if text.strip():
-        return encode(text, vocab, pad_len)
-    # an empty generation still needs a classifiable shape: end token only
-    ids = np.full(pad_len, PAD, dtype=np.int64)
-    ids[0] = EOS
-    return TokenSeq(ids=ids, true_len=1)
-
-
 def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
                    pad_len: int) -> np.ndarray:
-    """0/1 prediction per text: does the classifier call it target-styled."""
-    preds = []
+    """0/1 prediction per text, as float64: does the classifier call it
+    target-styled. An empty generation is classified as the end token alone."""
+    preds = np.zeros(len(texts))
     for lo in range(0, len(texts), CLASSIFY_BATCH):
-        seqs = [_seq_for_classifier(t, vocab, pad_len) for t in texts[lo: lo + CLASSIFY_BATCH]]
+        ids, lengths = encode_batch(texts[lo: lo + CLASSIFY_BATCH], vocab, pad_len)
         with no_grad():
-            p = clf.prob(Batch.from_seqs(seqs)).data
-        preds.append(p > 0.5)
-    return np.concatenate(preds).astype(np.float64)
+            p = clf.prob(Batch(ids=ids, lengths=lengths)).data
+        preds[lo: lo + len(p)] = p > 0.5
+    return preds
 
 
 @dataclass

@@ -316,6 +316,94 @@ def test_text_cnn_gradient_goes_to_the_first_argmax():
     np.testing.assert_array_equal(bias.grad, [1.0])
 
 
+def text_cnn_batch_major(seq, filters, biases, g):
+    """Output and (seq, *filters, *biases) gradients of the text CNN for
+    output gradient g, with its products laid out [B, L, Σ w·C]: one GEMM
+    of the [B·L, D] rows by the stacked taps, shifted [B, windows, C] tap
+    blocks, pooling and the first argmax along the windows."""
+    batch, length, d = seq.shape
+    taps = np.concatenate([f.transpose(1, 0, 2).reshape(d, -1) for f in filters], axis=1)
+    flat = seq.reshape(batch * length, d)
+    prod = (flat @ taps).reshape(batch, length, -1)
+    out, g_prod, col, m0 = [], np.zeros_like(prod), 0, 0
+    for f, b in zip(filters, biases):
+        width, _, n_maps = f.shape
+        n_win = length - width + 1
+        resp = prod[:, :n_win, col:col + n_maps].copy()
+        for j in range(1, width):
+            resp += prod[:, j:j + n_win, col + j * n_maps:col + (j + 1) * n_maps]
+        resp += b
+        out.append(resp.max(axis=1))
+        idx = resp.argmax(axis=1)
+        for r in range(batch):
+            for m in range(n_maps):
+                for j in range(width):
+                    g_prod[r, idx[r, m] + j, col + j * n_maps + m] = g[r, m0 + m]
+        col, m0 = col + width * n_maps, m0 + n_maps
+    g_prod = g_prod.reshape(batch * length, -1)
+    g_taps = flat.T @ g_prod
+    g_filters, col = [], 0
+    for f in filters:
+        width, _, n_maps = f.shape
+        g_filters.append(g_taps[:, col:col + width * n_maps].reshape(d, width, n_maps).transpose(1, 0, 2))
+        col += width * n_maps
+    g_biases = np.split(g.sum(axis=0), np.cumsum([f.shape[2] for f in filters])[:-1])
+    return np.concatenate(out, axis=1), [(g_prod @ taps.T).reshape(seq.shape), *g_filters, *g_biases]
+
+
+def test_text_cnn_equals_the_batch_major_layout_bit_for_bit():
+    # float32 with mixed widths: row 0 repeats a 3-step pattern, so every
+    # width has tied windows and the first must win; row 1 holds a NaN, so
+    # every window over it pools NaN, and the first NaN window wins
+    rng = np.random.default_rng(11)
+    seq = rng.normal(size=(4, 9, 5)).astype(np.float32)
+    seq[0] = np.tile(seq[0, :3], (3, 1))
+    seq[1, 4, 2] = np.nan
+    filters = [rng.normal(size=(w, 5, c)).astype(np.float32) for w, c in ((1, 3), (2, 4), (3, 2), (5, 3))]
+    biases = [rng.normal(size=f.shape[2]).astype(np.float32) for f in filters]
+    g = rng.normal(size=(4, 12)).astype(np.float32)
+    args = [Tensor(a, requires_grad=True) for a in [seq, *filters, *biases]]
+    tape = Tape()
+    with recording(tape):
+        out = text_cnn(args[0], args[1:5], args[5:])
+        backward(sum_(ad.mul(out, g)), tape)
+    ref_out, ref_grads = text_cnn_batch_major(seq, filters, biases, g)
+    assert np.isnan(out.data[1]).all() and not np.isnan(out.data[[0, 2, 3]]).any()
+    np.testing.assert_array_equal(out.data, ref_out)
+    for t, ref in zip(args, ref_grads):
+        assert t.grad.dtype == np.float32
+        np.testing.assert_array_equal(t.grad, ref)
+    # every window pooled in the tied row starts before step 3, so the last
+    # two steps, which only later tied windows reach, get no gradient
+    assert (args[0].grad[0, 7:] == 0).all() and (args[0].grad[0, :7] != 0).any()
+
+
+def test_scatter_adds_equal_a_sequential_loop_bit_for_bit():
+    # repeated ids: float32 sums depend on their order, and the backward
+    # passes must add in the order of the rows
+    rng = np.random.default_rng(12)
+    table = Tensor(rng.normal(size=(5, 7)).astype(np.float32), requires_grad=True)
+    ids = rng.integers(0, 5, size=(30, 4))
+    g_rows = rng.normal(size=(30, 4, 7)).astype(np.float32)
+    x = Tensor(rng.normal(size=(6, 4, 3)).astype(np.float32), requires_grad=True)
+    idx = rng.integers(0, 3, size=(6, 4))
+    g_last = rng.normal(size=(6, 4)).astype(np.float32)
+    tape = Tape()
+    with recording(tape):
+        loss = ad.add(sum_(ad.mul(take_rows(table, ids), g_rows)),
+                      sum_(ad.mul(take_along_last(x, idx), g_last)))
+        backward(loss, tape)
+    expect_table = np.zeros_like(table.data)
+    for i, row in enumerate(ids.reshape(-1)):
+        expect_table[row] += g_rows.reshape(-1, 7)[i]
+    expect_x = np.zeros_like(x.data)
+    for i in range(6):
+        for j in range(4):
+            expect_x[i, j, idx[i, j]] += g_last[i, j]
+    np.testing.assert_array_equal(table.grad, expect_table)
+    np.testing.assert_array_equal(x.grad, expect_x)
+
+
 # ---------------------------------------------------------------------------
 # backward
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from styletx.corpus import (
     build_vocab,
     decode_to_text,
     encode,
+    encode_batch,
     gen_synthetic,
     three_way_split,
 )
@@ -97,6 +99,47 @@ def test_encode_decode_round_trip(words):
     vocab = build_vocab([" ".join(["spoon", "fork", "cup", "dish", "tray"])])
     seq = encode(sentence, vocab, max_len=10)
     assert decode_to_text(seq.ids, vocab) == sentence
+
+
+@pytest.mark.parametrize("max_len", [2, 6, 20])
+def test_encode_batch_rows_equal_encode_of_each_sentence(max_len):
+    # the vocabulary of the source side alone leaves the target side's own
+    # nouns unknown, and max_len 2 and 6 cut most sentences short
+    syn = gen_synthetic(3, 150, 150, (0.3, 0.5, 0.2))
+    sentences = syn.source + syn.target
+    vocab = build_vocab(syn.source)
+    ids, lengths = encode_batch(sentences, vocab, max_len)
+    assert ids.shape == (300, max_len) and ids.dtype == np.int64 and lengths.dtype == np.int64
+    assert (ids == UNK).any()
+    for row, length, sentence in zip(ids, lengths, sentences):
+        seq = encode(sentence, vocab, max_len)
+        assert row.tolist() == seq.ids.tolist() and length == seq.true_len
+
+
+def test_encode_batch_edge_cases():
+    vocab = build_vocab(["w x <eos> <pad>"])
+    ids, lengths = encode_batch([" ".join(["w"] * 25), "w " * 4, "x y <eos> <pad>", "w"],
+                                vocab, max_len=5)
+    w, x = vocab.lookup("w"), vocab.lookup("x")
+    # cut at max_len - 1 tokens, then EOS; exactly max_len - 1 tokens fit whole
+    assert ids.tolist() == [[w, w, w, w, EOS], [w, w, w, w, EOS],
+                            [x, UNK, UNK, UNK, EOS], [w, EOS, PAD, PAD, PAD]]
+    assert lengths.tolist() == [5, 5, 5, 2]
+    for max_len in (1, 0, -3):
+        with pytest.raises(SpecError):
+            encode_batch(["w"], vocab, max_len)
+        with pytest.raises(SpecError):
+            encode_batch([], vocab, max_len)
+
+
+def test_encode_batch_text_without_tokens_is_the_end_token_alone():
+    vocab = build_vocab(["w"])
+    ids, lengths = encode_batch(["", "w", " \t\n "], vocab, max_len=4)
+    assert ids.tolist() == [[EOS, PAD, PAD, PAD], [vocab.lookup("w"), EOS, PAD, PAD],
+                            [EOS, PAD, PAD, PAD]]
+    assert lengths.tolist() == [1, 2, 1]
+    ids, lengths = encode_batch([], vocab, max_len=4)
+    assert ids.shape == (0, 4) and lengths.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from styletx import autodiff as ad
 from styletx import model as model_module
 from styletx.autodiff import SequenceTooShortError, Tape, Tensor, backward, no_grad, recording
 from styletx.checkpoint import load_params, save_params
-from styletx.corpus import BOS, EOS, PAD, build_vocab, gen_synthetic, encode
+from styletx.corpus import BOS, EOS, PAD, EmptyInputError, build_vocab, gen_synthetic, encode
 from styletx.model import (
     CLASSIFIER_WIDTHS,
     LOGIT_CLAMP,
@@ -493,3 +493,31 @@ def test_classify_texts_handles_empty_strings():
     preds = classify_texts(clf, vocab, ["the food was great", ""], pad_len=8)
     assert preds.shape == (2,)
     assert set(np.unique(preds)) <= {0.0, 1.0}
+    # a text without tokens is classified as the end token alone; the head
+    # bias makes that prediction 0 and then 1
+    end_only = Batch(ids=np.array([[EOS] + [PAD] * 7]), lengths=np.array([1]))
+    for head_bias in (-5.0, 5.0):
+        clf.head_b.data[:] = head_bias
+        with no_grad():
+            expect = float(clf.prob(end_only).data[0] > 0.5)
+        assert expect == float(head_bias > 0)
+        preds = classify_texts(clf, vocab, ["", " \t ", "the food was great"], pad_len=8)
+        assert preds.dtype == np.float64 and preds[:2].tolist() == [expect, expect]
+
+
+def test_no_texts_classify_and_transfer_to_nothing():
+    model, vocab = make_model(seed=13)
+    clf = TextCnnClassifier.create(np.random.default_rng(6), len(vocab), 8, (1, 2), 2)
+    preds = classify_texts(clf, vocab, [], pad_len=8)
+    assert preds.shape == (0,) and preds.dtype == np.float64
+    assert transfer_sentences(model, vocab, [], pad_len=8) == []
+
+
+def test_batch_from_sentences_is_the_stack_of_encode_and_refuses_an_empty_text():
+    vocab = tiny_vocab()
+    sentences = ["the food was great", "mystery words here", "we came here again today"]
+    batch = Batch.from_sentences(sentences, vocab, 5)
+    expect = Batch.from_seqs([encode(s, vocab, 5) for s in sentences])
+    assert np.array_equal(batch.ids, expect.ids) and np.array_equal(batch.lengths, expect.lengths)
+    with pytest.raises(EmptyInputError):
+        Batch.from_sentences(["the food was great", "  "], vocab, 8)
