@@ -1,7 +1,7 @@
 """Vocabulary, encoding, dataset splitting and synthetic style corpora.
 
 All functions are pure given their inputs; randomness always flows through
-an explicit seed.
+an explicit seed or Generator.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import math
 
@@ -47,12 +47,6 @@ class Vocab:
         return cls({t: i for i, t in enumerate(tokens, len(RESERVED))}, list(RESERVED) + list(tokens))
 
 
-@dataclass
-class TokenSeq:
-    ids: np.ndarray          # fixed length max_len, PAD after true_len
-    true_len: int            # real tokens including EOS
-
-
 def tokenize(sentence: str) -> list:
     return sentence.lower().split()
 
@@ -70,7 +64,7 @@ def build_vocab(sentences: Iterable[str], min_count: int = 1) -> Vocab:
     return Vocab.from_tokens(kept)
 
 
-def encode_batch(sentences: Sequence[str], vocab: Vocab, max_len: int) -> tuple:
+def encode(sentences: Sequence[str], vocab: Vocab, max_len: int) -> tuple:
     """(ids [N, max_len] int64, lengths [N] int64) of the sentences: the one
     token-to-id rule. Each sentence's tokens, cut to max_len - 1, are looked
     up in one pass over all of them and stored with one masked store; EOS
@@ -84,15 +78,6 @@ def encode_batch(sentences: Sequence[str], vocab: Vocab, max_len: int) -> tuple:
     ids[np.arange(max_len) < lengths[:, None]] = [vocab.lookup(t) for row in rows for t in row]
     ids[np.arange(len(rows)), lengths] = EOS
     return ids, lengths + 1
-
-
-def encode(sentence: str, vocab: Vocab, max_len: int) -> TokenSeq:
-    """One sentence through `encode_batch`; a sentence with no tokens, which
-    alone encodes to length 1, is refused."""
-    (ids,), (length,) = encode_batch([sentence], vocab, max_len)
-    if length == 1:
-        raise EmptyInputError("cannot encode an empty sentence")
-    return TokenSeq(ids=ids, true_len=int(length))
 
 
 def decode_to_text(ids: Sequence[int], vocab: Vocab) -> str:
@@ -151,19 +136,17 @@ def _slice(sentences, labels, idx) -> Dataset:
                    [labels[i] for i in idx] if labels is not None else None)
 
 
-def three_way_split(sentences: Sequence[str], seed: Union[int, np.random.Generator],
+def three_way_split(sentences: Sequence[str], rng: np.random.Generator,
                     labels: Optional[Sequence[str]] = None) -> tuple:
     """Disjoint (transfer, judge, eval) parts, each sub-split train/test/val.
 
-    The shuffle is a permutation drawn from `np.random.default_rng(seed)`:
-    an int seeds a new stream, and a Generator (the set-up passes one) is
-    drawn from as it is. The same seed, or a Generator in the same state,
-    always yields the same partition.
+    The shuffle is one permutation drawn from `rng`, so a Generator in the
+    same state always yields the same partition.
     """
     n = len(sentences)
     if labels is not None and len(labels) != n:
         raise SpecError(f"{len(labels)} labels for {n} sentences")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = rng.permutation(n)
     sizes = _apportion(n, PART_FRACTIONS)
     parts = []
     start = 0

@@ -13,14 +13,17 @@ import numpy as np
 from .corpus import (
     STYLE_TARGET,
     Dataset,
+    EmptyInputError,
     SpecError,
     Vocab,
     build_vocab,
     encode,
     three_way_split,
+    tokenize,
     write_lines,
 )
 from .model import (
+    Batch,
     ClassifierFit,
     TextCnnClassifier,
     TransferModel,
@@ -170,24 +173,29 @@ class ExperimentSetup:
 
 def prepare_experiment(source_sentences: Sequence[str], source_labels: Optional[Sequence[str]],
                        target_sentences: Sequence[str], cfg: TrainConfig) -> ExperimentSetup:
-    """The set-up, in one pass: the vocabulary (cfg.min_count), each side's
-    (transfer, judge, evaluation) split, the refusal of a sentence shared by two
-    parts, then the judge and the evaluation classifier, each on its own part."""
+    """The set-up, in one pass: the refusal of a sentence with no tokens, the
+    vocabulary (cfg.min_count), each side's (transfer, judge, evaluation) split,
+    the refusal of a sentence shared by two parts, then the judge and the
+    evaluation classifier, each on its own part."""
+    for side, sentences in (("source", source_sentences), ("target", target_sentences)):
+        for lineno, sentence in enumerate(sentences, 1):
+            if not tokenize(sentence):
+                raise EmptyInputError(f"{side} line {lineno} has no tokens")
     vocab = build_vocab(list(source_sentences) + list(target_sentences), cfg.min_count)
     src_parts = three_way_split(source_sentences, rng_for(cfg.seed, SEED_SPLIT_SOURCE),
                                 labels=source_labels)
     tgt_parts = three_way_split(target_sentences, rng_for(cfg.seed, SEED_SPLIT_TARGET))
     check_disjoint([s.all_sentences() + t.all_sentences() for s, t in zip(src_parts, tgt_parts)])
-    enc = lambda sents: [encode(s, vocab, cfg.pad_len) for s in sents]
     fitted = []
     for part_s, part_t, offset in zip(src_parts[1:], tgt_parts[1:], (SEED_JUDGE, SEED_EVAL_CLF)):
         if not len(part_s.train) or not len(part_t.train):
             raise SpecError("classifier part is empty; the corpus is too small")
         train_sents, train_labels = binary_style_data(part_s.train, part_t.train)
         held_sents, held_labels = binary_style_data(part_s.test, part_t.test)
-        fitted.append(pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents),
-                                           held_labels, len(vocab), cfg.d_emb,
-                                           rng_for(cfg.seed, offset)))
+        train_batch, held_batch = (Batch(*encode(sents, vocab, cfg.pad_len))
+                                   for sents in (train_sents, held_sents))
+        fitted.append(pretrain_style_judge(train_batch, train_labels, held_batch, held_labels,
+                                           len(vocab), cfg.d_emb, rng_for(cfg.seed, offset)))
     (judge, judge_fit), (eval_clf, eval_fit) = fitted
     corpora = TransferCorpora(vocab=vocab, source=src_parts[0], target=tgt_parts[0])
     return ExperimentSetup(corpora=corpora, judge=judge, judge_fit=judge_fit,

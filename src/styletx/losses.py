@@ -102,13 +102,13 @@ def _decode_home(model: TransferModel, z: Tensor, y_s: Tensor, joint: Batch,
     return _domain_means(nll, n_s, n_t)
 
 
-def reconstruction_loss(model: TransferModel, batch_s: Batch, batch_t: Batch,
-                        dropout_p: float = 0.0, dropout_rng=None) -> Tensor:
+def reconstruction_loss(model: TransferModel, batch_s: Batch, batch_t: Batch) -> Tensor:
     """Mean NLL of source sentences given (their own style, content) plus
-    mean NLL of target sentences given (the shared target style, content)."""
+    mean NLL of target sentences given (the shared target style, content),
+    without dropout."""
     joint = _cat_batches(batch_s, batch_t)
-    z = model.encode_content(joint, dropout_p, dropout_rng)
-    return _decode_home(model, z, model.encode_style(batch_s), joint, dropout_p, dropout_rng)
+    return _decode_home(model, model.encode_content(joint), model.encode_style(batch_s), joint,
+                        0.0, None)
 
 
 def _squared_rows(y_s: Tensor, y_star: Tensor) -> Tensor:

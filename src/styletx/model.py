@@ -18,8 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import CheckpointFormatError, load_into, shape_of
-from .corpus import (BOS, EOS, PAD, Dataset, EmptyInputError, SpecError, TokenSeq, Vocab,
-                     decode_to_text, encode, encode_batch)
+from .corpus import BOS, EOS, PAD, Dataset, EmptyInputError, SpecError, Vocab, decode_to_text, encode
 from .optim import AdamState, adam_step, zero_grads
 
 INIT_SCALE = 0.08
@@ -35,8 +34,6 @@ CLASSIFIER_LR = 2e-2  # Adam moves each weight ~lr per step from ±0.08; 2e-3 st
 TRANSFER_BATCH, CLASSIFY_BATCH = 256, 512  # sentences per forward-only batch
 
 SOURCE, TARGET = "source", "target"  # only the benchmark still passes these to from_sentences
-# not called here: the benchmark's tracer wraps `encode` by name in this module
-_TRACED_BY_NAME = (encode,)
 
 
 def _init(rng: np.random.Generator, *shape) -> Tensor:
@@ -56,17 +53,16 @@ class Batch:
     lengths: np.ndarray   # [B] int64
 
     @classmethod
-    def from_seqs(cls, seqs: Sequence[TokenSeq]) -> "Batch":
-        ids = np.stack([s.ids for s in seqs])
-        lengths = np.array([s.true_len for s in seqs], dtype=np.int64)
-        return cls(ids=ids, lengths=lengths)
+    def from_seqs(cls, part: "Batch", rows: Union[np.ndarray, slice]) -> "Batch":
+        """The given rows of an encoded part: an index array or a slice."""
+        return cls(ids=part.ids[rows], lengths=part.lengths[rows])
 
     @classmethod
     def from_sentences(cls, sentences: Sequence[str], vocab: Vocab, max_len: int,
                        _unused=None) -> "Batch":
         # _unused is ignored; its only reason is that perfbench/workloads.py:192-193,
         # 214-215 still pass model.SOURCE / model.TARGET positionally
-        ids, lengths = encode_batch(sentences, vocab, max_len)
+        ids, lengths = encode(sentences, vocab, max_len)
         if (lengths == 1).any():   # only a text with no tokens encodes to length 1
             raise EmptyInputError("cannot encode an empty sentence")
         return cls(ids=ids, lengths=lengths)
@@ -404,9 +400,9 @@ def classify_texts(clf: TextCnnClassifier, vocab: Vocab, texts: Sequence[str],
     target-styled. An empty generation is classified as the end token alone."""
     preds = np.zeros(len(texts))
     for lo in range(0, len(texts), CLASSIFY_BATCH):
-        ids, lengths = encode_batch(texts[lo: lo + CLASSIFY_BATCH], vocab, pad_len)
+        batch = Batch(*encode(texts[lo: lo + CLASSIFY_BATCH], vocab, pad_len))
         with no_grad():
-            p = clf.prob(Batch(ids=ids, lengths=lengths)).data
+            p = clf.prob(batch).data
         preds[lo: lo + len(p)] = p > 0.5
     return preds
 
@@ -451,44 +447,39 @@ class ClassifierFit:
     heldout_margin: float  # held-out mean |p - 0.5|
 
 
-def heldout_scores(clf: TextCnnClassifier, seqs: Sequence[TokenSeq],
-                   labels: Sequence[float]) -> tuple:
-    """(accuracy, mean |p - 0.5|) of clf on labelled sequences, from one
+def heldout_scores(clf: TextCnnClassifier, batch: Batch, labels: Sequence[float]) -> tuple:
+    """(accuracy, mean |p - 0.5|) of clf on a labelled batch, from one
     forward pass."""
     with no_grad():
-        p = clf.prob(Batch.from_seqs(list(seqs))).data
+        p = clf.prob(batch).data
     predicted = (p > 0.5).astype(np.float64)
     accuracy = float((predicted == np.asarray(labels, dtype=np.float64)).mean())
     return accuracy, float(np.abs(p - 0.5).mean())
 
 
-def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[float],
-                         heldout_seqs: Sequence[TokenSeq], heldout_labels: Sequence[float],
-                         vocab_size: int, d_emb: int,
-                         seed: Union[int, np.random.Generator] = 0) -> tuple:
+def pretrain_style_judge(train: Batch, train_labels: Sequence[float],
+                         heldout: Batch, heldout_labels: Sequence[float],
+                         vocab_size: int, d_emb: int, rng: np.random.Generator) -> tuple:
     """The pre-trained, then frozen, probability-of-target-style classifier.
 
     Binary cross-entropy training of a text CNN on its own data part, before
     the transfer model; never updated afterwards. Label 1 means the sentence
-    has the target style. Its initial weights and batch order come from
-    `np.random.default_rng(seed)`: an int seeds a new stream, and a Generator
-    (the set-up passes one) is drawn from as it is. Returns the classifier
-    and its ClassifierFit.
+    has the target style. Its initial weights and batch order are drawn from
+    `rng`. Returns the classifier and its ClassifierFit.
     """
-    if not train_seqs or not heldout_seqs:
+    if not len(train) or not len(heldout):
         raise ValueError("classifier training needs non-empty train and held-out sets")
-    rng = np.random.default_rng(seed)
     clf = TextCnnClassifier.create(rng, vocab_size, d_emb, CLASSIFIER_WIDTHS, CLASSIFIER_MAPS)
     params = clf.params()
     state = AdamState()
     labels = np.asarray(train_labels, dtype=np.float64)
-    n = len(train_seqs)
+    n = len(train)
     for _ in range(CLASSIFIER_EPOCHS):
         order = rng.permutation(n)
         bce_sum = 0.0
         for lo in range(0, n, CLASSIFIER_BATCH):
             idx = order[lo: lo + CLASSIFIER_BATCH]
-            batch = Batch.from_seqs([train_seqs[i] for i in idx])
+            batch = Batch.from_seqs(train, idx)
             tape = ad.Tape()
             with ad.recording(tape):
                 p = ad.clip(clf.prob(batch), 1e-7, 1 - 1e-7)
@@ -500,6 +491,6 @@ def pretrain_style_judge(train_seqs: Sequence[TokenSeq], train_labels: Sequence[
             zero_grads(params)
             tape.clear()
         train_bce = bce_sum / n
-    acc, margin = heldout_scores(clf, heldout_seqs, heldout_labels)
+    acc, margin = heldout_scores(clf, heldout, heldout_labels)
     clf.freeze()
     return clf, ClassifierFit(heldout_accuracy=acc, train_bce=train_bce, heldout_margin=margin)

@@ -213,10 +213,6 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
 # full run
 
 
-def _encode_all(sentences: Sequence[str], vocab: Vocab, pad_len: int) -> list:
-    return [encode(s, vocab, pad_len) for s in sentences]
-
-
 def _epoch_order(rng, n: int, needed: int) -> np.ndarray:
     reps = [rng.permutation(n) for _ in range((needed + n - 1) // n)]
     return np.concatenate(reps)[:needed]
@@ -230,8 +226,8 @@ def _validation_pass(model, d_clf, judge, cfg, weights, val_s, val_t,
     n = min(len(val_s), len(val_t))
     for lo in range(0, n, bs):
         sl = slice(lo, min(lo + bs, n))
-        batch_s = Batch.from_seqs(val_s[sl])
-        batch_t = Batch.from_seqs(val_t[sl])
+        batch_s = Batch.from_seqs(val_s, sl)
+        batch_t = Batch.from_seqs(val_t, sl)
         with ad.no_grad():
             chunks.append(compute_breakdown(model, d_clf, judge, batch_s, batch_t, weights,
                                             dropout_p=0.0, draw_rng=rng)[1])
@@ -267,25 +263,25 @@ def train(cfg: TrainConfig, corpora: TransferCorpora, judge: TextCnnClassifier,
     g_state, d_state = AdamState(), AdamState()
     weights = cfg.weights()
 
-    seqs_s = _encode_all(src_train, vocab, cfg.pad_len)
-    seqs_t = _encode_all(tgt_train, vocab, cfg.pad_len)
-    val_s = _encode_all(corpora.source.val.sentences, vocab, cfg.pad_len)
-    val_t = _encode_all(corpora.target.val.sentences, vocab, cfg.pad_len)
+    train_s, train_t, val_s, val_t = (
+        Batch(*encode(sentences, vocab, cfg.pad_len))
+        for sentences in (src_train, tgt_train, corpora.source.val.sentences,
+                          corpora.target.val.sentences))
 
-    steps_per_epoch = len(seqs_s) // cfg.batch_size
+    steps_per_epoch = len(train_s) // cfg.batch_size
     metrics: list = []
     skipped = 0
     best_val, best_epoch, best_params = float("inf"), -1, snapshot(g_params)
 
     for epoch in range(cfg.epochs):
-        order_s = _epoch_order(rng_shuffle, len(seqs_s), steps_per_epoch * cfg.batch_size)
-        order_t = _epoch_order(rng_shuffle, len(seqs_t), steps_per_epoch * cfg.batch_size)
+        order_s = _epoch_order(rng_shuffle, len(train_s), steps_per_epoch * cfg.batch_size)
+        order_t = _epoch_order(rng_shuffle, len(train_t), steps_per_epoch * cfg.batch_size)
         done = []
         for step in range(steps_per_epoch):
             idx_s = order_s[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             idx_t = order_t[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-            batch_s = Batch.from_seqs([seqs_s[i] for i in idx_s])
-            batch_t = Batch.from_seqs([seqs_t[i] for i in idx_t])
+            batch_s = Batch.from_seqs(train_s, idx_s)
+            batch_t = Batch.from_seqs(train_t, idx_t)
             train_step_discriminator(model, d_clf, batch_s, batch_t,
                                      d_params, d_state, cfg, rng_dropout)
             br = train_step_generator(model, d_clf, judge, batch_s, batch_t,

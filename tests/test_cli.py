@@ -15,7 +15,7 @@ from styletx.cli import build_parser, main
 from styletx.corpus import RESERVED, Vocab, read_lines, three_way_split, write_lines
 from styletx.evaluation import EvalReport, prepare_experiment
 from styletx.model import TextCnnClassifier, TransferModel, TransferScore, transfer_sentences
-from styletx.training import SEED_SPLIT_SOURCE, TrainConfig, rng_for, train
+from styletx.training import SEED_SPLIT_SOURCE, SEED_SPLIT_TARGET, TrainConfig, rng_for, train
 
 DESK_CFG = """\
 d_emb=24
@@ -417,6 +417,40 @@ def test_train_refuses_an_empty_validation_split(tmp_path, capsys):
                  "--config", str(cfg), "--out", str(out), "--log", str(log)]) == 2
     assert "validation split (24 source / 0 target)" in capsys.readouterr().err
     assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("side,offset,part,split", [
+    ("source", SEED_SPLIT_SOURCE, 0, "test"),    # scored only after training
+    ("source", SEED_SPLIT_SOURCE, 2, "val"),     # never read
+    ("target", SEED_SPLIT_TARGET, 1, "train"),
+], ids=["transfer-test-part", "classifier-validation-part", "target-side"])
+def test_a_line_without_tokens_is_refused_before_any_classifier_trains(
+        tmp_path, capsys, monkeypatch, command, side, offset, part, split):
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(data), "--n-source", "200", "--n-target", "200"]) == 0
+    lines = read_lines(data / f"{side}.txt")
+    where = three_way_split([str(i) for i in range(len(lines))], rng_for(0, offset))
+    line = int(getattr(where[part], split).sentences[0])
+    lines[line] = " \t "
+    write_lines(data / f"{side}.txt", lines)
+    trained = []
+    monkeypatch.setattr(evaluation, "pretrain_style_judge",
+                        lambda *args: trained.append(args))
+    out = tmp_path / "out"
+    out.mkdir()
+    common = ["--source", str(data / "source.txt"), "--target", str(data / "target.txt"),
+              "--labels", str(data / "labels.txt"),
+              "--config", str(config_file(tmp_path / "desk.cfg", DESK_CFG))]
+    if command == "train":
+        args = ["train", *common, "--out", str(out / "m.ckpt"), "--log", str(out / "metrics.csv")]
+    else:
+        args = ["evaluate", *common, "--report", str(out / "r.csv"),
+                "--samples", str(out / "s.tsv")]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"{side} line {line + 1} has no tokens" in capsys.readouterr().err
+    assert trained == [] and list(out.iterdir()) == []
 
 
 def test_transfer_takes_no_config(workdir, tmp_path):

@@ -14,10 +14,10 @@ from styletx.corpus import (
     build_vocab,
     decode_to_text,
     encode,
-    encode_batch,
     gen_synthetic,
     three_way_split,
 )
+from styletx.model import Batch
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,8 @@ def test_words_spelt_like_reserved_tokens_encode_as_unk():
     # tokens), and no reserved id: "<eos>" would cut the sentence short
     vocab = build_vocab(["the <eos> food <pad>", "<unk> food"])
     assert vocab.id_to_token == [*RESERVED, "food", "the"]
-    assert encode("the <eos> food <bos>", vocab, 8).ids.tolist() == [5, UNK, 4, UNK, EOS, PAD, PAD, PAD]
+    ids, _ = encode(["the <eos> food <bos>"], vocab, 8)
+    assert ids.tolist() == [[5, UNK, 4, UNK, EOS, PAD, PAD, PAD]]
     assert decode_to_text([5, UNK, 4, EOS], vocab) == "the <unk> food"
 
 
@@ -59,37 +60,50 @@ def test_words_spelt_like_reserved_tokens_encode_as_unk():
 # encoding
 
 
+def encode_one(sentence, vocab, max_len) -> tuple:
+    """A per-sentence reference of the token-to-id rule: tokenize, cut to
+    max_len - 1 tokens, look each up, then EOS and PAD; the length counts
+    the EOS."""
+    tokens = sentence.lower().split()[: max_len - 1]
+    row = [vocab.lookup(t) for t in tokens] + [EOS]
+    return row + [PAD] * (max_len - len(row)), len(row)
+
+
 def test_encode_simple_case():
     vocab = build_vocab(["good food"])
-    seq = encode("good food", vocab, max_len=5)
-    assert seq.ids.tolist() == [vocab.lookup("good"), vocab.lookup("food"), EOS, PAD, PAD]
-    assert seq.true_len == 3
+    ids, lengths = encode(["good food"], vocab, max_len=5)
+    assert ids.tolist() == [[vocab.lookup("good"), vocab.lookup("food"), EOS, PAD, PAD]]
+    assert lengths.tolist() == [3]
 
 
 def test_encode_truncates_long_sentences():
     vocab = build_vocab(["w"])
-    seq = encode(" ".join(["w"] * 25), vocab, max_len=20)
-    assert seq.true_len == 20
-    assert seq.ids[-1] == EOS
-    assert (seq.ids[:19] == vocab.lookup("w")).all()
+    (row,), (length,) = encode([" ".join(["w"] * 25)], vocab, max_len=20)
+    assert length == 20
+    assert row[-1] == EOS
+    assert (row[:19] == vocab.lookup("w")).all()
 
 
 def test_encode_unknown_token_maps_to_unk():
     vocab = build_vocab(["known"])
-    seq = encode("mystery", vocab, max_len=4)
-    assert seq.ids[0] == UNK
+    ids, _ = encode(["mystery"], vocab, max_len=4)
+    assert ids[0, 0] == UNK
 
 
 def test_encode_empty_sentence():
+    # encoding takes a text with no tokens as the end token alone; a batch
+    # built from raw sentences refuses it
     vocab = build_vocab(["x"])
+    ids, lengths = encode(["   "], vocab, max_len=5)
+    assert ids.tolist() == [[EOS, PAD, PAD, PAD, PAD]] and lengths.tolist() == [1]
     with pytest.raises(EmptyInputError):
-        encode("   ", vocab, max_len=5)
+        Batch.from_sentences(["x", "   "], vocab, max_len=5)
 
 
 def test_encode_max_len_validation():
     vocab = build_vocab(["x"])
     with pytest.raises(SpecError):
-        encode("x", vocab, max_len=1)
+        encode(["x"], vocab, max_len=1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,8 +111,8 @@ def test_encode_max_len_validation():
 def test_encode_decode_round_trip(words):
     sentence = " ".join(words)
     vocab = build_vocab([" ".join(["spoon", "fork", "cup", "dish", "tray"])])
-    seq = encode(sentence, vocab, max_len=10)
-    assert decode_to_text(seq.ids, vocab) == sentence
+    (row,), _ = encode([sentence], vocab, max_len=10)
+    assert decode_to_text(row, vocab) == sentence
 
 
 @pytest.mark.parametrize("max_len", [2, 6, 20])
@@ -108,18 +122,17 @@ def test_encode_batch_rows_equal_encode_of_each_sentence(max_len):
     syn = gen_synthetic(3, 150, 150, (0.3, 0.5, 0.2))
     sentences = syn.source + syn.target
     vocab = build_vocab(syn.source)
-    ids, lengths = encode_batch(sentences, vocab, max_len)
+    ids, lengths = encode(sentences, vocab, max_len)
     assert ids.shape == (300, max_len) and ids.dtype == np.int64 and lengths.dtype == np.int64
     assert (ids == UNK).any()
     for row, length, sentence in zip(ids, lengths, sentences):
-        seq = encode(sentence, vocab, max_len)
-        assert row.tolist() == seq.ids.tolist() and length == seq.true_len
+        assert (row.tolist(), length) == encode_one(sentence, vocab, max_len)
 
 
 def test_encode_batch_edge_cases():
     vocab = build_vocab(["w x <eos> <pad>"])
-    ids, lengths = encode_batch([" ".join(["w"] * 25), "w " * 4, "x y <eos> <pad>", "w"],
-                                vocab, max_len=5)
+    ids, lengths = encode([" ".join(["w"] * 25), "w " * 4, "x y <eos> <pad>", "w"],
+                          vocab, max_len=5)
     w, x = vocab.lookup("w"), vocab.lookup("x")
     # cut at max_len - 1 tokens, then EOS; exactly max_len - 1 tokens fit whole
     assert ids.tolist() == [[w, w, w, w, EOS], [w, w, w, w, EOS],
@@ -127,18 +140,18 @@ def test_encode_batch_edge_cases():
     assert lengths.tolist() == [5, 5, 5, 2]
     for max_len in (1, 0, -3):
         with pytest.raises(SpecError):
-            encode_batch(["w"], vocab, max_len)
+            encode(["w"], vocab, max_len)
         with pytest.raises(SpecError):
-            encode_batch([], vocab, max_len)
+            encode([], vocab, max_len)
 
 
 def test_encode_batch_text_without_tokens_is_the_end_token_alone():
     vocab = build_vocab(["w"])
-    ids, lengths = encode_batch(["", "w", " \t\n "], vocab, max_len=4)
+    ids, lengths = encode(["", "w", " \t\n "], vocab, max_len=4)
     assert ids.tolist() == [[EOS, PAD, PAD, PAD], [vocab.lookup("w"), EOS, PAD, PAD],
                             [EOS, PAD, PAD, PAD]]
     assert lengths.tolist() == [1, 2, 1]
-    ids, lengths = encode_batch([], vocab, max_len=4)
+    ids, lengths = encode([], vocab, max_len=4)
     assert ids.shape == (0, 4) and lengths.shape == (0,)
 
 
@@ -148,14 +161,14 @@ def test_encode_batch_text_without_tokens_is_the_end_token_alone():
 
 def test_split_degenerate_everything_in_part_one():
     # largest-remainder rounding gives a lone sentence to the biggest fraction
-    parts = three_way_split(["s0"], seed=0)
+    parts = three_way_split(["s0"], np.random.default_rng(0))
     assert parts[0].train.sentences == ["s0"]
     assert len(parts[1].all_sentences()) == 0 and len(parts[2].all_sentences()) == 0
 
 
 def test_split_exact_fraction_sizes():
     sentences = [f"s{i}" for i in range(100)]
-    parts = three_way_split(sentences, seed=3)
+    parts = three_way_split(sentences, np.random.default_rng(3))
     assert [len(p.all_sentences()) for p in parts] == [60, 20, 20]
     assert [(len(p.train), len(p.test), len(p.val)) for p in parts] == [(48, 6, 6), (16, 2, 2),
                                                                         (16, 2, 2)]
@@ -163,8 +176,8 @@ def test_split_exact_fraction_sizes():
 
 def test_split_same_seed_identical():
     sentences = [f"s{i}" for i in range(57)]
-    a = three_way_split(sentences, seed=11)
-    b = three_way_split(sentences, seed=11)
+    a = three_way_split(sentences, np.random.default_rng(11))
+    b = three_way_split(sentences, np.random.default_rng(11))
     for pa, pb in zip(a, b):
         assert pa.train.sentences == pb.train.sentences
         assert pa.test.sentences == pb.test.sentences
@@ -174,7 +187,7 @@ def test_split_same_seed_identical():
 def test_split_carries_labels():
     sentences = [f"s{i}" for i in range(30)]
     labels = [str(i % 2) for i in range(30)]
-    parts = three_way_split(sentences, seed=5, labels=labels)
+    parts = three_way_split(sentences, np.random.default_rng(5), labels=labels)
     for part in parts:
         for ds in (part.train, part.test, part.val):
             for s, l in zip(ds.sentences, ds.labels):
@@ -185,7 +198,7 @@ def test_split_carries_labels():
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=3, max_value=200))
 def test_split_parts_pairwise_disjoint(seed, n):
     sentences = [f"unique sentence {i}" for i in range(n)]
-    parts = three_way_split(sentences, seed=seed)
+    parts = three_way_split(sentences, np.random.default_rng(seed))
     sets = [set(p.all_sentences()) for p in parts]
     assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
     assert sum(len(s) for s in sets) == len(set(sentences))

@@ -13,7 +13,7 @@ from styletx.evaluation import (
 )
 from styletx import evaluation as evaluation_module
 from styletx import model as model_module
-from styletx.model import TextCnnClassifier, TransferModel, pretrain_style_judge, score_transfers
+from styletx.model import Batch, TextCnnClassifier, TransferModel, pretrain_style_judge, score_transfers
 from styletx.training import (
     SEED_EVAL_CLF,
     SEED_SPLIT_SOURCE,
@@ -202,10 +202,10 @@ def test_binary_style_data_uses_ground_truth_when_present():
 def eval_world():
     data = gen_synthetic(seed=41, n_source=900, n_target=900, mix=(0.3, 0.7, 0.0))
     vocab = build_vocab(data.source + data.target)
-    src_parts = three_way_split(data.source, 1, labels=data.source_styles)
-    tgt_parts = three_way_split(data.target, 2)
+    src_parts = three_way_split(data.source, np.random.default_rng(1), labels=data.source_styles)
+    tgt_parts = three_way_split(data.target, np.random.default_rng(2))
     # the evaluation classifier as prepare_experiment trains it, on part 2
-    enc = lambda sents: [encode(s, vocab, 16) for s in sents]
+    enc = lambda sents: Batch(*encode(sents, vocab, 16))
     train_sents, train_labels = binary_style_data(src_parts[2].train, tgt_parts[2].train)
     held_sents, held_labels = binary_style_data(src_parts[2].test, tgt_parts[2].test)
     clf, fit = pretrain_style_judge(enc(train_sents), train_labels, enc(held_sents), held_labels,
@@ -231,7 +231,7 @@ def test_shuffled_labels_give_chance_accuracy(monkeypatch):
     data = gen_synthetic(seed=42, n_source=500, n_target=500, mix=(0.0, 1.0, 0.0))
     vocab = build_vocab(data.source + data.target)
     rng = np.random.default_rng(0)
-    enc = lambda ss: [encode(s, vocab, 16) for s in ss]
+    enc = lambda sents: Batch(*encode(sents, vocab, 16))
     sents = data.source[:400] + data.target[:400]
     labels = [0.0] * 400 + [1.0] * 400
     rng.shuffle(labels)
@@ -239,7 +239,7 @@ def test_shuffled_labels_give_chance_accuracy(monkeypatch):
     held_labels = [0.0] * 100 + [1.0] * 100
     monkeypatch.setattr(model_module, "CLASSIFIER_EPOCHS", 8)
     _, fit = pretrain_style_judge(enc(sents), labels, enc(held_sents), held_labels,
-                                  len(vocab), d_emb=24, seed=1)
+                                  len(vocab), 24, np.random.default_rng(1))
     assert abs(fit.heldout_accuracy - 0.5) <= 0.1
 
 

@@ -375,14 +375,14 @@ def test_discriminate_sequence_too_short():
 def judge_setup():
     data = gen_synthetic(seed=11, n_source=240, n_target=240, mix=(0.0, 1.0, 0.0))
     vocab = build_vocab(data.source + data.target)
-    make = lambda sents: [encode(s, vocab, 16) for s in sents]
-    train_seqs = make(data.source[:200]) + make(data.target[:200])
+    make = lambda sents: Batch(*encode(sents, vocab, 16))
+    train = make(data.source[:200] + data.target[:200])
     train_labels = [0.0] * 200 + [1.0] * 200
-    held_seqs = make(data.source[200:]) + make(data.target[200:])
+    held = make(data.source[200:] + data.target[200:])
     held_labels = [0.0] * 40 + [1.0] * 40
-    judge, fit = pretrain_style_judge(train_seqs, train_labels, held_seqs, held_labels,
-                                      len(vocab), d_emb=16, seed=0)
-    return judge, fit, vocab, (train_seqs, train_labels, held_seqs, held_labels)
+    judge, fit = pretrain_style_judge(train, train_labels, held, held_labels,
+                                      len(vocab), 16, np.random.default_rng(0))
+    return judge, fit, vocab, (train, train_labels, held, held_labels)
 
 
 def test_pretrained_judge_reaches_95_percent(judge_setup):
@@ -393,7 +393,7 @@ def test_pretrained_judge_reaches_95_percent(judge_setup):
 def test_pretrained_judge_reports_its_margin_and_training_bce(judge_setup):
     judge, fit, _, (_, _, he_s, he_l) = judge_setup
     with no_grad():
-        p = judge.prob(Batch.from_seqs(he_s)).data
+        p = judge.prob(he_s).data
     assert fit.heldout_margin == float(np.abs(p - 0.5).mean())
     assert 0.0 < fit.train_bce < np.log(2)  # a converged judge is off the ln 2 plateau
 
@@ -408,9 +408,10 @@ def test_judge_training_bce_is_the_per_sentence_mean_of_the_last_epoch(judge_set
     monkeypatch.setattr(model_module, "CLASSIFIER_LR", 0.0)
     create = TextCnnClassifier.create
     monkeypatch.setattr(TextCnnClassifier, "create", lambda *args: in_float64(create(*args)))
-    judge, fit = pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab), d_emb=16, seed=0)
+    judge, fit = pretrain_style_judge(tr_s, tr_l, he_s, he_l, len(vocab), 16,
+                                      np.random.default_rng(0))
     with no_grad():
-        p = np.clip(judge.prob(Batch.from_seqs(tr_s)).data, 1e-7, 1 - 1e-7)
+        p = np.clip(judge.prob(tr_s).data, 1e-7, 1 - 1e-7)
     y = np.asarray(tr_l)
     expected = float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
     assert fit.train_bce == pytest.approx(expected, rel=1e-12)
@@ -421,7 +422,8 @@ def test_pretrained_judge_inverted_labels_symmetry(judge_setup):
     # true labels
     judge, fit, vocab, (tr_s, tr_l, he_s, he_l) = judge_setup
     flipped, _ = pretrain_style_judge(
-        tr_s, [1.0 - l for l in tr_l], he_s, [1.0 - l for l in he_l], len(vocab), 16, seed=0)
+        tr_s, [1.0 - l for l in tr_l], he_s, [1.0 - l for l in he_l], len(vocab), 16,
+        np.random.default_rng(0))
     acc_vs_true, _ = heldout_scores(flipped, he_s, he_l)
     assert abs(acc_vs_true - (1.0 - fit.heldout_accuracy)) <= 0.05
 
@@ -517,7 +519,19 @@ def test_batch_from_sentences_is_the_stack_of_encode_and_refuses_an_empty_text()
     vocab = tiny_vocab()
     sentences = ["the food was great", "mystery words here", "we came here again today"]
     batch = Batch.from_sentences(sentences, vocab, 5)
-    expect = Batch.from_seqs([encode(s, vocab, 5) for s in sentences])
-    assert np.array_equal(batch.ids, expect.ids) and np.array_equal(batch.lengths, expect.lengths)
+    ids, lengths = encode(sentences, vocab, 5)
+    assert np.array_equal(batch.ids, ids) and np.array_equal(batch.lengths, lengths)
     with pytest.raises(EmptyInputError):
         Batch.from_sentences(["the food was great", "  "], vocab, 8)
+
+
+@pytest.mark.parametrize("rows", [np.array([2, 0, 2, 3, 0]), slice(1, 4)],
+                         ids=["indices-with-repeats", "slice"])
+def test_batch_from_seqs_is_the_stack_of_the_rows(rows):
+    vocab = tiny_vocab()
+    sentences = ["the food was great", "mystery", "we came here again today", "the soup"]
+    part = Batch.from_sentences(sentences, vocab, 6)
+    batch = Batch.from_seqs(part, rows)
+    picked = range(len(sentences))[rows] if isinstance(rows, slice) else rows
+    assert np.array_equal(batch.ids, np.stack([part.ids[i] for i in picked]))
+    assert np.array_equal(batch.lengths, np.array([part.lengths[i] for i in picked]))
