@@ -187,6 +187,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.runs < 1:
+        raise UsageError(f"--runs must be at least 1, got {args.runs}")
     cfg, setup = _setup(args)
     report = run_experiment(setup, cfg, n_runs=args.runs, progress=args.verbose)
     if not report.scores:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .checkpoint import CheckpointFormatError, load_into, shape_of
+from .checkpoint import load_into, shape_of
 from .corpus import BOS, EOS, PAD, Dataset, EmptyInputError, SpecError, Vocab, decode_to_text, encode
 from .optim import AdamState, adam_step, zero_grads
 
@@ -73,9 +73,6 @@ class Batch:
     @property
     def max_len(self) -> int:
         return int(self.ids.shape[1])
-
-
-SoftSeq = list  # list of [B, V] distribution tensors, one per step
 
 
 def _dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
@@ -136,11 +133,14 @@ class GruCell:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-def _soft_embed(embedding: Tensor, soft: SoftSeq) -> Tensor:
-    """Expected embeddings [B, T, d] of a soft sequence, in one matmul."""
-    b, t, v = soft[0].shape[0], len(soft), soft[0].shape[1]
-    flat = ad.reshape(ad.concat(soft, axis=1), (b * t, v))
-    return ad.reshape(flat @ embedding, (b, t, embedding.shape[1]))
+def _embed(table: Tensor, x: Union[Batch, Tensor]) -> Tensor:
+    """Embeddings [B, T, d] of text: a Batch's ids looked up in table, or a
+    soft sequence's [B, T, V] distributions as expected embeddings, in one
+    matmul."""
+    if isinstance(x, Batch):
+        return ad.take_rows(table, x.ids)
+    b, t, v = x.shape
+    return ad.reshape(ad.reshape(x, (b * t, v)) @ table, (b, t, table.shape[1]))
 
 
 class StyleEncoder:
@@ -168,8 +168,8 @@ class StyleEncoder:
         return ad.relu(ad.text_cnn(emb_seq, [self.filters[w] for w in widths],
                                    [self.biases[w] for w in widths]))
 
-    def encode(self, batch: Batch) -> Tensor:
-        return self.features(ad.take_rows(self.embedding, batch.ids))
+    def encode(self, x: Union[Batch, Tensor]) -> Tensor:
+        return self.features(_embed(self.embedding, x))
 
     def params(self, prefix: str) -> dict:
         out = {f"{prefix}.embedding": self.embedding}
@@ -177,15 +177,6 @@ class StyleEncoder:
             out[f"{prefix}.conv{w}.weight"] = self.filters[w]
             out[f"{prefix}.conv{w}.bias"] = self.biases[w]
         return out
-
-
-def _conv_shapes(arrays: dict) -> list:
-    """[width, d_emb, maps] of each convolution filter in a checkpoint: the
-    filters are its only 3-d tensors."""
-    shapes = sorted(a.shape for a in arrays.values() if a.ndim == 3)
-    if not shapes:
-        raise CheckpointFormatError("no convolution filters (3-d tensors) in checkpoint")
-    return shapes
 
 
 class TextCnnClassifier:
@@ -201,16 +192,12 @@ class TextCnnClassifier:
         cnn = StyleEncoder.create(rng, vocab_size, d_emb, widths, maps)
         return cls(cnn, head_w=_init(rng, cnn.out_dim, 1), head_b=_zeros(1))
 
-    def logit(self, x: Union[Batch, SoftSeq]) -> Tensor:
-        if isinstance(x, Batch):
-            emb_seq = ad.take_rows(self.cnn.embedding, x.ids)
-        else:
-            emb_seq = _soft_embed(self.cnn.embedding, x)
-        feats = self.cnn.features(emb_seq)
+    def logit(self, x: Union[Batch, Tensor]) -> Tensor:
+        feats = self.cnn.encode(x)
         raw = ad.reshape(feats @ self.head_w + self.head_b, (feats.shape[0],))
         return ad.clip(raw, -LOGIT_CLAMP, LOGIT_CLAMP)
 
-    def prob(self, x: Union[Batch, SoftSeq]) -> Tensor:
+    def prob(self, x: Union[Batch, Tensor]) -> Tensor:
         return ad.sigmoid(self.logit(x))
 
     def params(self, prefix: str = "clf") -> dict:
@@ -236,14 +223,14 @@ class TransferModel:
 
     @classmethod
     def create(cls, rng: np.random.Generator, vocab_size: int, d_emb: int, d_z: int,
-               d_y: int, style_widths: Sequence[int] = STYLE_WIDTHS) -> "TransferModel":
-        if d_y % len(style_widths):
-            raise ValueError(f"d_y={d_y} not divisible by {len(style_widths)} filter widths")
-        maps = d_y // len(style_widths)
+               d_y: int) -> "TransferModel":
+        if d_y % len(STYLE_WIDTHS):
+            raise ValueError(f"d_y={d_y} not divisible by {len(STYLE_WIDTHS)} filter widths")
+        maps = d_y // len(STYLE_WIDTHS)
         return cls(
             embedding=_init(rng, vocab_size, d_emb),
             enc_cell=GruCell.create(rng, d_emb, d_z),
-            style_enc=StyleEncoder.create(rng, vocab_size, d_emb, style_widths, maps),
+            style_enc=StyleEncoder.create(rng, vocab_size, d_emb, STYLE_WIDTHS, maps),
             target_style=_init(rng, d_y),
             gen_cell=GruCell.create(rng, d_emb, d_z + d_y),
             out_w=_init(rng, d_z + d_y, vocab_size),
@@ -260,17 +247,18 @@ class TransferModel:
         return self.enc_cell.hidden_dim
 
     # --- encoders ---------------------------------------------------------
-    def encode_content(self, x: Union[Batch, SoftSeq], dropout_p: float = 0.0,
+    def encode_content(self, x: Union[Batch, Tensor], dropout_p: float = 0.0,
                        dropout_rng=None, rows: Optional[np.ndarray] = None) -> Tensor:
         """GRU over token embeddings; the last real hidden state is the content
-        code. With `rows`, only those rows are encoded and returned, in that
-        order; dropout still draws its mask over every row."""
+        code. A Batch is cut to its longest row; a soft sequence has no
+        padding. With `rows`, only those rows are encoded and returned, in
+        that order; dropout still draws its mask over every row."""
         if isinstance(x, Batch):
-            emb = ad.take_rows(self.embedding, x.ids[:, : int(x.lengths.max())])
             lengths = x.lengths
+            x = Batch(ids=x.ids[:, : int(lengths.max())], lengths=lengths)
         else:
-            emb = _soft_embed(self.embedding, x)
-            lengths = np.full(emb.shape[0], emb.shape[1])
+            lengths = np.full(x.shape[0], x.shape[1])
+        emb = _embed(self.embedding, x)
         b, t = emb.shape[0], emb.shape[1]
         if rows is None:
             rows = np.arange(b)
@@ -310,19 +298,20 @@ class TransferModel:
         return ad.neg(ad.sum_(logp, axis=1))
 
     def generate_soft(self, z: Tensor, y: Tensor, max_len: int, temperature: float,
-                      dropout_p: float = 0.0, dropout_rng=None) -> SoftSeq:
-        """Free-running decode emitting a distribution per step; each step
-        feeds the distribution's expected embedding back in."""
+                      dropout_p: float = 0.0, dropout_rng=None) -> Tensor:
+        """Free-running decode emitting a distribution per step, as one
+        [B, max_len, V] soft sequence; each step feeds the distribution's
+        expected embedding back in."""
         b = z.shape[0]
         h = ad.concat([z, style_rows(y, b)], axis=1)
         x = ad.take_rows(self.embedding, np.full(b, BOS, dtype=np.int64))
-        steps: SoftSeq = []
+        steps = []
         for _ in range(max_len):
             h = self.gen_cell.step(_dropout(x, dropout_p, dropout_rng), h)
             dist = ad.softmax(h @ self.out_w + self.out_b, temperature=temperature)
             steps.append(dist)
             x = dist @ self.embedding
-        return steps
+        return ad.reshape(ad.concat(steps, axis=1), (b, max_len, self.vocab_size))
 
     def generate_greedy(self, z: Tensor, y: Tensor, max_len: int) -> Batch:
         """Argmax decode, cut at the first end-of-sentence token. Ties break
@@ -370,8 +359,7 @@ class TransferModel:
         vocab_size, d_emb = shape_of(arrays, "embedding", 2)
         d_z = shape_of(arrays, "enc.u_update", 2)[0]
         (d_y,) = shape_of(arrays, "target_style", 1)
-        model = cls.create(np.random.default_rng(0), vocab_size, d_emb, d_z, d_y,
-                           [s[0] for s in _conv_shapes(arrays)])
+        model = cls.create(np.random.default_rng(0), vocab_size, d_emb, d_z, d_y)
         load_into(model.params(), arrays)
         return model
 

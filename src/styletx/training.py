@@ -69,6 +69,8 @@ class TrainConfig:
         positive = ("d_emb", "d_z", "d_y", "d_maps", "batch_size", "epochs", "min_count")
         for key, ok, want in [
             *((key, getattr(self, key) >= 1, "at least 1") for key in positive),
+            ("d_y", self.d_y % len(STYLE_WIDTHS) == 0,
+             f"a multiple of {len(STYLE_WIDTHS)}, the number of style filter widths"),
             ("pad_len", self.pad_len >= max(STYLE_WIDTHS),
              f"at least {max(STYLE_WIDTHS)}, the widest filter"),
             ("seed", self.seed >= 0, "at least 0"),

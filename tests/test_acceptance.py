@@ -52,7 +52,7 @@ def tiny_world(seed=0):
                  "the staff looked so dark", "we found the coffee too slow here"]
     vocab = build_vocab(sentences + ["it seemed a quite bright room"])
     rng = np.random.default_rng(seed)
-    model = TransferModel.create(rng, len(vocab), 6, 8, 6, style_widths=(1, 2, 3))
+    model = TransferModel.create(rng, len(vocab), 6, 8, 5)
     d_clf = TextCnnClassifier.create(rng, len(vocab), 6, (1, 2, 3), 2)
     judge = TextCnnClassifier.create(rng, len(vocab), 6, (2, 3), 2)
     judge.freeze()
@@ -179,7 +179,7 @@ def test_criterion_2_loss_formula_oracles():
 def test_criterion_3_arm_isolation_over_200_steps():
     model, d_clf, judge, batch_s, batch_t = tiny_world(seed=5)
     cfg = desk_config(seed=0, batch_size=2, pad_len=8, dropout=0.1,
-                      d_emb=6, d_z=8, d_y=6, d_maps=2)
+                      d_emb=6, d_z=8, d_y=5, d_maps=2)
     g_params, d_params = model.params(), d_clf.params("d")
     judge_before = snapshot(judge.params())
     g_state, d_state = AdamState(), AdamState()

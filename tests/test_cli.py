@@ -272,10 +272,15 @@ def test_train_ablations_from_the_config(workdir, tmp_path):
     assert float(columns["cyc"]) == 0.0 and float(columns["dis"]) == 0.0
 
 
-@pytest.mark.parametrize("line", ["batch_size=0", "dropout=1.0", "epochs=0", "lr=-1"])
-def test_train_refuses_an_out_of_range_config(workdir, tmp_path, capsys, line):
+@pytest.mark.parametrize("line", ["batch_size=0", "dropout=1.0", "epochs=0", "lr=-1", "d_y=22"])
+def test_train_refuses_an_out_of_range_config(workdir, tmp_path, capsys, monkeypatch, line):
     _, data, _ = workdir
-    cfg = config_file(tmp_path / "bad.cfg", DESK_CFG + line + "\n")
+    key = line.split("=")[0]
+    # the bad line replaces the key's own line: a repeated key is refused for that instead
+    kept = [kept for kept in DESK_CFG.splitlines() if not kept.startswith(key + "=")]
+    cfg = config_file(tmp_path / "bad.cfg", "\n".join([*kept, line]) + "\n")
+    trained = []
+    monkeypatch.setattr(evaluation, "pretrain_style_judge", lambda *args: trained.append(args))
     out = tmp_path / "x.ckpt"
     capsys.readouterr()
     code = main(["train", "--source", str(data / "source.txt"),
@@ -284,7 +289,8 @@ def test_train_refuses_an_out_of_range_config(workdir, tmp_path, capsys, line):
                  "--out", str(out), "--log", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 2
-    assert line.split("=")[0] in err and "Traceback" not in err
+    assert re.search(f"bad.cfg: {key}=.* is out of range", err) and "Traceback" not in err
+    assert trained == []
     assert not out.exists() and not (tmp_path / "x.csv").exists()
 
 
@@ -694,6 +700,18 @@ def test_evaluate_retrain_takes_pad_len_from_the_config(workdir, tmp_path):
     assert manifest["config"] == asdict(expected)
     assert manifest["config_fingerprint"] == expected.fingerprint()
     assert manifest["flags"] == {"runs": 1}
+
+
+def test_evaluate_refuses_zero_runs_before_any_classifier_trains(workdir, tmp_path, capsys,
+                                                                 monkeypatch):
+    _, data, cfg = workdir
+    trained = []
+    monkeypatch.setattr(evaluation, "pretrain_style_judge", lambda *args: trained.append(args))
+    report_path = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main([*_evaluate_args(data, cfg, report_path), "--runs", "0"]) == 1
+    assert "--runs must be at least 1, got 0" in capsys.readouterr().err
+    assert trained == [] and not report_path.exists()
 
 
 def test_evaluate_requires_inputs():

@@ -4,7 +4,7 @@ import pytest
 from styletx import autodiff as ad
 from styletx import model as model_module
 from styletx.autodiff import SequenceTooShortError, Tape, Tensor, backward, no_grad, recording
-from styletx.checkpoint import load_params, save_params
+from styletx.checkpoint import CheckpointFormatError, load_params, save_params
 from styletx.corpus import BOS, EOS, PAD, EmptyInputError, build_vocab, gen_synthetic, encode
 from styletx.model import (
     CLASSIFIER_WIDTHS,
@@ -36,13 +36,9 @@ def batch_of(sentences, vocab, max_len=10):
     return Batch.from_sentences(sentences, vocab, max_len)
 
 
-def one_hot_steps(batch, vocab_size):
-    steps = []
-    for t in range(batch.max_len):
-        row = np.zeros((len(batch), vocab_size))
-        row[np.arange(len(batch)), batch.ids[:, t]] = 1.0
-        steps.append(Tensor(row))
-    return steps
+def one_hot(batch, vocab_size):
+    """The [B, T, V] soft sequence that puts all mass on each id of batch."""
+    return Tensor(np.eye(vocab_size)[batch.ids])
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +76,7 @@ def test_encode_content_soft_one_hot_matches_hard():
         # mask lengths differ between paths: pin them equal by full-length batch
         full = Batch(ids=batch.ids, lengths=np.full(2, 6, dtype=np.int64))
         hard_full = model.encode_content(full)
-        soft = model.encode_content(one_hot_steps(batch, len(vocab)))
+        soft = model.encode_content(one_hot(batch, len(vocab)))
     assert np.allclose(soft.data, hard_full.data, atol=1e-12)
     assert not np.allclose(hard.data, soft.data)  # masking really differs
 
@@ -169,10 +165,9 @@ def test_generate_soft_deterministic_and_normalised():
         z = model.encode_content(batch)
         a = model.generate_soft(z, model.target_style, 6, 0.5)
         b = model.generate_soft(z, model.target_style, 6, 0.5)
-    assert len(a) == 6
-    for da, db in zip(a, b):
-        assert np.array_equal(da.data, db.data)
-        assert abs(da.data.sum() - 1.0) < 1e-9
+    assert a.shape == (1, 6, len(vocab))
+    assert np.array_equal(a.data, b.data)
+    assert np.all(np.abs(a.data.sum(axis=2) - 1.0) < 1e-9)  # every (row, step)
 
 
 def test_generate_soft_refuses_a_non_positive_temperature():
@@ -191,10 +186,10 @@ def test_generate_soft_low_temperature_approaches_greedy():
         z = model.encode_content(batch)
         soft = model.generate_soft(z, model.target_style, 8, temperature=1e-4)
         greedy = model.generate_greedy(z, model.target_style, 8)
-    for dist in soft:
-        assert dist.data.max() > 0.999  # distributions collapse toward one-hots
+    # every step's distribution collapses toward a one-hot
+    assert np.all(soft.data.max(axis=2) > 0.999)
     # and the first step, where no feedback differences exist yet, matches greedy
-    assert soft[0].data.argmax() == greedy.ids[0, 0]
+    assert soft.data[0, 0].argmax() == greedy.ids[0, 0]
 
 
 def test_generate_soft_gradients_reach_everything():
@@ -204,7 +199,8 @@ def test_generate_soft_gradients_reach_everything():
     with recording(tape):
         z = model.encode_content(batch)
         soft = model.generate_soft(z, model.target_style, 5, 0.5)
-        loss = ad.sum_(ad.mul(soft[-1], soft[-1]))
+        last = ad.take_rows(ad.reshape(soft, (5, len(vocab))), np.array([4]))
+        loss = ad.sum_(ad.mul(last, last))
         backward(loss, tape)
     assert np.abs(model.target_style.grad).sum() > 0
     assert np.abs(model.gen_cell.w_update.grad).sum() > 0
@@ -336,7 +332,7 @@ def test_discriminate_soft_one_hot_matches_hard():
     batch = batch_of(["the food was great", "we came here again"], vocab, max_len=7)
     with no_grad():
         hard = clf.prob(batch)
-        soft = clf.prob(one_hot_steps(batch, len(vocab)))
+        soft = clf.prob(one_hot(batch, len(vocab)))
     assert np.allclose(hard.data, soft.data, atol=1e-12)
 
 
@@ -458,6 +454,16 @@ def test_transfer_model_checkpoint_round_trip(tmp_path):
         z1 = model.encode_content(batch)
         z2 = clone.encode_content(batch)
     assert np.array_equal(z1.data, z2.data)
+
+
+def test_from_params_refuses_a_checkpoint_without_a_style_width():
+    # a transfer model always has STYLE_WIDTHS' filters: a missing width is
+    # a malformed checkpoint, not a model of other widths
+    model, _ = make_model()
+    arrays = {k: p.data for k, p in model.params().items() if not k.startswith("style.conv5.")}
+    with pytest.raises(CheckpointFormatError,
+                       match=r"missing \['style\.conv5\.weight', 'style\.conv5\.bias'\]"):
+        TransferModel.from_params(arrays)
 
 
 GRU_NAMES = ["w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",

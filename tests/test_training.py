@@ -132,7 +132,8 @@ def test_config_file_overrides_defaults(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("d_z", 0), ("pad_len", 4), ("seed", -1), ("min_count", 0),
                                        ("dropout", -0.1), ("lr", float("nan")),
-                                       ("lambda_cyc", float("inf")), ("lambda_dis", -0.5)])
+                                       ("lambda_cyc", float("inf")), ("lambda_dis", -0.5),
+                                       ("d_y", 22)])
 def test_config_refuses_out_of_range_values(tmp_path, key, value):
     with pytest.raises(ConfigError, match=f"^{key}="):
         TrainConfig(**{key: value})
@@ -345,7 +346,7 @@ def test_step_tape_op_counts_do_not_grow(monkeypatch):
     monkeypatch.setattr(ad.Tape, "clear", counting_clear)
     model, d_clf, judge, batch_s, batch_t = tiny_world()
     cfg = desk_config(seed=0, batch_size=2, pad_len=8, dropout=0.1,
-                      d_emb=6, d_z=8, d_y=6, d_maps=2)
+                      d_emb=6, d_z=8, d_y=5, d_maps=2)
     rng = np.random.default_rng(1)
     train_step_discriminator(model, d_clf, batch_s, batch_t, d_clf.params("d"),
                              AdamState(), cfg, rng)
