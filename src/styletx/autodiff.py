@@ -113,18 +113,23 @@ class Tape:
     """Ordered record of primitive ops for one forward pass.
 
     Ops are appended in execution order, so a single reverse sweep visits
-    each exactly once and respects data dependencies.
+    each exactly once and respects data dependencies. The sweep releases
+    each op as it visits it, so a tape is swept once; its length stays as
+    recorded until `clear`.
     """
 
     def __init__(self):
-        self.ops: list[TapeOp] = []
+        self.ops: list[Optional[TapeOp]] = []
+        self.swept = False
 
     def __len__(self) -> int:
         return len(self.ops)
 
     def clear(self) -> None:
-        """Drop all recorded ops, releasing the intermediates they hold."""
+        """Drop all recorded ops, releasing the intermediates a sweep has
+        not already released; the tape can then record a new pass."""
         self.ops.clear()
+        self.swept = False
 
 
 _tape_stack: list[Optional[Tape]] = []
@@ -186,18 +191,35 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad for every requires_grad leaf on the tape.
+    """Add the gradient of `loss` to .grad of every requires_grad leaf on
+    the tape.
 
-    Repeated calls accumulate. Leaves the loss does not reach receive
+    Gradients accumulate across tapes: sweeping the tapes of two forward
+    passes adds both. A tape is swept once: the sweep sets each op's slot
+    to None as it visits it, so the op's closure, saved arrays and output
+    are freed as soon as nothing upstream needs them, and a second sweep of
+    the same tape raises. Leaves the loss does not reach receive
     exactly-zero gradients. Intermediate gradients live only inside the
     sweep and are freed as soon as their producer is visited.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    if tape.swept:
+        raise RuntimeError("backward: this tape was already swept and its ops released; "
+                           "record a new forward pass")
+
+    ops = tape.ops
+    produced = {id(op.out) for op in ops}
+    leaves: dict[int, Tensor] = {}
+    for op in ops:
+        for t in op.inputs:
+            if t.requires_grad and id(t) not in produced:
+                leaves.setdefault(id(t), t)
+    tape.swept = True
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    produced = {id(op.out) for op in tape.ops}
-    for op in reversed(tape.ops):
+    for i in reversed(range(len(ops))):
+        op, ops[i] = ops[i], None
         g_out = grads.pop(id(op.out), None)
         if g_out is None:
             continue
@@ -210,17 +232,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
             else:
                 grads[key] = g_in
 
-    seen: set[int] = set()
-    for op in tape.ops:
-        for t in op.inputs:
-            key = id(t)
-            if key in seen or key in produced or not t.requires_grad:
-                continue
-            seen.add(key)
-            contrib = grads.get(key)
-            if contrib is None:
-                contrib = np.zeros_like(t.data)
-            t.grad = contrib if t.grad is None else t.grad + contrib
+    for key, t in leaves.items():
+        contrib = grads.get(key)
+        if contrib is None:
+            contrib = np.zeros_like(t.data)
+        t.grad = contrib if t.grad is None else t.grad + contrib
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +607,16 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     t's live rows are a prefix of the batch. Only the live (row, step)
     pairs are computed: they are packed time-major, the input projections
     of all of them are one matmul per gate, overwritten in place by the gate
-    values, and each step runs on its prefix. Backward keeps just those,
-    the states and the input; it runs BPTT in one reverse loop over the same
-    prefixes, then forms each weight gradient with one matmul over all live
-    pairs.
+    values, and each step runs on its prefix. Each state is held once: the
+    states are computed into their own buffer, which becomes (or is
+    scattered into) the output, and step 0 reads h0 as it is. Backward
+    keeps the gates and the packed input; it rebuilds each step's input
+    states from h0's rows and the output with one gather (at T = 1 it uses
+    h0 itself), runs BPTT in one reverse loop over the same prefixes,
+    overwriting each step's gates with their pre-activation gradients once
+    it is done with them, then forms each weight gradient with one matmul
+    over all live pairs. So the closure runs once, as a tape's one sweep
+    guarantees.
     """
     x = as_tensor(x)
     h0 = as_tensor(h0, like=x)
@@ -624,22 +646,22 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     else:
         counts = [batch] * steps
     # step t's live rows fill rows offsets[t]:offsets[t + 1] of the packed
-    # arrays; its input states are rows prev[t]:prev[t] + counts[t] of `hs`
+    # arrays; the gradient of its input states is rows prev[t]:prev[t] +
+    # counts[t] of `g_hs` in backward
     offsets = [0]
     for n in counts:
         offsets.append(offsets[-1] + n)
     prev = [0] + [batch + lo for lo in offsets[:-2]]
     n_live = offsets[-1]
+    n_first = counts[0] if steps else 0
     blocks = [(offsets[t], offsets[t + 1], prev[t]) for t in range(steps) if counts[t]]
 
     # pack: [B, T, n] -> [N, n], the live pairs time-major, so each step's
     # rows form one contiguous block; unpack: back, zeros at padded pairs.
     # With every row live at every step that is a transpose, with no gather.
     if packed:
-        rows = np.arange(batch)
-        # flat index into [B·T] of each packed pair, and of each pair's input state in `hs`
+        # flat index into [B·T] of each packed pair
         pair_index = (order * steps + np.arange(steps)[:, None])[live]
-        prev_index = (np.array(prev)[:, None] + rows)[live]
 
         def pack(a: Array) -> Array:
             return a.reshape(batch * steps, a.shape[2])[pair_index]
@@ -649,30 +671,33 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
             out[pair_index] = a
             return out.reshape(batch, steps, a.shape[1])
     else:
-        prev_index = slice(0, n_live)
-
         def pack(a: Array) -> Array:
             return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(n_live, a.shape[2])
 
         def unpack(a: Array) -> Array:
             return np.ascontiguousarray(a.reshape(steps, batch, a.shape[1]).swapaxes(0, 1))
 
-    # one buffer for the gates z, r, c of every live pair, then h0 and the
-    # state after every live pair: one large allocation faults in much
-    # faster than several mid-sized ones (numpy asks for huge pages from 4 MB up)
-    work = np.empty((4 * n_live + batch, d_h), dtype=dtype)
-    zs, rs, cs = work[:3 * n_live].reshape(3, n_live, d_h)
-    hs = work[3 * n_live:]
+    def first_states() -> Array:
+        """Step 0's input states: h0's rows live at step 0, in sorted order."""
+        return np.ascontiguousarray(h0.data[order[:n_first]] if packed else h0.data[:n_first],
+                                    dtype=dtype)
+
+    # one buffer for the gates z, r, c of every live pair, which backward
+    # keeps, and one for the state after every live pair, which becomes (or
+    # is scattered into) the output
+    gates = np.empty((3, n_live, d_h), dtype=dtype)
+    zs, rs, cs = gates
+    hs = np.empty((n_live, d_h), dtype=dtype)
     flat_x = pack(x.data)
-    for gate, w in zip((zs, rs, cs), (wz, wr, wc)):
+    for gate, w in zip(gates, (wz, wr, wc)):
         np.matmul(flat_x, w, out=gate)
-    hs[:batch] = h0.data[order] if packed else h0.data
+    h = first_states()
     rh_buf, tmp_buf = np.empty((2, batch, d_h), dtype=dtype)
     with np.errstate(over="ignore"):   # exp overflow gives the correct sigmoid 0
-        for lo, hi, p in blocks:
+        for lo, hi, _ in blocks:
             n = hi - lo
             z, r, c = zs[lo:hi], rs[lo:hi], cs[lo:hi]
-            h, h_next, rh, tmp = hs[p:p + n], hs[batch + lo:batch + hi], rh_buf[:n], tmp_buf[:n]
+            h, h_next, rh, tmp = h[:n], hs[lo:hi], rh_buf[:n], tmp_buf[:n]
             z += h @ uz
             z += bz
             _sigmoid_inplace(z)
@@ -687,40 +712,54 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
             h_next *= h
             np.multiply(z, c, out=tmp)
             h_next += tmp
-    out = unpack(hs[batch:])
+            h = h_next
+    out = unpack(hs)
 
     def bwd(g):
-        # g_hs mirrors hs: the gradient of h0, then of each live pair's new
-        # state; each step adds its terms to its input states' rows in the
-        # order of the per-gate ops' reverse sweep
+        # each live pair's input state, packed: h0's row at step 0, the
+        # pair's state one step earlier from then on
+        if steps == 1:
+            flat_h = first_states()
+        else:
+            flat_h = np.empty((n_live, d_h), dtype=dtype)
+            flat_h[:n_first] = first_states()
+            if packed:   # a pair at step t ≥ 1 reads the state one flat row before its own
+                np.take(out.reshape(batch * steps, d_h), pair_index[n_first:] - 1, axis=0,
+                        out=flat_h[n_first:], mode="clip")
+            else:
+                flat_h[batch:].reshape(steps - 1, batch, d_h)[...] = out[:, :-1].swapaxes(0, 1)
+        # g_hs holds the gradient of h0, then of each live pair's new state;
+        # each step adds its terms to its input states' rows in the order of
+        # the per-gate ops' reverse sweep
         g_hs = np.empty((batch + n_live, d_h), dtype=dtype)
         g_hs[:batch] = 0.0
         g_hs[batch:] = pack(g)
-        g_pre = np.empty((3, n_live, d_h), dtype=dtype)  # pre-activation z, r, c
+        flat_rh = np.empty((n_live, d_h), dtype=dtype)
         for lo, hi, p in reversed(blocks):
             n = hi - lo
-            h, z, r, c = hs[p:p + n], zs[lo:hi], rs[lo:hi], cs[lo:hi]
+            h, z, r, c = flat_h[lo:hi], zs[lo:hi], rs[lo:hi], cs[lo:hi]
             g_new, g_prev = g_hs[batch + lo:batch + hi], g_hs[p:p + n]
             omz = 1.0 - z
             g_z = g_new * c
             g_c = g_new * z
             g_prev += g_new * omz
             g_z -= g_new * h
-            gz_pre, gr_pre, gc_pre = g_pre[:, lo:hi]
+            # from here each gate is overwritten by its pre-activation gradient
+            gz_pre, gr_pre, gc_pre = z, r, c
             np.multiply(c, c, out=gc_pre)
             np.subtract(1.0, gc_pre, out=gc_pre)
             gc_pre *= g_c
             g_rh = gc_pre @ uc.T
             g_prev += g_rh * r
+            np.multiply(r, h, out=flat_rh[lo:hi])
+            omr = 1.0 - r
             np.multiply(g_rh * h, r, out=gr_pre)
-            gr_pre *= 1.0 - r
+            gr_pre *= omr
             g_prev += gr_pre @ ur.T
             np.multiply(g_z, z, out=gz_pre)
             gz_pre *= omz
             g_prev += gz_pre @ uz.T
-        gz_all, gr_all, gc_all = g_pre
-        flat_h = hs[prev_index]
-        flat_rh = rs * flat_h
+        gz_all, gr_all, gc_all = gates
         gx = None
         if x.requires_grad:
             gx = unpack((gc_all @ wc.T + gr_all @ wr.T) + gz_all @ wz.T)

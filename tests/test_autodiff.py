@@ -440,15 +440,44 @@ def test_backward_non_scalar_raises():
 
 
 def test_backward_accumulates_across_calls():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    for _ in range(2):
+        run_taped(lambda tape: backward(sum_(ad.mul(x, x)), tape))
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
+def test_a_second_sweep_of_one_tape_raises():
     def body(tape):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = sum_(ad.mul(x, x))
         backward(loss, tape)
-        backward(loss, tape)
+        with pytest.raises(RuntimeError, match="already swept"):
+            backward(loss, tape)
         return x
 
     x = run_taped(body)
-    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])   # the refused sweep added nothing
+
+
+def test_backward_releases_each_op_and_keeps_the_tape_length():
+    tape = Tape()
+    with recording(tape):
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        y = ad.sigmoid(x)
+        loss = sum_(ad.mul(y, y))
+    saved = weakref.ref(y.data)          # sigmoid's closure keeps its output
+    held = weakref.ref(tape.ops[0].out)
+    del y
+    assert saved() is not None and held() is not None
+    backward(loss, tape)
+    assert saved() is None and held() is None
+    assert len(tape) == 3 and tape.ops == [None] * 3
+    tape.clear()
+    assert len(tape) == 0
+    first = x.grad.copy()
+    with recording(tape):   # a cleared tape records and sweeps a new pass
+        backward(sum_(ad.mul(x, x)), tape)
+    np.testing.assert_array_equal(x.grad, first + 2.0 * x.data)
 
 
 def test_zero_multiplied_loss_gives_exact_zero_grads():
@@ -699,6 +728,179 @@ def test_gru_sequence_no_grad_records_nothing_and_agrees():
                                     GRU_LENGTHS["lengths"])
     assert len(tape) == 1 and not plain.requires_grad
     assert np.array_equal(tracked.data, plain.data)
+
+
+def gru_sequence_states_held_twice(x, h0, weights, lengths=None):
+    """gru_sequence as it was before each state was held once: its closure
+    kept a work buffer of the gates, a copy of h0 and every state, and the
+    output was a second copy of the states. Backward wrote the
+    pre-activation gradients to a buffer of their own. The current unroll
+    must agree with it bit for bit."""
+    x = ad.as_tensor(x)
+    h0 = ad.as_tensor(h0, like=x)
+    weights = tuple(ad.as_tensor(w) for w in weights)
+    wz, uz, bz, wr, ur, br, wc, uc, bc = (w.data for w in weights)
+    inputs = (x, h0) + weights
+    dtype = np.result_type(*(t.data for t in inputs))
+    batch, steps, d_in = x.shape
+    d_h = uz.shape[0]
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+    packed = lengths is not None and bool((lengths < steps).any())
+
+    if packed:
+        # sorted row i is row order[i]; live[t, i] says whether it is live at step t
+        order = np.argsort(-lengths, kind="stable")
+        row_len = np.minimum(lengths[order], steps)
+        live = np.arange(steps)[:, None] < row_len
+        counts = live.sum(axis=1).tolist()
+    else:
+        counts = [batch] * steps
+    # step t's live rows fill rows offsets[t]:offsets[t + 1] of the packed
+    # arrays; its input states are rows prev[t]:prev[t] + counts[t] of `hs`
+    offsets = [0]
+    for n in counts:
+        offsets.append(offsets[-1] + n)
+    prev = [0] + [batch + lo for lo in offsets[:-2]]
+    n_live = offsets[-1]
+    blocks = [(offsets[t], offsets[t + 1], prev[t]) for t in range(steps) if counts[t]]
+
+    # pack: [B, T, n] -> [N, n], the live pairs time-major, so each step's
+    # rows form one contiguous block; unpack: back, zeros at padded pairs.
+    # With every row live at every step that is a transpose, with no gather.
+    if packed:
+        rows = np.arange(batch)
+        # flat index into [B·T] of each packed pair, and of each pair's input state in `hs`
+        pair_index = (order * steps + np.arange(steps)[:, None])[live]
+        prev_index = (np.array(prev)[:, None] + rows)[live]
+
+        def pack(a):
+            return a.reshape(batch * steps, a.shape[2])[pair_index]
+
+        def unpack(a):
+            out = np.zeros((batch * steps, a.shape[1]), dtype=a.dtype)
+            out[pair_index] = a
+            return out.reshape(batch, steps, a.shape[1])
+    else:
+        prev_index = slice(0, n_live)
+
+        def pack(a):
+            return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(n_live, a.shape[2])
+
+        def unpack(a):
+            return np.ascontiguousarray(a.reshape(steps, batch, a.shape[1]).swapaxes(0, 1))
+
+    # one buffer for the gates z, r, c of every live pair, then h0 and the
+    # state after every live pair: one large allocation faults in much
+    # faster than several mid-sized ones (numpy asks for huge pages from 4 MB up)
+    work = np.empty((4 * n_live + batch, d_h), dtype=dtype)
+    zs, rs, cs = work[:3 * n_live].reshape(3, n_live, d_h)
+    hs = work[3 * n_live:]
+    flat_x = pack(x.data)
+    for gate, w in zip((zs, rs, cs), (wz, wr, wc)):
+        np.matmul(flat_x, w, out=gate)
+    hs[:batch] = h0.data[order] if packed else h0.data
+    rh_buf, tmp_buf = np.empty((2, batch, d_h), dtype=dtype)
+    with np.errstate(over="ignore"):   # exp overflow gives the correct sigmoid 0
+        for lo, hi, p in blocks:
+            n = hi - lo
+            z, r, c = zs[lo:hi], rs[lo:hi], cs[lo:hi]
+            h, h_next, rh, tmp = hs[p:p + n], hs[batch + lo:batch + hi], rh_buf[:n], tmp_buf[:n]
+            z += h @ uz
+            z += bz
+            ad._sigmoid_inplace(z)
+            r += h @ ur
+            r += br
+            ad._sigmoid_inplace(r)
+            np.multiply(r, h, out=rh)
+            c += rh @ uc
+            c += bc
+            np.tanh(c, out=c)
+            np.subtract(1.0, z, out=h_next)
+            h_next *= h
+            np.multiply(z, c, out=tmp)
+            h_next += tmp
+    out = unpack(hs[batch:])
+
+    def bwd(g):
+        # g_hs mirrors hs: the gradient of h0, then of each live pair's new
+        # state; each step adds its terms to its input states' rows in the
+        # order of the per-gate ops' reverse sweep
+        g_hs = np.empty((batch + n_live, d_h), dtype=dtype)
+        g_hs[:batch] = 0.0
+        g_hs[batch:] = pack(g)
+        g_pre = np.empty((3, n_live, d_h), dtype=dtype)  # pre-activation z, r, c
+        for lo, hi, p in reversed(blocks):
+            n = hi - lo
+            h, z, r, c = hs[p:p + n], zs[lo:hi], rs[lo:hi], cs[lo:hi]
+            g_new, g_prev = g_hs[batch + lo:batch + hi], g_hs[p:p + n]
+            omz = 1.0 - z
+            g_z = g_new * c
+            g_c = g_new * z
+            g_prev += g_new * omz
+            g_z -= g_new * h
+            gz_pre, gr_pre, gc_pre = g_pre[:, lo:hi]
+            np.multiply(c, c, out=gc_pre)
+            np.subtract(1.0, gc_pre, out=gc_pre)
+            gc_pre *= g_c
+            g_rh = gc_pre @ uc.T
+            g_prev += g_rh * r
+            np.multiply(g_rh * h, r, out=gr_pre)
+            gr_pre *= 1.0 - r
+            g_prev += gr_pre @ ur.T
+            np.multiply(g_z, z, out=gz_pre)
+            gz_pre *= omz
+            g_prev += gz_pre @ uz.T
+        gz_all, gr_all, gc_all = g_pre
+        flat_h = hs[prev_index]
+        flat_rh = rs * flat_h
+        gx = None
+        if x.requires_grad:
+            gx = unpack((gc_all @ wc.T + gr_all @ wr.T) + gz_all @ wz.T)
+        g_h0 = g_hs[:batch]
+        if packed:
+            g_h0 = np.empty_like(g_h0)
+            g_h0[order] = g_hs[:batch]
+        return (gx, g_h0,
+                flat_x.T @ gz_all, flat_h.T @ gz_all, gz_all.sum(axis=0),
+                flat_x.T @ gr_all, flat_h.T @ gr_all, gr_all.sum(axis=0),
+                flat_x.T @ gc_all, flat_rh.T @ gc_all, gc_all.sum(axis=0))
+
+    return ad._record(out, inputs, bwd)
+
+
+GRU_HELD_ONCE_CASES = {
+    # batch, steps, lengths, and whether x and h0 require gradients
+    "packed-ties-and-zero": (6, 5, np.array([2, 5, 0, 5, 1, 2]), True, True),
+    "unpacked-one-step": (4, 1, None, True, True),
+    "unpacked-steps": (4, 5, np.array([5, 7, 5, 5]), True, True),
+    "h0-grad-x-constant": (4, 5, np.array([3, 5, 1, 5]), False, True),
+    "h0-constant": (4, 5, np.array([3, 5, 1, 5]), True, False),
+}
+
+
+@pytest.mark.parametrize("case", GRU_HELD_ONCE_CASES.values(), ids=GRU_HELD_ONCE_CASES.keys())
+def test_gru_sequence_holding_each_state_once_is_bit_identical(case):
+    batch, steps, lengths, grad_x, grad_h0 = case
+    values = [v.astype(np.float32)
+              for v in gru_inputs(seed=11, batch=batch, steps=steps, d_in=7, d_h=33)]
+    flags = [grad_x, grad_h0] + [True] * 9
+    probe = np.random.default_rng(3).normal(size=(batch, steps, 33)).astype(np.float32)
+    results = []
+    for unroll in (ad.gru_sequence, gru_sequence_states_held_twice):
+        tensors = [Tensor(v, requires_grad=f) for v, f in zip(values, flags)]
+        tape = Tape()
+        with recording(tape):
+            states = unroll(tensors[0], tensors[1], tensors[2:], lengths)
+            backward(sum_(ad.mul(states, Tensor(probe))), tape)
+        results.append((states.data, [t.grad for t in tensors]))
+    (states, grads), (ref_states, ref_grads) = results
+    assert states.dtype == np.float32 and np.array_equal(states, ref_states)
+    for name, flag, g, ref in zip(GRU_NAMES, flags, grads, ref_grads):
+        if flag:
+            assert g.dtype == np.float32 and np.array_equal(g, ref), name
+        else:
+            assert g is None and ref is None, name
 
 
 # ---------------------------------------------------------------------------
