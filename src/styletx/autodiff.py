@@ -40,11 +40,11 @@ class NonDeterministicError(RuntimeError):
 
 
 class Tensor:
-    """n-d float32 or float64 value, optionally carrying an accumulated
-    gradient. A float32 array is kept as it is; anything else (Python
-    numbers, lists, integer, bool or float64 arrays) becomes float64."""
+    """n-d float32 or float64 value. A float32 array is kept as it is;
+    anything else (Python numbers, lists, integer, bool or float64 arrays)
+    becomes float64."""
 
-    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "__weakref__")
     # numpy defers to the reflected operator: array * tensor is Tensor.__rmul__
     __array_ufunc__ = None
 
@@ -52,7 +52,6 @@ class Tensor:
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[Array] = None
 
     @property
     def shape(self) -> tuple:
@@ -64,9 +63,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -190,33 +186,26 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     return grad
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Add the gradient of `loss` to .grad of every requires_grad leaf on
-    the tape.
+def backward(loss: Tensor, tape: Tape, params: dict) -> dict:
+    """The gradient of `loss` with respect to each Tensor of the name ->
+    Tensor map `params`, as a name -> array map in `params`' order.
 
-    Gradients accumulate across tapes: sweeping the tapes of two forward
-    passes adds both. A tape is swept once: the sweep sets each op's slot
-    to None as it visits it, so the op's closure, saved arrays and output
-    are freed as soon as nothing upstream needs them, and a second sweep of
-    the same tape raises. Leaves the loss does not reach receive
-    exactly-zero gradients. Intermediate gradients live only inside the
-    sweep and are freed as soon as their producer is visited.
+    A parameter the loss does not reach gets exactly-zero gradients, whether
+    it is on the tape, frozen or never recorded; nothing is stored on the
+    tensors. A tape is swept once: the sweep sets each op's slot to None as
+    it visits it, so the op's closure, saved arrays and output are freed as
+    soon as nothing upstream needs them, and a second sweep of the same
+    tape raises. Intermediate gradients live only inside the sweep and are
+    freed as soon as their producer is visited.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if tape.swept:
         raise RuntimeError("backward: this tape was already swept and its ops released; "
                            "record a new forward pass")
-
-    ops = tape.ops
-    produced = {id(op.out) for op in ops}
-    leaves: dict[int, Tensor] = {}
-    for op in ops:
-        for t in op.inputs:
-            if t.requires_grad and id(t) not in produced:
-                leaves.setdefault(id(t), t)
     tape.swept = True
 
+    ops = tape.ops
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for i in reversed(range(len(ops))):
         op, ops[i] = ops[i], None
@@ -232,11 +221,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
             else:
                 grads[key] = g_in
 
-    for key, t in leaves.items():
-        contrib = grads.get(key)
-        if contrib is None:
-            contrib = np.zeros_like(t.data)
-        t.grad = contrib if t.grad is None else t.grad + contrib
+    return {name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +799,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4) -> G
     tape = Tape()
     with recording(tape):
         loss = f(probe)
-        backward(loss, tape)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
+        analytic = backward(loss, tape, {"x": probe})["x"]
 
     step = 1e-4
     flat = base.reshape(-1)

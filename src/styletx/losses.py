@@ -18,9 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, no_grad
 from .corpus import SpecError
-from .model import Batch, TextCnnClassifier, TransferModel, style_rows
+from .model import PROB_EPS, Batch, TextCnnClassifier, TransferModel, style_rows
 
-PROB_EPS = 1e-7
 TEMPERATURE = 0.5  # softmax temperature of every soft generation
 
 

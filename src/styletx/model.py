@@ -19,13 +19,14 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .checkpoint import load_into, shape_of
 from .corpus import BOS, EOS, PAD, Dataset, EmptyInputError, SpecError, Vocab, decode_to_text, encode
-from .optim import AdamState, adam_step, zero_grads
+from .optim import AdamState, adam_step
 
 INIT_SCALE = 0.08
 PARAM_DTYPE = np.float32  # of every parameter a model builds; activations follow it
 # keeps sigmoid outputs strictly inside (0, 1) in float32 too: σ(16) is
 # 0.99999988 there, while σ(17) and above round to exactly 1.0
 LOGIT_CLAMP = 16.0
+PROB_EPS = 1e-7  # every cross-entropy clamps its probabilities to [PROB_EPS, 1 - PROB_EPS]
 STYLE_WIDTHS = (1, 2, 3, 4, 5)  # filter widths of the style encoder and the discriminator
 # the judge and the evaluation classifier
 CLASSIFIER_WIDTHS, CLASSIFIER_MAPS, CLASSIFIER_BATCH = (2, 3, 4, 5), 8, 32
@@ -319,7 +320,7 @@ class TransferModel:
         so a batch costs as many steps as its longest output."""
         with no_grad():
             b = z.shape[0]
-            h = ad.concat([z.detach(), style_rows(y.detach(), b)], axis=1)
+            h = ad.concat([z, style_rows(y, b)], axis=1)
             x = ad.take_rows(self.embedding, np.full(b, BOS, dtype=np.int64))
             ids = np.full((b, max_len), PAD, dtype=np.int64)
             done = np.zeros(b, dtype=bool)
@@ -470,13 +471,12 @@ def pretrain_style_judge(train: Batch, train_labels: Sequence[float],
             batch = Batch.from_seqs(train, idx)
             tape = ad.Tape()
             with ad.recording(tape):
-                p = ad.clip(clf.prob(batch), 1e-7, 1 - 1e-7)
+                p = ad.clip(clf.prob(batch), PROB_EPS, 1 - PROB_EPS)
                 ybat = labels[idx]
                 loss = ad.neg(ad.mean_(ybat * ad.log(p) + (1.0 - ybat) * ad.log(1.0 - p)))
-                ad.backward(loss, tape)
+                grads = ad.backward(loss, tape, params)
             bce_sum += loss.item() * len(idx)
-            adam_step(params, state, CLASSIFIER_LR)
-            zero_grads(params)
+            adam_step(params, grads, state, CLASSIFIER_LR)
             tape.clear()
         train_bce = bce_sum / n
     acc, margin = heldout_scores(clf, heldout, heldout_labels)

@@ -16,18 +16,14 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update over a name -> Tensor map.
-
-    Parameters without an accumulated gradient are left untouched.
-    """
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of the name -> Tensor map `params` by
+    `grads`, the name -> array map `autodiff.backward` returned for it."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
+        g = grads[name]
         if g.shape != p.data.shape:
             raise ValueError(f"{name}: gradient shape {g.shape} != parameter shape {p.data.shape}")
         if name not in state.m:
@@ -43,21 +39,15 @@ def adam_step(params: dict, state: AdamState, lr: float) -> None:
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def zero_grads(params: dict) -> None:
-    for p in params.values():
-        p.grad = None
-
-
-def clip_global_norm(params: dict, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_global_norm(grads: dict, max_norm: float) -> float:
+    """Scale the name -> gradient map `grads` in place so its joint L2 norm
+    is at most max_norm; returns the norm before clipping."""
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    for g in grads.values():
+        total += float((g * g).sum())
     norm = total ** 0.5
     if norm > max_norm > 0:
         scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
+        for name, g in grads.items():
+            grads[name] = g * scale
     return norm

@@ -22,7 +22,7 @@ from .model import (
     score_transfers,
     snapshot,
 )
-from .optim import AdamState, adam_step, clip_global_norm, zero_grads
+from .optim import AdamState, adam_step, clip_global_norm
 
 # fixed offsets deriving every RNG stream from the run seed
 SEED_MODEL, SEED_SHUFFLE, SEED_DROPOUT, SEED_DRAW, SEED_VAL = 1, 2, 3, 4, 5
@@ -170,7 +170,6 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
                              dropout_rng=None) -> float:
     """One Adam step on the discriminator alone; generator outputs are
     produced under no_grad, so nothing else can move."""
-    zero_grads(d_params)
     with ad.no_grad():
         joint = _cat_batches(batch_s, batch_t)
         z = model.encode_content(joint, cfg.dropout, dropout_rng)
@@ -179,9 +178,8 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
     tape = ad.Tape()
     with ad.recording(tape):
         loss = adversarial_term(d_clf, soft, len(batch_s), len(batch_t))
-        ad.backward(loss, tape)
-    adam_step(d_params, d_state, cfg.lr)
-    zero_grads(d_params)
+        grads = ad.backward(loss, tape, d_params)
+    adam_step(d_params, grads, d_state, cfg.lr)
     tape.clear()
     return loss.item()
 
@@ -191,10 +189,9 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
                          batch_t: Batch, g_params: dict, g_state: AdamState,
                          cfg: TrainConfig, weights: LossWeights, dropout_rng=None,
                          draw_rng=None) -> Optional[LossBreakdown]:
-    """One Adam step on encoders, style vector and generator with the
-    discriminator frozen. Returns None when the divergence guard skips."""
-    all_params = {**g_params, **d_clf.params("d")}
-    zero_grads(all_params)
+    """One Adam step on encoders, style vector and generator; the
+    discriminator's parameters still require grad, but their gradients are
+    neither returned nor applied. Returns None when the divergence guard skips."""
     tape = ad.Tape()
     with ad.recording(tape):
         total, breakdown = compute_breakdown(
@@ -203,10 +200,9 @@ def train_step_generator(model: TransferModel, d_clf: TextCnnClassifier,
         if not breakdown.finite:
             tape.clear()
             return None
-        ad.backward(total, tape)
-    clip_global_norm(g_params, CLIP_NORM)
-    adam_step(g_params, g_state, cfg.lr)
-    zero_grads(all_params)
+        grads = ad.backward(total, tape, g_params)
+    clip_global_norm(grads, CLIP_NORM)
+    adam_step(g_params, grads, g_state, cfg.lr)
     tape.clear()
     return breakdown
 

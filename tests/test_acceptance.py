@@ -73,11 +73,8 @@ def directional_check(loss_fn, params: dict, seed: int, step=1e-4, tol=1e-4) -> 
     tape = Tape()
     with recording(tape):
         loss = loss_fn()
-        backward(loss, tape)
-    analytic = sum(float((p.grad * direction[k]).sum()) for k, p in params.items()
-                   if p.grad is not None)
-    for p in params.values():
-        p.grad = None
+        grads = backward(loss, tape, params)
+    analytic = sum(float((grads[k] * direction[k]).sum()) for k in params)
 
     originals = {k: p.data.copy() for k, p in params.items()}
 

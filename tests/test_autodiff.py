@@ -86,10 +86,26 @@ def test_the_dtype_rule_lives_in_autodiff_only(module):
     assert dtype_reads == [] and wraps == []
 
 
+def test_no_program_code_names_a_grad_attribute():
+    # gradients are values that backward returns: no code reads or writes
+    # `x.grad`, on the paths tests run and on those they do not
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "styletx").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "grad"]
+    assert len(paths) > 10 and found == []
+
+
 def run_taped(fn):
     tape = Tape()
     with recording(tape):
         return fn(tape)
+
+
+def grads_of(loss, tape, tensors) -> list:
+    """backward's gradients of the listed tensors, in their order."""
+    return list(backward(loss, tape, {str(i): t for i, t in enumerate(tensors)}).values())
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +268,8 @@ def test_text_cnn_in_float32_runs_in_float32_and_follows_float64():
         tape = Tape()
         with recording(tape):
             out = text_cnn(ts[0], ts[1:4], ts[4:])
-            backward(sum_(ad.mul(out, out)), tape)
-        runs.append((out.data, [t.grad for t in ts]))
+            grads = grads_of(sum_(ad.mul(out, out)), tape, ts)
+        runs.append((out.data, grads))
     (out32, grads32), (out64, grads64) = runs
     assert out32.dtype == np.float32 and all(g.dtype == np.float32 for g in grads32)
     np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
@@ -310,10 +326,11 @@ def test_text_cnn_gradient_goes_to_the_first_argmax():
     seq = Tensor(np.ones((1, 4, 1)), requires_grad=True)
     filt = Tensor(np.array([[[1.0]], [[2.0]]]), requires_grad=True)
     bias = Tensor(np.zeros(1), requires_grad=True)
-    run_taped(lambda tape: backward(sum_(text_cnn(seq, [filt], [bias])), tape))
-    np.testing.assert_array_equal(seq.grad, [[[1.0], [2.0], [0.0], [0.0]]])
-    np.testing.assert_array_equal(filt.grad, [[[1.0]], [[1.0]]])
-    np.testing.assert_array_equal(bias.grad, [1.0])
+    g_seq, g_filt, g_bias = run_taped(
+        lambda tape: grads_of(sum_(text_cnn(seq, [filt], [bias])), tape, [seq, filt, bias]))
+    np.testing.assert_array_equal(g_seq, [[[1.0], [2.0], [0.0], [0.0]]])
+    np.testing.assert_array_equal(g_filt, [[[1.0]], [[1.0]]])
+    np.testing.assert_array_equal(g_bias, [1.0])
 
 
 def text_cnn_batch_major(seq, filters, biases, g):
@@ -366,16 +383,16 @@ def test_text_cnn_equals_the_batch_major_layout_bit_for_bit():
     tape = Tape()
     with recording(tape):
         out = text_cnn(args[0], args[1:5], args[5:])
-        backward(sum_(ad.mul(out, g)), tape)
+        grads = grads_of(sum_(ad.mul(out, g)), tape, args)
     ref_out, ref_grads = text_cnn_batch_major(seq, filters, biases, g)
     assert np.isnan(out.data[1]).all() and not np.isnan(out.data[[0, 2, 3]]).any()
     np.testing.assert_array_equal(out.data, ref_out)
-    for t, ref in zip(args, ref_grads):
-        assert t.grad.dtype == np.float32
-        np.testing.assert_array_equal(t.grad, ref)
+    for grad, ref in zip(grads, ref_grads):
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad, ref)
     # every window pooled in the tied row starts before step 3, so the last
     # two steps, which only later tied windows reach, get no gradient
-    assert (args[0].grad[0, 7:] == 0).all() and (args[0].grad[0, :7] != 0).any()
+    assert (grads[0][0, 7:] == 0).all() and (grads[0][0, :7] != 0).any()
 
 
 def test_scatter_adds_equal_a_sequential_loop_bit_for_bit():
@@ -392,7 +409,7 @@ def test_scatter_adds_equal_a_sequential_loop_bit_for_bit():
     with recording(tape):
         loss = ad.add(sum_(ad.mul(take_rows(table, ids), g_rows)),
                       sum_(ad.mul(take_along_last(x, idx), g_last)))
-        backward(loss, tape)
+        g_table, g_x = grads_of(loss, tape, [table, x])
     expect_table = np.zeros_like(table.data)
     for i, row in enumerate(ids.reshape(-1)):
         expect_table[row] += g_rows.reshape(-1, 7)[i]
@@ -400,8 +417,8 @@ def test_scatter_adds_equal_a_sequential_loop_bit_for_bit():
     for i in range(6):
         for j in range(4):
             expect_x[i, j, idx[i, j]] += g_last[i, j]
-    np.testing.assert_array_equal(table.grad, expect_table)
-    np.testing.assert_array_equal(x.grad, expect_x)
+    np.testing.assert_array_equal(g_table, expect_table)
+    np.testing.assert_array_equal(g_x, expect_x)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +428,9 @@ def test_scatter_adds_equal_a_sequential_loop_bit_for_bit():
 def test_backward_sum_of_squares():
     def body(tape):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(sum_(ad.mul(x, x)), tape)
-        return x
+        return backward(sum_(ad.mul(x, x)), tape, {"x": x})["x"]
 
-    x = run_taped(body)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(run_taped(body), [2.0, 4.0])
 
 
 def test_backward_detached_gets_zeros():
@@ -423,40 +438,76 @@ def test_backward_detached_gets_zeros():
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
         _ = sum_(x)  # x participates in the graph but not in the loss
-        backward(sum_(ad.mul(y, y)), tape)
-        return x
+        return backward(sum_(ad.mul(y, y)), tape, {"x": x})["x"]
 
-    x = run_taped(body)
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+    np.testing.assert_array_equal(run_taped(body), [0.0, 0.0])
 
 
 def test_backward_non_scalar_raises():
     def body(tape):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(ad.mul(x, x), tape)
+            backward(ad.mul(x, x), tape, {"x": x})
 
     run_taped(body)
 
 
-def test_backward_accumulates_across_calls():
+def test_backward_returns_exactly_the_requested_names_in_order():
+    def body(tape):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0], requires_grad=True)
+        return backward(sum_(ad.mul(x, y)), tape, {"y": y, "x": x})
+
+    grads = run_taped(body)
+    assert list(grads) == ["y", "x"]
+    np.testing.assert_array_equal(grads["y"], [3.0])
+    np.testing.assert_array_equal(grads["x"], [3.0, 3.0])
+
+
+def test_backward_gives_exact_zeros_to_what_the_loss_does_not_reach():
+    # on the tape but off the loss's path, frozen, and never recorded
+    def body(tape):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        off_path = Tensor([5.0, 6.0], requires_grad=True)
+        frozen = Tensor([7.0, 8.0])
+        unrecorded = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        _ = sum_(off_path)
+        loss = sum_(ad.mul(ad.mul(x, x), frozen))
+        return backward(loss, tape, {"x": x, "off_path": off_path, "frozen": frozen,
+                                     "unrecorded": unrecorded})
+
+    grads = run_taped(body)
+    np.testing.assert_array_equal(grads["x"], [14.0, 32.0])
+    for name in ("off_path", "frozen", "unrecorded"):
+        assert not grads[name].any(), name
+    assert grads["unrecorded"].shape == (2, 3) and grads["unrecorded"].dtype == np.float32
+
+
+def test_two_forward_passes_give_two_independent_gradients():
+    # nothing accumulates across tapes: each sweep returns its own pass's
+    # gradient, and the first result is not changed by the second sweep
     x = Tensor([1.0, 2.0], requires_grad=True)
-    for _ in range(2):
-        run_taped(lambda tape: backward(sum_(ad.mul(x, x)), tape))
-    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    first = run_taped(lambda tape: backward(sum_(ad.mul(x, x)), tape, {"x": x}))["x"]
+    second = run_taped(lambda tape: backward(sum_(ad.mul(x, 3.0)), tape, {"x": x}))["x"]
+    np.testing.assert_array_equal(first, [2.0, 4.0])
+    np.testing.assert_array_equal(second, [3.0, 3.0])
+
+
+def test_a_tensor_has_no_grad_attribute():
+    with pytest.raises(AttributeError):
+        Tensor(1.0).grad = np.ones(())
 
 
 def test_a_second_sweep_of_one_tape_raises():
     def body(tape):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = sum_(ad.mul(x, x))
-        backward(loss, tape)
+        grads = backward(loss, tape, {"x": x})
         with pytest.raises(RuntimeError, match="already swept"):
-            backward(loss, tape)
-        return x
+            backward(loss, tape, {"x": x})
+        return grads
 
-    x = run_taped(body)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])   # the refused sweep added nothing
+    np.testing.assert_array_equal(run_taped(body)["x"], [2.0, 4.0])
 
 
 def test_backward_releases_each_op_and_keeps_the_tape_length():
@@ -469,27 +520,25 @@ def test_backward_releases_each_op_and_keeps_the_tape_length():
     held = weakref.ref(tape.ops[0].out)
     del y
     assert saved() is not None and held() is not None
-    backward(loss, tape)
+    backward(loss, tape, {"x": x})
     assert saved() is None and held() is None
     assert len(tape) == 3 and tape.ops == [None] * 3
     tape.clear()
     assert len(tape) == 0
-    first = x.grad.copy()
     with recording(tape):   # a cleared tape records and sweeps a new pass
-        backward(sum_(ad.mul(x, x)), tape)
-    np.testing.assert_array_equal(x.grad, first + 2.0 * x.data)
+        grads = backward(sum_(ad.mul(x, x)), tape, {"x": x})
+    np.testing.assert_array_equal(grads["x"], 2.0 * x.data)
 
 
 def test_zero_multiplied_loss_gives_exact_zero_grads():
     def body(tape):
         x = Tensor([1.3, -0.7], requires_grad=True)
         loss = ad.mul(sum_(ad.mul(x, x)), 0.0)
-        backward(loss, tape)
-        return x
+        return backward(loss, tape, {"x": x})["x"]
 
-    x = run_taped(body)
-    assert x.grad is not None
-    assert np.all(x.grad == 0.0)
+    g = run_taped(body)
+    assert g.shape == (2,)
+    assert np.all(g == 0.0)
 
 
 def test_replay_determinism_bit_identical():
@@ -500,8 +549,7 @@ def test_replay_determinism_bit_identical():
             x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
             loss = sum_(ad.sigmoid(matmul(x, w)))
-            backward(loss, tape)
-        return x.grad.copy(), w.grad.copy()
+            return grads_of(loss, tape, [x, w])
 
     gx1, gw1 = one_pass()
     gx2, gw2 = one_pass()
@@ -624,8 +672,7 @@ def test_gru_sequence_matches_per_gate_unroll(lengths):
         tape = Tape()
         with recording(tape):
             loss = gru_loss(unroll, values, lengths)
-            backward(loss, tape)
-        grads.append((loss.item(), [v.grad for v in values]))
+            grads.append((loss.item(), grads_of(loss, tape, values)))
     (fused_loss, fused), (ref_loss, ref) = grads
     assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
     for name, a, b in zip(GRU_NAMES, fused, ref):
@@ -657,8 +704,8 @@ def gru_grads(values, lengths):
     with recording(tape):
         states = ad.gru_sequence(tensors[0], tensors[1], tensors[2:], lengths)
         probe = np.random.default_rng(9).normal(size=states.shape)
-        backward(sum_(ad.mul(states, Tensor(probe))), tape)
-    return states.data, probe, [t.grad for t in tensors]
+        grads = grads_of(sum_(ad.mul(states, Tensor(probe))), tape, tensors)
+    return states.data, probe, grads
 
 
 @pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
@@ -683,12 +730,12 @@ def test_gru_sequence_permuting_rows_permutes_states_and_input_gradients():
     tape = Tape()
     with recording(tape):
         out = ad.gru_sequence(tensors[0], tensors[1], tensors[2:], lengths[perm])
-        backward(sum_(ad.mul(out, Tensor(probe[perm]))), tape)
+        moved_grads = grads_of(sum_(ad.mul(out, Tensor(probe[perm]))), tape, tensors)
     assert np.array_equal(out.data, states[perm])
-    assert np.array_equal(tensors[0].grad, grads[0][perm])
-    assert np.array_equal(tensors[1].grad, grads[1][perm])
-    for name, t, g in zip(GRU_NAMES[2:], tensors[2:], grads[2:]):
-        np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-12, err_msg=name)
+    assert np.array_equal(moved_grads[0], grads[0][perm])
+    assert np.array_equal(moved_grads[1], grads[1][perm])
+    for name, moved_g, g in zip(GRU_NAMES[2:], moved_grads[2:], grads[2:]):
+        np.testing.assert_allclose(moved_g, g, rtol=0, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("lengths", [np.array([2]), np.array([[1, 2, 3]]), np.array([1, -1, 2])],
@@ -892,15 +939,13 @@ def test_gru_sequence_holding_each_state_once_is_bit_identical(case):
         tape = Tape()
         with recording(tape):
             states = unroll(tensors[0], tensors[1], tensors[2:], lengths)
-            backward(sum_(ad.mul(states, Tensor(probe))), tape)
-        results.append((states.data, [t.grad for t in tensors]))
+            results.append((states.data, grads_of(sum_(ad.mul(states, Tensor(probe))), tape, tensors)))
     (states, grads), (ref_states, ref_grads) = results
     assert states.dtype == np.float32 and np.array_equal(states, ref_states)
     for name, flag, g, ref in zip(GRU_NAMES, flags, grads, ref_grads):
-        if flag:
-            assert g.dtype == np.float32 and np.array_equal(g, ref), name
-        else:
-            assert g is None and ref is None, name
+        assert g.dtype == np.float32 and np.array_equal(g, ref), name
+        if not flag:   # a constant input gets exactly-zero gradients
+            assert not g.any(), name
 
 
 # ---------------------------------------------------------------------------
@@ -976,9 +1021,9 @@ def test_grad_check_sigmoid_composite_passes():
 
 
 def test_grad_check_detects_wrong_gradient():
-    # detach() hides half of the true dependency, so the analytic gradient
-    # is wrong by construction
-    f = lambda x: sum_(ad.mul(x, x.detach()))
+    # a constant copy hides half of the true dependency, so the analytic
+    # gradient is wrong by construction
+    f = lambda x: sum_(ad.mul(x, Tensor(x.data)))
     report = grad_check(f, Tensor([1.0, 2.0, 3.0]))
     assert not report.passed
 

@@ -17,7 +17,7 @@ from styletx.losses import (
     total_loss,
 )
 from styletx.model import LOGIT_CLAMP, Batch, TextCnnClassifier, TransferModel
-from styletx.optim import AdamState, adam_step, zero_grads
+from styletx.optim import AdamState, adam_step
 from test_acceptance import in_float64
 
 
@@ -38,6 +38,18 @@ def setup(seed=0, d_emb=8, d_z=12, d_y=10):
     batch_t = Batch.from_sentences(["the food was great", "we came here today"],
                                    vocab, 8, "target")
     return model, d_clf, judge, batch_s, batch_t, vocab
+
+
+def every_param(model, d_clf, judge) -> dict:
+    return {**model.params(), **d_clf.params("d"), **judge.params("judge")}
+
+
+def judge_untouched(judge, grads: dict) -> bool:
+    """The judge's parameters do not require grad, and their gradients in
+    grads (an every_param map) are exactly zero."""
+    names = judge.params("judge")
+    return not any(p.requires_grad for p in names.values()) and not any(
+        grads[k].any() for k in names)
 
 
 def adversarial(model, d_clf, judge, batch_s, batch_t):
@@ -121,10 +133,9 @@ def test_style_discrepancy_loss_optimisation_pulls_styles_together():
         tape = Tape()
         with recording(tape):
             loss = discrepancy(model, judge, batch_s)
-            backward(loss, tape)
+            grads = backward(loss, tape, params)
         history.append(loss.item())
-        adam_step(params, state, 5e-3)
-        zero_grads(params)
+        adam_step(params, grads, state, 5e-3)
     assert history[-1] < 0.01 * history[0]
 
 
@@ -133,13 +144,12 @@ def test_style_discrepancy_loss_gradient_stays_out_of_judge_and_generator():
     tape = Tape()
     with recording(tape):
         loss = discrepancy(model, judge, batch_s)
-        backward(loss, tape)
+        grads = backward(loss, tape, every_param(model, d_clf, judge))
     groups = model.param_groups()
-    assert any(p.grad is not None and np.abs(p.grad).sum() > 0
-               for p in groups["style_enc"].values())
+    assert any(np.abs(grads[k]).sum() > 0 for k in groups["style_enc"])
     for name in ("content_enc", "generator"):
-        assert all(p.grad is None or not p.grad.any() for p in groups[name].values())
-    assert all(p.grad is None for p in judge.params().values())
+        assert all(not grads[k].any() for k in groups[name])
+    assert judge_untouched(judge, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +196,16 @@ def test_adversarial_loss_gradients_reach_both_arms():
     tape = Tape()
     with recording(tape):
         loss = adversarial(model, d_clf, judge, batch_s, batch_t)
-        backward(loss, tape)
-    assert any(p.grad is not None and np.abs(p.grad).sum() > 0
-               for p in d_clf.params().values())
+        grads = backward(loss, tape, every_param(model, d_clf, judge))
+    assert any(np.abs(grads[k]).sum() > 0 for k in d_clf.params("d"))
     groups = model.param_groups()
     for name in ("content_enc", "generator"):
-        assert any(p.grad is not None and np.abs(p.grad).sum() > 0
-                   for p in groups[name].values())
+        assert any(np.abs(grads[k]).sum() > 0 for k in groups[name])
     # the shared target style feeds the generation, so it moves too
-    assert model.target_style.grad is not None and np.abs(model.target_style.grad).sum() > 0
+    assert np.abs(grads["target_style"]).sum() > 0
     # but the style CNN itself is not part of the adversarial path
     cnn_only = model.style_enc.params("style")
-    assert all(p.grad is None or not p.grad.any() for p in cnn_only.values())
+    assert all(not grads[k].any() for k in cnn_only)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +305,10 @@ def test_cycle_loss_falls_under_overfitting():
             rec = reconstruction_loss(model, batch_s, batch_t)
             cyc = cycle(model, d_clf, judge, batch_s, batch_t, draw_rng=rng)
             loss = rec + cyc
-            backward(loss, tape)
+            grads = backward(loss, tape, params)
         if first is None:
             first = cyc.item()
-        adam_step(params, state, 5e-3)
-        zero_grads(params)
+        adam_step(params, grads, state, 5e-3)
     with no_grad():
         final = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([0, 1])).item()
     assert final < 0.1 * first
@@ -312,14 +319,13 @@ def test_cycle_loss_gradients_stay_out_of_discriminators():
     tape = Tape()
     with recording(tape):
         loss = cycle(model, d_clf, judge, batch_s, batch_t, draw_idx=np.array([0, 1]))
-        backward(loss, tape)
+        grads = backward(loss, tape, every_param(model, d_clf, judge))
     groups = model.param_groups()
     for name in ("content_enc", "style_enc", "generator"):
-        assert any(p.grad is not None and np.abs(p.grad).sum() > 0
-                   for p in groups[name].values())
+        assert any(np.abs(grads[k]).sum() > 0 for k in groups[name])
     # the adversarial term shares the tape, so D gets gradients, all zero
-    assert all(p.grad is None or not p.grad.any() for p in d_clf.params().values())
-    assert all(p.grad is None for p in judge.params().values())
+    assert all(not grads[k].any() for k in d_clf.params("d"))
+    assert judge_untouched(judge, grads)
 
 
 def test_cycle_encoder_skips_the_adversarial_reals_exactly():
@@ -338,17 +344,16 @@ def test_cycle_encoder_skips_the_adversarial_reals_exactly():
     def cyc_and_grads(reference):
         model.encode_content = all_rows if reference else original
         params = model.params()
-        zero_grads(params)
         rng = np.random.default_rng(3)
         tape = Tape()
         try:
             with recording(tape):
                 cyc = cycle(model, d_clf, judge, batch_s, batch_t, dropout_p=0.3,
                             dropout_rng=rng, draw_idx=np.array([1, 0]))
-                backward(cyc, tape)
+                grads = backward(cyc, tape, params)
         finally:
             model.encode_content = original
-        return cyc.item(), {k: p.grad.copy() for k, p in params.items()}, rng.random()
+        return cyc.item(), grads, rng.random()
 
     cyc, grads, next_draw = cyc_and_grads(reference=False)
     ref_cyc, ref_grads, ref_next_draw = cyc_and_grads(reference=True)
@@ -426,5 +431,5 @@ def test_no_gradient_ever_reaches_the_frozen_judge():
     with recording(tape):
         total, _ = compute_breakdown(model, d_clf, judge, batch_s, batch_t,
                                      LossWeights(), draw_idx=np.array([0, 1]))
-        backward(total, tape)
-    assert all(p.grad is None for p in judge.params().values())
+        grads = backward(total, tape, every_param(model, d_clf, judge))
+    assert judge_untouched(judge, grads)
