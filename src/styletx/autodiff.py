@@ -575,34 +575,37 @@ def _sigmoid_inplace(a: Array) -> Array:
 
 def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
                  lengths: Optional[Array] = None) -> Tensor:
-    """Length-packed GRU unroll over a whole sequence, recorded as one tape op.
+    """GRU recorded as one tape op: one step of a [B, d_in] input, or the
+    length-packed unroll of a [B, T, d_in] sequence.
 
-    x is [B, T, d_in], h0 [B, h] (a constant h0 takes x's dtype), and
-    weights the nine gate tensors (w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c,
-    b_c). Each step computes
+    h0 is [B, h] (a constant h0 takes x's dtype), and weights the nine gate
+    tensors (w_z, u_z, b_z, w_r, u_r, b_r, w_c, u_c, b_c). Each step computes
 
         z = σ((x·W_z + h·U_z) + b_z)    r = σ((x·W_r + h·U_r) + b_r)
         c = tanh((x·W_c + (r∘h)·U_c) + b_c)    h' = (1 − z)∘h + z∘c
 
-    for the rows whose length (`lengths`, [B]; None means T) exceeds t; a
-    row's states past its length are zeros, as a packed sequence's padding
-    is, so a row of length 0 is all zeros and one of length ≥ T is live at
-    every step. Returns the state after every step, [B, T, h].
+    A step takes no `lengths`, returns the new state [B, h], and uses x, h0,
+    the state and its gradient as they are. A sequence runs each row for its
+    length (`lengths`, [B]; None means T); a row's states past its length
+    are zeros, as a packed sequence's padding is, so a row of length 0 is
+    all zeros and one of length ≥ T is live at every step. It returns the
+    state after every step, [B, T, h].
 
-    The rows are sorted once by length, longest first and stable, so step
-    t's live rows are a prefix of the batch. Only the live (row, step)
-    pairs are computed: they are packed time-major, the input projections
-    of all of them are one matmul per gate, overwritten in place by the gate
-    values, and each step runs on its prefix. Each state is held once: the
-    states are computed into their own buffer, which becomes (or is
-    scattered into) the output, and step 0 reads h0 as it is. Backward
-    keeps the gates and the packed input; it rebuilds each step's input
-    states from h0's rows and the output with one gather (at T = 1 it uses
-    h0 itself), runs BPTT in one reverse loop over the same prefixes,
-    overwriting each step's gates with their pre-activation gradients once
-    it is done with them, then forms each weight gradient with one matmul
-    over all live pairs. So the closure runs once, as a tape's one sweep
-    guarantees.
+    A sequence's rows are sorted once by their length clipped to T, longest
+    first and stable, so step t's live rows are a prefix of the batch and a
+    batch whose rows all run T steps keeps its order. Only the live (row,
+    step) pairs are computed: they are packed time-major, the input
+    projections of all of them are one matmul per gate, overwritten in
+    place by the gate values, and each step runs on its prefix. Each state
+    is held once: the states are computed into their own buffer, which is
+    a step's output or is scattered into a sequence's, and step 0 reads
+    h0's rows. Backward keeps the gates and the packed input; it rebuilds
+    each step's input states from h0's rows and the output with one gather
+    (at T = 1 it uses h0's rows alone), runs BPTT in one reverse loop over
+    the same prefixes, overwriting each step's gates with their
+    pre-activation gradients once it is done with them, then forms each
+    weight gradient with one matmul over all live pairs. So the closure
+    runs once, as a tape's one sweep guarantees.
     """
     x = as_tensor(x)
     h0 = as_tensor(h0, like=x)
@@ -610,27 +613,47 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     if len(weights) != 9:
         raise ShapeError(f"gru_sequence takes nine gate tensors, got {len(weights)}")
     wz, uz, bz, wr, ur, br, wc, uc, bc = (w.data for w in weights)
-    if x.ndim != 3 or x.shape[2] != wz.shape[0] or h0.shape != (x.shape[0], uz.shape[0]):
-        raise ShapeError(f"gru_sequence expects x [B, T, {wz.shape[0]}] and h0 [B, {uz.shape[0]}], "
-                         f"got {x.shape} and {h0.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != wz.shape[0] or h0.shape != (x.shape[0], uz.shape[0]):
+        raise ShapeError(f"gru_sequence expects x [B, {wz.shape[0]}] or [B, T, {wz.shape[0]}] and "
+                         f"h0 [B, {uz.shape[0]}], got {x.shape} and {h0.shape}")
     inputs = (x, h0) + weights
     dtype = np.result_type(*(t.data for t in inputs))
-    batch, steps, d_in = x.shape
-    d_h = uz.shape[0]
-    if lengths is not None:
-        lengths = np.asarray(lengths)
+    batch, d_h = x.shape[0], uz.shape[0]
+    one_step = x.ndim == 2
+    if one_step:
+        if lengths is not None:
+            raise ShapeError("gru_sequence takes no lengths for a one-step [B, d_in] input")
+        steps, counts, first = 1, [batch], slice(None)
+
+        def pack(a: Array) -> Array:
+            return a
+
+        unpack = pack
+    else:
+        steps = x.shape[1]
+        lengths = np.full(batch, steps) if lengths is None else np.asarray(lengths)
         if lengths.shape != (batch,) or (lengths < 0).any():
             raise ShapeError(f"gru_sequence expects {batch} non-negative lengths, got {lengths!r}")
-    packed = lengths is not None and bool((lengths < steps).any())
-
-    if packed:
         # sorted row i is row order[i]; live[t, i] says whether it is live at step t
-        order = np.argsort(-lengths, kind="stable")
-        row_len = np.minimum(lengths[order], steps)
+        clipped = np.minimum(lengths, steps)
+        order = np.argsort(-clipped, kind="stable")
+        row_len = clipped[order]
         live = np.arange(steps)[:, None] < row_len
         counts = live.sum(axis=1).tolist()
-    else:
-        counts = [batch] * steps
+        first = order[row_len > 0]
+        # flat index into [B·T] of each packed pair
+        pair_index = (order * steps + np.arange(steps)[:, None])[live]
+
+        # pack: [B, T, n] -> [N, n], the live pairs time-major, so each
+        # step's rows form one contiguous block; unpack: back, zeros at
+        # padded pairs
+        def pack(a: Array) -> Array:
+            return a.reshape(batch * steps, a.shape[2])[pair_index]
+
+        def unpack(a: Array) -> Array:
+            out = np.zeros((batch * steps, a.shape[1]), dtype=a.dtype)
+            out[pair_index] = a
+            return out.reshape(batch, steps, a.shape[1])
     # step t's live rows fill rows offsets[t]:offsets[t + 1] of the packed
     # arrays; the gradient of its input states is rows prev[t]:prev[t] +
     # counts[t] of `g_hs` in backward
@@ -642,31 +665,9 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
     n_first = counts[0] if steps else 0
     blocks = [(offsets[t], offsets[t + 1], prev[t]) for t in range(steps) if counts[t]]
 
-    # pack: [B, T, n] -> [N, n], the live pairs time-major, so each step's
-    # rows form one contiguous block; unpack: back, zeros at padded pairs.
-    # With every row live at every step that is a transpose, with no gather.
-    if packed:
-        # flat index into [B·T] of each packed pair
-        pair_index = (order * steps + np.arange(steps)[:, None])[live]
-
-        def pack(a: Array) -> Array:
-            return a.reshape(batch * steps, a.shape[2])[pair_index]
-
-        def unpack(a: Array) -> Array:
-            out = np.zeros((batch * steps, a.shape[1]), dtype=a.dtype)
-            out[pair_index] = a
-            return out.reshape(batch, steps, a.shape[1])
-    else:
-        def pack(a: Array) -> Array:
-            return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(n_live, a.shape[2])
-
-        def unpack(a: Array) -> Array:
-            return np.ascontiguousarray(a.reshape(steps, batch, a.shape[1]).swapaxes(0, 1))
-
     def first_states() -> Array:
         """Step 0's input states: h0's rows live at step 0, in sorted order."""
-        return np.ascontiguousarray(h0.data[order[:n_first]] if packed else h0.data[:n_first],
-                                    dtype=dtype)
+        return np.ascontiguousarray(h0.data[first], dtype=dtype)
 
     # one buffer for the gates z, r, c of every live pair, which backward
     # keeps, and one for the state after every live pair, which becomes (or
@@ -709,11 +710,9 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         else:
             flat_h = np.empty((n_live, d_h), dtype=dtype)
             flat_h[:n_first] = first_states()
-            if packed:   # a pair at step t ≥ 1 reads the state one flat row before its own
-                np.take(out.reshape(batch * steps, d_h), pair_index[n_first:] - 1, axis=0,
-                        out=flat_h[n_first:], mode="clip")
-            else:
-                flat_h[batch:].reshape(steps - 1, batch, d_h)[...] = out[:, :-1].swapaxes(0, 1)
+            # a pair at step t ≥ 1 reads the state one flat row before its own
+            np.take(out.reshape(batch * steps, d_h), pair_index[n_first:] - 1, axis=0,
+                    out=flat_h[n_first:], mode="clip")
         # g_hs holds the gradient of h0, then of each live pair's new state;
         # each step adds its terms to its input states' rows in the order of
         # the per-gate ops' reverse sweep
@@ -750,7 +749,7 @@ def gru_sequence(x: TensorLike, h0: TensorLike, weights: Sequence[TensorLike],
         if x.requires_grad:
             gx = unpack((gc_all @ wc.T + gr_all @ wr.T) + gz_all @ wz.T)
         g_h0 = g_hs[:batch]
-        if packed:
+        if not one_step:   # back to the caller's row order
             g_h0 = np.empty_like(g_h0)
             g_h0[order] = g_hs[:batch]
         return (gx, g_h0,
@@ -780,8 +779,9 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4) -> G
     with step 1e-4, both taken at x's values cast to float64: central
     differences at that step do not survive float32 rounding.
 
-    Relative error per entry is |a - n| / max(1, |a|, |n|). Raises
-    NonDeterministicError if two forward passes of f disagree.
+    Relative error per entry is |a - n| / max(1, |a|, |n|); a NaN entry
+    makes it NaN, which fails the check. Raises NonDeterministicError if
+    two forward passes of f disagree (two NaNs agree).
     """
     base = x.data.astype(np.float64)
 
@@ -792,7 +792,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4) -> G
             raise ShapeError("grad_check expects a scalar-valued function")
         return float(out.data)
 
-    if run() != run():
+    if not np.array_equal(run(), run(), equal_nan=True):
         raise NonDeterministicError("function is not deterministic across forward passes")
 
     probe = Tensor(base.copy(), requires_grad=True)

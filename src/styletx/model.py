@@ -120,15 +120,11 @@ class GruCell:
         return self.u_update.shape[0]
 
     def unroll(self, x: Tensor, h0: ad.TensorLike, lengths: Optional[np.ndarray] = None) -> Tensor:
-        """States [B, T, h] after each step of a [B, T, d_in] sequence: the
-        packed masked unroll, which computes a row's steps up to its length
+        """One `gru_sequence` call: the state [B, h] after one step of a
+        [B, d_in] input, or the states [B, T, h] after each step of a
+        [B, T, d_in] sequence, which computes a row's steps up to its length
         only and gives zeros from there."""
         return ad.gru_sequence(x, h0, [getattr(self, f.name) for f in fields(self)], lengths)
-
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        """One step on [B, d_in] inputs: an unroll of length 1."""
-        b = x.shape[0]
-        return ad.reshape(self.unroll(ad.reshape(x, (b, 1, x.shape[1])), h), (b, self.hidden_dim))
 
     def params(self, prefix: str) -> dict:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
@@ -308,7 +304,7 @@ class TransferModel:
         x = ad.take_rows(self.embedding, np.full(b, BOS, dtype=np.int64))
         steps = []
         for _ in range(max_len):
-            h = self.gen_cell.step(_dropout(x, dropout_p, dropout_rng), h)
+            h = self.gen_cell.unroll(_dropout(x, dropout_p, dropout_rng), h)
             dist = ad.softmax(h @ self.out_w + self.out_b, temperature=temperature)
             steps.append(dist)
             x = dist @ self.embedding
@@ -326,7 +322,7 @@ class TransferModel:
             done = np.zeros(b, dtype=bool)
             lengths = np.full(b, max_len, dtype=np.int64)
             for t in range(max_len):
-                h = self.gen_cell.step(x, h)
+                h = self.gen_cell.unroll(x, h)
                 logits = (h @ self.out_w + self.out_b).data
                 tok = logits.argmax(axis=1)
                 tok[done] = PAD

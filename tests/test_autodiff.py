@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -949,6 +950,88 @@ def test_gru_sequence_holding_each_state_once_is_bit_identical(case):
 
 
 # ---------------------------------------------------------------------------
+# gru_sequence: one [B, d_in] step
+
+
+def gru_step_grads(values, flags, one_step):
+    """The state of a one-step unroll, as [B, h], and the gradients of all
+    eleven inputs, x's as [B, d_in]: for a [B, d_in] step, or a [B, 1, d_in]
+    sequence."""
+    x = values[0] if one_step else values[0][:, None, :]
+    tensors = [Tensor(v, requires_grad=f) for v, f in zip([x] + values[1:], flags)]
+    probe = np.random.default_rng(4).normal(size=values[1].shape).astype(values[1].dtype)
+    tape = Tape()
+    with recording(tape):
+        state = ad.gru_sequence(tensors[0], tensors[1], tensors[2:])
+        state = state if one_step else reshape(state, values[1].shape)
+        grads = grads_of(sum_(ad.mul(state, Tensor(probe))), tape, tensors)
+    grads[0] = grads[0].reshape(values[0].shape)
+    return state.data, grads
+
+
+@pytest.mark.parametrize("grad_x,grad_h0", [(True, True), (False, True), (True, False)],
+                         ids=["both", "x-constant", "h0-constant"])
+def test_gru_step_equals_a_one_step_sequence_bit_for_bit(grad_x, grad_h0):
+    values = [v.astype(np.float32)
+              for v in gru_inputs(seed=13, batch=6, steps=1, d_in=7, d_h=33)]
+    values[0] = values[0][:, 0]
+    flags = [grad_x, grad_h0] + [True] * 9
+    state, grads = gru_step_grads(values, flags, one_step=True)
+    ref_state, ref_grads = gru_step_grads(values, flags, one_step=False)
+    assert state.shape == values[1].shape and state.dtype == np.float32
+    assert np.array_equal(state, ref_state)
+    for name, flag, g, ref in zip(GRU_NAMES, flags, grads, ref_grads):
+        assert g.dtype == np.float32 and np.array_equal(g, ref), name
+        if not flag:   # a constant input gets exactly-zero gradients
+            assert not g.any(), name
+
+
+def test_a_gru_step_holds_no_copy_of_its_input():
+    # x is far larger than the gates and states the recorded step keeps
+    values = gru_inputs(batch=32, steps=1, d_in=4096, d_h=2)
+    x = Tensor(values[0][:, 0], requires_grad=True)
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        with recording(tape):
+            before = tracemalloc.get_traced_memory()[0]
+            ad.gru_sequence(x, values[1], values[2:])
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and held < x.data.nbytes // 8
+
+
+def test_gru_sequence_rows_that_all_run_every_step_keep_their_order():
+    # sorting by the length clipped to T leaves such a batch as it is, so it
+    # gives what lengths=None gives, bit for bit
+    values = gru_inputs(seed=17, batch=5, steps=4, d_in=6, d_h=9)
+    states, _, grads = gru_grads(values, np.array([4, 9, 4, 6, 4]))
+    ref_states, _, ref_grads = gru_grads(values, None)
+    assert np.array_equal(states, ref_states)
+    for name, g, ref in zip(GRU_NAMES, grads, ref_grads):
+        assert np.array_equal(g, ref), name
+
+
+GRU_BAD_SHAPES = {
+    # x's shape, h0's rows, lengths
+    "step-with-lengths": ((3, 2), 3, np.array([1, 1, 1])),
+    "rank-1-x": ((2,), 1, None),
+    "rank-4-x": ((3, 4, 1, 2), 3, None),
+    "step-h0-rows": ((3, 2), 2, None),
+    "sequence-h0-rows": ((3, 4, 2), 4, None),
+}
+
+
+@pytest.mark.parametrize("case", GRU_BAD_SHAPES.values(), ids=GRU_BAD_SHAPES.keys())
+def test_gru_sequence_refuses_bad_shapes(case):
+    x_shape, h0_rows, lengths = case
+    values = gru_inputs()
+    with pytest.raises(ShapeError):
+        ad.gru_sequence(np.ones(x_shape), np.zeros((h0_rows, 3)), values[2:], lengths)
+
+
+# ---------------------------------------------------------------------------
 # per-primitive finite differences, many seeds
 
 
@@ -1037,3 +1120,10 @@ def test_grad_check_detects_nondeterminism():
 
     with pytest.raises(NonDeterministicError):
         grad_check(noisy, Tensor([1.0, 2.0]))
+
+
+def test_grad_check_reports_a_nan_valued_function_as_failed():
+    # two NaN forward passes agree, so a deterministic NaN function is not
+    # refused as non-deterministic; its NaN error fails the check
+    report = grad_check(lambda x: sum_(ad.mul(x, float("nan"))), Tensor([1.0, 2.0]))
+    assert math.isnan(report.max_rel_err) and not report.passed

@@ -246,7 +246,7 @@ def full_length_greedy(model, z, y, max_len):
         done = np.zeros(b, dtype=bool)
         lengths = np.full(b, max_len, dtype=np.int64)
         for t in range(max_len):
-            h = model.gen_cell.step(x, h)
+            h = model.gen_cell.unroll(x, h)
             tok = (h @ model.out_w + model.out_b).data.argmax(axis=1)
             tok[done] = PAD
             ids[:, t] = tok
@@ -299,8 +299,8 @@ def test_generate_greedy_stops_once_every_row_has_ended(monkeypatch, case):
     max_len = 6
     ref_ids, ref_lengths = full_length_greedy(model, z, model.target_style, max_len)
     calls = []
-    step = model.gen_cell.step
-    monkeypatch.setattr(model.gen_cell, "step", lambda x, h: calls.append(1) or step(x, h))
+    unroll = model.gen_cell.unroll
+    monkeypatch.setattr(model.gen_cell, "unroll", lambda x, h: calls.append(1) or unroll(x, h))
     out = model.generate_greedy(z, model.target_style, max_len)
     assert len(calls) == max(expected_lengths)
     assert out.lengths.tolist() == expected_lengths

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -322,17 +323,24 @@ def test_a_float32_g_step_carries_no_float64_array(step_setup):
 def test_step_tape_op_counts_do_not_grow(monkeypatch):
     # each step clears its tape once; the counts are deterministic, so a
     # change that records more ops per step fails here, and so does a sweep
-    # that shortens the tape it releases
+    # that shortens the tape it releases. The ops are also counted per
+    # primitive before the sweep releases them, so swapping one op for
+    # another at the same total fails too, and names the primitive that moved.
     from test_acceptance import tiny_world
 
-    recorded = []
-    clear = ad.Tape.clear
+    recorded, by_primitive = [], []
+    clear, backward = ad.Tape.clear, ad.backward
 
     def counting_clear(tape):
         recorded.append(len(tape))
         clear(tape)
 
+    def counting_backward(loss, tape, params):
+        by_primitive.append(Counter(op.backward.__qualname__.split(".")[0] for op in tape.ops))
+        return backward(loss, tape, params)
+
     monkeypatch.setattr(ad.Tape, "clear", counting_clear)
+    monkeypatch.setattr(ad, "backward", counting_backward)
     model, d_clf, judge, batch_s, batch_t = tiny_world()
     cfg = desk_config(seed=0, batch_size=2, pad_len=8, dropout=0.1,
                       d_emb=6, d_z=8, d_y=5, d_maps=2)
@@ -342,7 +350,16 @@ def test_step_tape_op_counts_do_not_grow(monkeypatch):
     train_step_generator(model, d_clf, judge, batch_s, batch_t, model.params(), AdamState(),
                          cfg, cfg.weights(), rng, np.random.default_rng(2))
     d_ops, g_ops = recorded
-    assert d_ops == 20 and g_ops == 166
+    assert d_ops == 20 and g_ops == 150
+    d_counts, g_counts = by_primitive
+    assert dict(d_counts) == {
+        "add": 2, "clip": 2, "log": 2, "matmul": 2, "mul": 2, "neg": 2, "relu": 1,
+        "reshape": 2, "sigmoid": 1, "sub": 1, "sum_": 2, "text_cnn": 1}
+    assert dict(g_counts) == {
+        "add": 16, "broadcast_to": 3, "clip": 4, "concat": 8, "gru_sequence": 12, "log": 4,
+        "matmul": 21, "mul": 26, "neg": 4, "relu": 2, "reshape": 13, "sigmoid": 1,
+        "softmax": 10, "sub": 3, "sum_": 10, "take_along_last": 2, "take_rows": 9,
+        "text_cnn": 2}
 
 
 # ---------------------------------------------------------------------------
