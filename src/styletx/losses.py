@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, no_grad
+from .autodiff import Tensor, no_grad
 from .corpus import SpecError
-from .model import PROB_EPS, Batch, TextCnnClassifier, TransferModel, style_rows
+from .model import Batch, TextCnnClassifier, TransferModel, style_rows
 
 TEMPERATURE = 0.5  # softmax temperature of every soft generation
 
@@ -57,23 +57,12 @@ class LossBreakdown:
         return cls(*(s / max(len(rows), 1) for s in sums))
 
 
-def _cat_batches(a: Batch, b: Batch) -> Batch:
-    if a.max_len != b.max_len:
-        raise ShapeError(f"cannot join batches padded to {a.max_len} and {b.max_len}")
-    return Batch(ids=np.concatenate([a.ids, b.ids]),
-                 lengths=np.concatenate([a.lengths, b.lengths]))
-
-
-def _segment_mean(x: Tensor, start: int, size: int) -> Tensor:
-    weights = np.zeros(x.shape[0])
-    weights[start:start + size] = 1.0 / size
-    return ad.sum_(ad.mul(x, weights))
-
-
 def _domain_means(x: Tensor, n_s: int, n_t: int) -> Tensor:
     """Mean over the first n_s (source) rows plus mean over the next n_t
-    (target) rows."""
-    return _segment_mean(x, 0, n_s) + _segment_mean(x, n_s, n_t)
+    (target) rows; any further rows weigh 0."""
+    weights = np.zeros((2, x.shape[0]))
+    weights[0, :n_s], weights[1, n_s:n_s + n_t] = 1.0 / n_s, 1.0 / n_t
+    return ad.sum_(ad.mul(x, weights[0])) + ad.sum_(ad.mul(x, weights[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +73,8 @@ def adversarial_term(d_clf: TextCnnClassifier, soft, n_s: int, n_t: int) -> Tens
     """Discriminator cross-entropy on a soft batch: its first n_s rows are
     fakes (source contents decoded with the target style), the next n_t
     rows reals (target reconstructions); any further rows are ignored."""
-    p = ad.clip(d_clf.prob(soft), PROB_EPS, 1.0 - PROB_EPS)
-    return (_segment_mean(ad.neg(ad.log(1.0 - p)), 0, n_s)
-            + _segment_mean(ad.neg(ad.log(p)), n_s, n_t))
+    labels = (np.arange(soft.shape[0]) >= n_s).astype(np.float64)
+    return _domain_means(d_clf.nll(soft, labels), n_s, n_t)
 
 
 def _decode_home(model: TransferModel, z: Tensor, y_s: Tensor, joint: Batch,
@@ -105,14 +93,9 @@ def reconstruction_loss(model: TransferModel, batch_s: Batch, batch_t: Batch) ->
     """Mean NLL of source sentences given (their own style, content) plus
     mean NLL of target sentences given (the shared target style, content),
     without dropout."""
-    joint = _cat_batches(batch_s, batch_t)
+    joint = Batch.join(batch_s, batch_t)
     return _decode_home(model, model.encode_content(joint), model.encode_style(batch_s), joint,
                         0.0, None)
-
-
-def _squared_rows(y_s: Tensor, y_star: Tensor) -> Tensor:
-    diff = y_s - ad.reshape(y_star, (1, y_star.shape[0]))
-    return ad.sum_(ad.mul(diff, diff), axis=1)
 
 
 def style_discrepancy_loss(model: TransferModel, judge: TextCnnClassifier,
@@ -125,7 +108,8 @@ def style_discrepancy_loss(model: TransferModel, judge: TextCnnClassifier,
     """
     with no_grad():
         p = judge.prob(batch_s).data
-    return ad.mean_(ad.mul(_squared_rows(y_s, model.target_style), p))
+    diff = y_s - model.target_style
+    return ad.mean_(ad.mul(ad.sum_(ad.mul(diff, diff), axis=1), p))
 
 
 def total_loss(rec, adv, cyc, dis, w: LossWeights):
@@ -157,7 +141,7 @@ def _terms(model: TransferModel, d_clf: TextCnnClassifier, judge: TextCnnClassif
         if draw_rng is None:
             raise SpecError("cycle term needs draw_idx or draw_rng")
         draw_idx = draw_rng.integers(0, n_s, size=n_t)
-    joint = _cat_batches(batch_s, batch_t)
+    joint = Batch.join(batch_s, batch_t)
     z = model.encode_content(joint, dropout_p, dropout_rng)
     y_s = model.encode_style(batch_s)
     out = {"rec": _decode_home(model, z, y_s, joint, dropout_p, dropout_rng)}

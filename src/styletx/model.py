@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import ShapeError, Tensor, no_grad
 from .checkpoint import load_into, shape_of
 from .corpus import BOS, EOS, PAD, Dataset, EmptyInputError, SpecError, Vocab, decode_to_text, encode
 from .optim import AdamState, adam_step
@@ -26,7 +26,7 @@ PARAM_DTYPE = np.float32  # of every parameter a model builds; activations follo
 # keeps sigmoid outputs strictly inside (0, 1) in float32 too: σ(16) is
 # 0.99999988 there, while σ(17) and above round to exactly 1.0
 LOGIT_CLAMP = 16.0
-PROB_EPS = 1e-7  # every cross-entropy clamps its probabilities to [PROB_EPS, 1 - PROB_EPS]
+PROB_EPS = 1e-7  # TextCnnClassifier.nll clamps its probabilities to [PROB_EPS, 1 - PROB_EPS]
 STYLE_WIDTHS = (1, 2, 3, 4, 5)  # filter widths of the style encoder and the discriminator
 # the judge and the evaluation classifier
 CLASSIFIER_WIDTHS, CLASSIFIER_MAPS, CLASSIFIER_BATCH = (2, 3, 4, 5), 8, 32
@@ -57,6 +57,13 @@ class Batch:
     def from_seqs(cls, part: "Batch", rows: Union[np.ndarray, slice]) -> "Batch":
         """The given rows of an encoded part: an index array or a slice."""
         return cls(ids=part.ids[rows], lengths=part.lengths[rows])
+
+    @classmethod
+    def join(cls, a: "Batch", b: "Batch") -> "Batch":
+        """a's rows, then b's; both must be padded to one length."""
+        if a.max_len != b.max_len:
+            raise ShapeError(f"cannot join batches padded to {a.max_len} and {b.max_len}")
+        return cls(ids=np.concatenate([a.ids, b.ids]), lengths=np.concatenate([a.lengths, b.lengths]))
 
     @classmethod
     def from_sentences(cls, sentences: Sequence[str], vocab: Vocab, max_len: int,
@@ -197,6 +204,12 @@ class TextCnnClassifier:
     def prob(self, x: Union[Batch, Tensor]) -> Tensor:
         return ad.sigmoid(self.logit(x))
 
+    def nll(self, x: Union[Batch, Tensor], labels: np.ndarray) -> Tensor:
+        """Per-row binary cross-entropy, p clamped to [PROB_EPS, 1 - PROB_EPS]:
+        -log p where the label is 1 and -log(1 - p) where it is 0."""
+        p = ad.clip(self.prob(x), PROB_EPS, 1.0 - PROB_EPS)
+        return ad.neg(ad.log((1.0 - labels) + (2.0 * labels - 1.0) * p))
+
     def params(self, prefix: str = "clf") -> dict:
         out = self.cnn.params(f"{prefix}.cnn")
         out[f"{prefix}.head.weight"] = self.head_w
@@ -303,11 +316,11 @@ class TransferModel:
         h = ad.concat([z, style_rows(y, b)], axis=1)
         x = ad.take_rows(self.embedding, np.full(b, BOS, dtype=np.int64))
         steps = []
-        for _ in range(max_len):
+        for t in range(max_len):
+            if t:
+                x = steps[-1] @ self.embedding
             h = self.gen_cell.unroll(_dropout(x, dropout_p, dropout_rng), h)
-            dist = ad.softmax(h @ self.out_w + self.out_b, temperature=temperature)
-            steps.append(dist)
-            x = dist @ self.embedding
+            steps.append(ad.softmax(h @ self.out_w + self.out_b, temperature=temperature))
         return ad.reshape(ad.concat(steps, axis=1), (b, max_len, self.vocab_size))
 
     def generate_greedy(self, z: Tensor, y: Tensor, max_len: int) -> Batch:
@@ -467,9 +480,7 @@ def pretrain_style_judge(train: Batch, train_labels: Sequence[float],
             batch = Batch.from_seqs(train, idx)
             tape = ad.Tape()
             with ad.recording(tape):
-                p = ad.clip(clf.prob(batch), PROB_EPS, 1 - PROB_EPS)
-                ybat = labels[idx]
-                loss = ad.neg(ad.mean_(ybat * ad.log(p) + (1.0 - ybat) * ad.log(1.0 - p)))
+                loss = ad.mean_(clf.nll(batch, labels[idx]))
                 grads = ad.backward(loss, tape, params)
             bce_sum += loss.item() * len(idx)
             adam_step(params, grads, state, CLASSIFIER_LR)

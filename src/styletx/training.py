@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import CorpusPart, SpecError, Vocab, encode, read_lines, write_lines
-from .losses import TEMPERATURE, LossBreakdown, LossWeights, _cat_batches, adversarial_term, compute_breakdown
+from .losses import TEMPERATURE, LossBreakdown, LossWeights, adversarial_term, compute_breakdown
 from .model import (
     STYLE_WIDTHS,
     Batch,
@@ -171,7 +171,7 @@ def train_step_discriminator(model: TransferModel, d_clf: TextCnnClassifier,
     """One Adam step on the discriminator alone; generator outputs are
     produced under no_grad, so nothing else can move."""
     with ad.no_grad():
-        joint = _cat_batches(batch_s, batch_t)
+        joint = Batch.join(batch_s, batch_t)
         z = model.encode_content(joint, cfg.dropout, dropout_rng)
         soft = model.generate_soft(z, model.target_style, joint.max_len,
                                    TEMPERATURE, cfg.dropout, dropout_rng)

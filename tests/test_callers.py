@@ -183,3 +183,28 @@ def references(name: str) -> list:
 def test_every_text_artefact_goes_through_write_lines():
     # one atomic writer for the binary checkpoint and one for every text file
     assert references("atomic_write") == ["checkpoint.save_params", "corpus.write_lines"]
+
+
+def test_one_binary_cross_entropy_clamps_probabilities():
+    # a second cross-entropy would clamp with PROB_EPS again, or with a
+    # constant of its own beside it
+    assert references("PROB_EPS") == ["model", "model.TextCnnClassifier.nll",
+                                      "model.TextCnnClassifier.nll"]
+
+
+def test_no_module_reaches_for_another_modules_private_names():
+    # an underscore name is its module's own; a second module that needs it
+    # gets a public name for it instead
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    reached = []
+    for path in MODULES:
+        modules, names = imports(path)
+        reached += [f"{path.stem}: {module}.{name}" for module, name in names.values()
+                    if module.startswith(PACKAGE) and private(name)]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and private(node.attr) \
+                    and isinstance(node.value, ast.Name) and node.value.id in modules:
+                reached.append(f"{path.stem}: {modules[node.value.id]}.{node.attr}")
+    assert reached == []

@@ -6,6 +6,7 @@ from styletx import model as model_module
 from styletx.autodiff import SequenceTooShortError, Tape, Tensor, backward, no_grad, recording
 from styletx.checkpoint import CheckpointFormatError, load_params, save_params
 from styletx.corpus import BOS, EOS, PAD, EmptyInputError, build_vocab, gen_synthetic, encode
+from styletx.losses import adversarial_term
 from styletx.model import (
     CLASSIFIER_WIDTHS,
     LOGIT_CLAMP,
@@ -540,3 +541,106 @@ def test_batch_from_seqs_is_the_stack_of_the_rows(rows):
     picked = range(len(sentences))[rows] if isinstance(rows, slice) else rows
     assert np.array_equal(batch.ids, np.stack([part.ids[i] for i in picked]))
     assert np.array_equal(batch.lengths, np.array([part.lengths[i] for i in picked]))
+
+
+def test_batch_join_stacks_both_batches_and_refuses_two_paddings():
+    vocab = tiny_vocab()
+    a = Batch.from_sentences(["the food was great", "the soup"], vocab, 6)
+    b = Batch.from_sentences(["we came here again today"], vocab, 6)
+    joint = Batch.join(a, b)
+    assert np.array_equal(joint.ids, np.concatenate([a.ids, b.ids]))
+    assert np.array_equal(joint.lengths, np.concatenate([a.lengths, b.lengths]))
+    with pytest.raises(ad.ShapeError, match="padded to 6 and 7"):
+        Batch.join(a, Batch.from_sentences(["the soup"], vocab, 7))
+
+
+# ---------------------------------------------------------------------------
+# the one binary cross-entropy
+
+
+def two_branch_adversary(d_clf, soft, n_s, n_t):
+    """The adversary's former form: -log(1 - p) over the first n_s rows and
+    -log p over the next n_t, each branch taken over every row and weighted
+    into its segment's mean."""
+    p = ad.clip(d_clf.prob(soft), model_module.PROB_EPS, 1.0 - model_module.PROB_EPS)
+
+    def segment_mean(x, start, size):
+        weights = np.zeros(x.shape[0])
+        weights[start:start + size] = 1.0 / size
+        return ad.sum_(ad.mul(x, weights))
+
+    return segment_mean(ad.neg(ad.log(1.0 - p)), 0, n_s) + segment_mean(ad.neg(ad.log(p)), n_s, n_t)
+
+
+def mixed_form_judge(clf, batch, labels):
+    """The judge's former loss, -mean(y·log p + (1 - y)·log(1 - p))."""
+    p = ad.clip(clf.prob(batch), model_module.PROB_EPS, 1 - model_module.PROB_EPS)
+    return ad.neg(ad.mean_(labels * ad.log(p) + (1.0 - labels) * ad.log(1.0 - p)))
+
+
+def loss_and_grads(loss_fn, params):
+    tape = Tape()
+    with recording(tape):
+        loss = loss_fn()
+        grads = backward(loss, tape, params)
+    tape.clear()
+    return loss.data, grads
+
+
+CLAMP_CASES = ["unclamped", "straddling", "clamped"]
+
+
+def float32_classifier(case, x, seed):
+    """A float32 classifier whose clamp binds on none of x's rows, on about
+    half of them, or on every one: σ rounds to float32(1 - 1e-7), that is
+    1 - PROB_EPS, from a logit of about 15.54 on."""
+    clf = TextCnnClassifier.create(np.random.default_rng(seed), 9, 6, (1, 2, 3), 3)
+    if case == "straddling":
+        clf.head_w.data *= np.float32(40.0)
+        with no_grad():
+            clf.head_b.data[...] = 15.54 - np.median(clf.logit(x).data)
+    elif case == "clamped":
+        clf.head_b.data[...] = 15.8
+    return clf
+
+
+def clamped_rows(clf, x):
+    with no_grad():
+        p = clf.prob(x).data
+    return p >= np.float32(1.0 - model_module.PROB_EPS)
+
+
+@pytest.mark.parametrize("case", CLAMP_CASES)
+def test_adversarial_term_is_the_two_branch_cross_entropy_bit_for_bit(case):
+    rng = np.random.default_rng(1)
+    n_s, n_t, n_extra = 3, 4, 2   # the extra rows stand for the G step's cycle rows
+    logits = rng.normal(size=(n_s + n_t + n_extra, 7, 9)) * 3.0
+    soft = Tensor((np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)).astype(np.float32))
+    d_clf = float32_classifier(case, soft, seed=0)
+    clamped = clamped_rows(d_clf, soft)
+    assert {"unclamped": not clamped.any(), "clamped": clamped.all(),
+            "straddling": 0 < clamped[:n_s + n_t].sum() < n_s + n_t}[case]
+    params = d_clf.params("d")
+    got, got_grads = loss_and_grads(lambda: adversarial_term(d_clf, soft, n_s, n_t), params)
+    want, want_grads = loss_and_grads(lambda: two_branch_adversary(d_clf, soft, n_s, n_t), params)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+    for name, g in want_grads.items():
+        assert got_grads[name].dtype == np.float32
+        assert np.array_equal(got_grads[name], g), name
+
+
+@pytest.mark.parametrize("case", CLAMP_CASES)
+def test_judge_loss_is_the_mixed_form_cross_entropy_bit_for_bit(case):
+    rng = np.random.default_rng(2)
+    batch = Batch(ids=rng.integers(0, 9, size=(8, 6)), lengths=np.full(8, 6))
+    clf = float32_classifier(case, batch, seed=3)
+    labels = np.array([1, 0, 0, 1, 1, 0, 1, 0], dtype=np.float64)
+    clamped = clamped_rows(clf, batch)
+    assert {"unclamped": not clamped.any(), "clamped": clamped.all(),
+            "straddling": 0 < clamped.sum() < len(batch)}[case]
+    params = clf.params()
+    got, got_grads = loss_and_grads(lambda: ad.mean_(clf.nll(batch, labels)), params)
+    want, want_grads = loss_and_grads(lambda: mixed_form_judge(clf, batch, labels), params)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
