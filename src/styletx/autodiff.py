@@ -287,7 +287,7 @@ def sigmoid(x: TensorLike) -> Tensor:
     # exp may overflow to inf for very negative inputs; 1/(1+inf) is the
     # correct 0.0, so silence the warning rather than branch
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-x.data))
+        out = _sigmoid_inplace(x.data.copy())
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -301,16 +301,6 @@ def tanh(x: TensorLike) -> Tensor:
 
     def bwd(g):
         return (g * (1.0 - out * out),)
-
-    return _record(out, (x,), bwd)
-
-
-def relu(x: TensorLike) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.data, 0.0)
-
-    def bwd(g):
-        return (g * (x.data > 0),)
 
     return _record(out, (x,), bwd)
 
@@ -486,12 +476,13 @@ def clip(x: TensorLike, lo: float, hi: float) -> Tensor:
 
 def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
              biases: Sequence[TensorLike]) -> Tensor:
-    """Multi-width text CNN, recorded as one tape op: for each filter, valid
-    1-d convolution over time plus bias, then max-over-time pooling.
+    """Multi-width text CNN, recorded as one tape op: conv + bias +
+    max-over-time + ReLU, each filter's convolution a valid 1-d one over time.
 
     seq_emb is [B, L, D]; filters[i] is [w_i, D, C_i] and biases[i] [C_i].
-    Returns the pooled maps [B, ΣC_i] in the order of `filters`, before any
-    nonlinearity.
+    Returns the pooled maps [B, ΣC_i] after the ReLU, in the order of
+    `filters`. ReLU is monotone, so it is applied once to the pooled block;
+    a map that pools to 0 or below, or to NaN, passes no gradient.
 
     One matmul multiplies the taps of every filter, stacked as
     [Σ w_i·C_i, D], by a time-major copy of the embeddings, [D, L·B], so the
@@ -540,8 +531,10 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
         resp += b.data[:, None, None]
         out[:, m0:m1] = resp.max(axis=1).T
         resps.append(resp)
+    np.maximum(out, 0.0, out=out)
 
     def bwd(g):
+        g = g * (out > 0)
         g_prod = np.zeros((batch, length, tap_cols[-1]), dtype=dtype)
         rows = np.arange(batch)[:, None, None]
         for (f, col, m0, m1), resp in zip(spans, resps):
@@ -566,7 +559,7 @@ def text_cnn(seq_emb: TensorLike, filters: Sequence[TensorLike],
 
 
 def _sigmoid_inplace(a: Array) -> Array:
-    """In-place 1 / (1 + exp(-a)), the operation order of `sigmoid`."""
+    """In-place logistic 1 / (1 + exp(-a)) of a float array; returns a."""
     np.negative(a, out=a)
     np.exp(a, out=a)
     a += 1.0

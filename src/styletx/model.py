@@ -148,7 +148,8 @@ def _embed(table: Tensor, x: Union[Batch, Tensor]) -> Tensor:
 
 
 class StyleEncoder:
-    """Text CNN over its own embeddings; concatenated max-over-time maps."""
+    """Text CNN over its own embeddings: conv + bias + max-over-time + ReLU,
+    the maps of every width concatenated in width order."""
 
     def __init__(self, embedding: Tensor, filters: dict, biases: dict):
         self.embedding = embedding
@@ -166,14 +167,10 @@ class StyleEncoder:
     def out_dim(self) -> int:
         return sum(f.shape[2] for f in self.filters.values())
 
-    def features(self, emb_seq: Tensor) -> Tensor:
-        """ReLU max-over-time maps of a [B, T, d_emb] sequence, widths in order."""
-        widths = sorted(self.filters)
-        return ad.relu(ad.text_cnn(emb_seq, [self.filters[w] for w in widths],
-                                   [self.biases[w] for w in widths]))
-
     def encode(self, x: Union[Batch, Tensor]) -> Tensor:
-        return self.features(_embed(self.embedding, x))
+        widths = sorted(self.filters)
+        return ad.text_cnn(_embed(self.embedding, x), [self.filters[w] for w in widths],
+                           [self.biases[w] for w in widths])
 
     def params(self, prefix: str) -> dict:
         out = {f"{prefix}.embedding": self.embedding}

@@ -148,13 +148,10 @@ class TrainResult:
     skipped_steps: int
 
 
-# the columns of every epoch row; a run with an evaluation classifier adds val_acc
-METRIC_COLUMNS = ["epoch", *(f.name for f in fields(LossBreakdown)), "val_total"]
-
-
 def metrics_to_csv(rows: Sequence[dict], path) -> None:
-    """One CSV line per epoch row, under the first row's keys."""
-    columns = list(rows[0]) if rows else METRIC_COLUMNS
+    """One CSV line per epoch row, under the first row's keys (a run has at
+    least one epoch)."""
+    columns = list(rows[0])
     write_lines(path, [",".join(columns)] + [
         ",".join(str(row[c]) if c == "epoch" else repr(float(row[c])) for c in columns)
         for row in rows])

@@ -91,25 +91,33 @@ def directional_check(loss_fn, params: dict, seed: int, step=1e-4, tol=1e-4) -> 
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
+def text_cnn_probe(x):
+    """Three width-2 maps over x as a length-4 sequence. At every probe
+    point of criterion 1, map 0 pools above 0 and map 2 at or below it, so
+    the ReLU's mask is checked on both sides."""
+    return ad.text_cnn(ad.reshape(x, (1, 4, 1)),
+                       [Tensor([[[1.0, -0.5, 0.5]], [[0.25, 0.75, -0.25]]])],
+                       [Tensor([2.0, -0.2, -4.0])])
+
+
 PRIMS = [
     lambda x: ad.sum_(ad.mul(x, x)),
     lambda x: ad.sum_(ad.sigmoid(x)),
     lambda x: ad.sum_(ad.tanh(x)),
-    lambda x: ad.sum_(ad.relu(x)),
     lambda x: ad.sum_(ad.log(ad.add(ad.mul(x, x), 1.0))),
     lambda x: ad.sum_(ad.mul(ad.softmax(x, temperature=0.7), Tensor([1.0, -2.0, 0.5, 0.25]))),
     lambda x: ad.sum_(ad.max_along(ad.reshape(x, (2, 2)), axis=1)),
-    lambda x: ad.sum_(ad.text_cnn(ad.reshape(x, (1, 4, 1)),
-                                  [Tensor([[[1.0, -0.5]], [[0.25, 0.75]]])],
-                                  [Tensor([0.1, -0.2])])),
+    lambda x: ad.sum_(text_cnn_probe(x)),
 ]
 
 
 def test_criterion_1_gradient_correctness():
     t0 = time.time()
-    worst_prim = 0.0
+    worst_prim, relu_both_sides = 0.0, True
     for seed in range(100):
         x = np.random.default_rng(seed).normal(size=4)
+        pooled = text_cnn_probe(Tensor(x)).data[0]
+        relu_both_sides &= bool(pooled[0] > 0 and pooled[2] <= 0)
         for fn in PRIMS:
             rep = grad_check(fn, Tensor(x), tol=1e-4)
             worst_prim = max(worst_prim, rep.max_rel_err)
@@ -134,9 +142,10 @@ def test_criterion_1_gradient_correctness():
         for fn in losses.values():
             worst_composite = max(worst_composite, directional_check(fn, params, seed))
     elapsed = time.time() - t0
-    ok = worst_prim <= 1e-4 and worst_composite <= 1e-4 and elapsed < 60
+    ok = relu_both_sides and worst_prim <= 1e-4 and worst_composite <= 1e-4 and elapsed < 60
     report("1 gradient correctness",
-           ok, f"(primitives {worst_prim:.2e}, losses {worst_composite:.2e}, {elapsed:.1f}s)")
+           ok, f"(primitives {worst_prim:.2e}, text CNN ReLU both sides {relu_both_sides}, "
+               f"losses {worst_composite:.2e}, {elapsed:.1f}s)")
 
 
 def test_criterion_2_loss_formula_oracles():

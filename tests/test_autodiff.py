@@ -155,8 +155,7 @@ def test_elementwise_basics():
     np.testing.assert_array_equal(out.data, expected)
 
 
-def test_relu_and_exp_and_log():
-    np.testing.assert_array_equal(ad.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+def test_log_values():
     np.testing.assert_allclose(ad.log(Tensor([1.0, math.e])).data, [0.0, 1.0])
 
 
@@ -206,7 +205,8 @@ def test_softmax_positive_on_moderate_range(values):
 
 
 def conv_maxpool_oracle(seq, filt, bias):
-    # explicit window loop: one dot product per window per map, max over time
+    # explicit window loop: one dot product per window per map, max over
+    # time, ReLU
     width, d, c = filt.shape
     n_win = seq.shape[0] - width + 1
     resp = np.zeros((n_win, c))
@@ -217,7 +217,7 @@ def conv_maxpool_oracle(seq, filt, bias):
                 for k in range(d):
                     acc += seq[p + j, k] * filt[j, k, m]
             resp[p, m] = acc
-    return resp.max(axis=0)
+    return np.maximum(resp.max(axis=0), 0.0)
 
 
 def cnn(seq, filts, biases):
@@ -225,10 +225,18 @@ def cnn(seq, filts, biases):
 
 
 def test_text_cnn_zero_sequence():
+    # zero biases pool every map to exactly 0, where the ReLU's gradient is 0
     rng = np.random.default_rng(1)
-    filts = [rng.normal(size=(w, 3, 4)) for w in (1, 2, 3)]
-    out = cnn(np.zeros((1, 6, 3)), filts, [np.zeros(4)] * 3)
+    args = [Tensor(np.zeros((1, 6, 3)), requires_grad=True)]
+    args += [Tensor(rng.normal(size=(w, 3, 4)), requires_grad=True) for w in (1, 2, 3)]
+    args += [Tensor(np.zeros(4), requires_grad=True) for _ in range(3)]
+    tape = Tape()
+    with recording(tape):
+        out = text_cnn(args[0], args[1:4], args[4:])
+        grads = grads_of(sum_(out), tape, args)
     np.testing.assert_array_equal(out.data, np.zeros((1, 12)))
+    for grad in grads:
+        np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
 
 def test_text_cnn_single_window_is_identity_pool():
@@ -285,7 +293,7 @@ def test_text_cnn_too_short():
 
 def test_text_cnn_matches_per_width_composition():
     # unfold every window, one matmul against the flattened filter, bias,
-    # max over time: the chain text_cnn replaces, width by width
+    # max over time, ReLU: the chain text_cnn replaces, width by width
     rng = np.random.default_rng(5)
     batch, length, d = 4, 7, 3
     seq = rng.normal(size=(batch, length, d))
@@ -296,7 +304,7 @@ def test_text_cnn_matches_per_width_composition():
         w, n_win = f.shape[0], length - f.shape[0] + 1
         win = reshape(unfold_windows(Tensor(seq), w), (batch * n_win, w * d))
         resp = reshape(matmul(win, Tensor(f.reshape(w * d, 3))), (batch, n_win, 3))
-        pooled.append(max_along(ad.add(resp, Tensor(b)), axis=1).data)
+        pooled.append(np.maximum(max_along(ad.add(resp, Tensor(b)), axis=1).data, 0.0))
     np.testing.assert_allclose(cnn(seq, filts, biases).data, np.concatenate(pooled, axis=1),
                                rtol=0, atol=1e-12)
 
@@ -323,27 +331,32 @@ def test_text_cnn_gradients_match_finite_differences(arg):
 
 def test_text_cnn_gradient_goes_to_the_first_argmax():
     # every window of the constant sequence ties; max_along's rule sends
-    # the whole gradient to window 0, so only its positions get any
+    # map 0's whole gradient to window 0, so only its positions get any.
+    # Map 1's windows are all negative, so the ReLU passes it no gradient
     seq = Tensor(np.ones((1, 4, 1)), requires_grad=True)
-    filt = Tensor(np.array([[[1.0]], [[2.0]]]), requires_grad=True)
-    bias = Tensor(np.zeros(1), requires_grad=True)
-    g_seq, g_filt, g_bias = run_taped(
-        lambda tape: grads_of(sum_(text_cnn(seq, [filt], [bias])), tape, [seq, filt, bias]))
+    filt = Tensor(np.array([[[1.0, -1.0]], [[2.0, -2.0]]]), requires_grad=True)
+    bias = Tensor(np.zeros(2), requires_grad=True)
+    tape = Tape()
+    with recording(tape):
+        out = text_cnn(seq, [filt], [bias])
+        g_seq, g_filt, g_bias = grads_of(sum_(out), tape, [seq, filt, bias])
+    np.testing.assert_array_equal(out.data, [[3.0, 0.0]])
     np.testing.assert_array_equal(g_seq, [[[1.0], [2.0], [0.0], [0.0]]])
-    np.testing.assert_array_equal(g_filt, [[[1.0]], [[1.0]]])
-    np.testing.assert_array_equal(g_bias, [1.0])
+    np.testing.assert_array_equal(g_filt, [[[1.0, 0.0]], [[1.0, 0.0]]])
+    np.testing.assert_array_equal(g_bias, [1.0, 0.0])
 
 
 def text_cnn_batch_major(seq, filters, biases, g):
     """Output and (seq, *filters, *biases) gradients of the text CNN for
     output gradient g, with its products laid out [B, L, Σ w·C]: one GEMM
     of the [B·L, D] rows by the stacked taps, shifted [B, windows, C] tap
-    blocks, pooling and the first argmax along the windows."""
+    blocks, pooling and the first argmax along the windows, then ReLU,
+    whose mask zeroes the gradient of every map that pooled to 0 or NaN."""
     batch, length, d = seq.shape
     taps = np.concatenate([f.transpose(1, 0, 2).reshape(d, -1) for f in filters], axis=1)
     flat = seq.reshape(batch * length, d)
     prod = (flat @ taps).reshape(batch, length, -1)
-    out, g_prod, col, m0 = [], np.zeros_like(prod), 0, 0
+    out, g_maps, g_prod, col, m0 = [], [], np.zeros_like(prod), 0, 0
     for f, b in zip(filters, biases):
         width, _, n_maps = f.shape
         n_win = length - width + 1
@@ -351,12 +364,13 @@ def text_cnn_batch_major(seq, filters, biases, g):
         for j in range(1, width):
             resp += prod[:, j:j + n_win, col + j * n_maps:col + (j + 1) * n_maps]
         resp += b
-        out.append(resp.max(axis=1))
+        out.append(np.maximum(resp.max(axis=1), 0.0))
+        g_maps.append(g[:, m0:m0 + n_maps] * (out[-1] > 0))
         idx = resp.argmax(axis=1)
         for r in range(batch):
             for m in range(n_maps):
                 for j in range(width):
-                    g_prod[r, idx[r, m] + j, col + j * n_maps + m] = g[r, m0 + m]
+                    g_prod[r, idx[r, m] + j, col + j * n_maps + m] = g_maps[-1][r, m]
         col, m0 = col + width * n_maps, m0 + n_maps
     g_prod = g_prod.reshape(batch * length, -1)
     g_taps = flat.T @ g_prod
@@ -365,14 +379,15 @@ def text_cnn_batch_major(seq, filters, biases, g):
         width, _, n_maps = f.shape
         g_filters.append(g_taps[:, col:col + width * n_maps].reshape(d, width, n_maps).transpose(1, 0, 2))
         col += width * n_maps
-    g_biases = np.split(g.sum(axis=0), np.cumsum([f.shape[2] for f in filters])[:-1])
+    g_biases = [gm.sum(axis=0) for gm in g_maps]
     return np.concatenate(out, axis=1), [(g_prod @ taps.T).reshape(seq.shape), *g_filters, *g_biases]
 
 
 def test_text_cnn_equals_the_batch_major_layout_bit_for_bit():
     # float32 with mixed widths: row 0 repeats a 3-step pattern, so every
     # width has tied windows and the first must win; row 1 holds a NaN, so
-    # every window over it pools NaN, and the first NaN window wins
+    # every map over it pools NaN and, like a map pooled to 0 or below,
+    # passes no gradient
     rng = np.random.default_rng(11)
     seq = rng.normal(size=(4, 9, 5)).astype(np.float32)
     seq[0] = np.tile(seq[0, :3], (3, 1))
@@ -387,6 +402,8 @@ def test_text_cnn_equals_the_batch_major_layout_bit_for_bit():
         grads = grads_of(sum_(ad.mul(out, g)), tape, args)
     ref_out, ref_grads = text_cnn_batch_major(seq, filters, biases, g)
     assert np.isnan(out.data[1]).all() and not np.isnan(out.data[[0, 2, 3]]).any()
+    kept = out.data[[0, 2, 3]]
+    assert (kept == 0).any() and (kept > 0).any()  # the ReLU cuts some maps, not all
     np.testing.assert_array_equal(out.data, ref_out)
     for grad, ref in zip(grads, ref_grads):
         assert grad.dtype == np.float32
@@ -394,6 +411,7 @@ def test_text_cnn_equals_the_batch_major_layout_bit_for_bit():
     # every window pooled in the tied row starts before step 3, so the last
     # two steps, which only later tied windows reach, get no gradient
     assert (grads[0][0, 7:] == 0).all() and (grads[0][0, :7] != 0).any()
+    assert (grads[0][1] == 0).all()
 
 
 def test_scatter_adds_equal_a_sequential_loop_bit_for_bit():
@@ -1043,7 +1061,6 @@ PRIMITIVE_CASES = [
     ("matmul", lambda x: sum_(matmul(x, reshape(x, (2, 3)))), (3, 2)),
     ("sigmoid", lambda x: sum_(ad.sigmoid(x)), (5,)),
     ("tanh", lambda x: sum_(ad.tanh(x)), (5,)),
-    ("relu", lambda x: sum_(ad.relu(x)), (5,)),
     ("log", lambda x: sum_(ad.log(ad.add(ad.mul(x, x), 1.0))), (4,)),
     ("softmax", lambda x: sum_(ad.mul(softmax(x, temperature=0.7), Tensor([0.2, -1.0, 0.5]))), (3,)),
     ("sum_axis", lambda x: sum_(ad.mul(sum_(x, axis=0), Tensor([1.0, -2.0]))), (3, 2)),
